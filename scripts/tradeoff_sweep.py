@@ -55,7 +55,7 @@ def main():
     reward = QuadraticWell(center=np.array([2.0, 0.0]), curvature=1.0)
     ref = terminal(base.vf, args.n_eval, 778)
     base_gen = terminal(base.vf, args.n_eval, 777)
-    base_reward = float(np.mean([reward.value(x) for x in base_gen]))
+    base_reward = float(np.mean(reward.value(base_gen)))
     print(f"base: reward {base_reward:.3f}, mpd {diversity_mpd(base_gen):.3f}")
 
     rows = []
@@ -69,7 +69,7 @@ def main():
             )
             tuned, _, _ = finetune(cfg, base, reward)
             gen = terminal(tuned.vf, args.n_eval, 777)
-            rewards.append(float(np.mean([reward.value(x) for x in gen])))
+            rewards.append(float(np.mean(reward.value(gen))))
             covs.append(knn_coverage_recall(gen, ref, k=5)[0])
             mpds.append(diversity_mpd(gen))
         row = {

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, sde_step_coeffs
+from .dynamics import Trajectory, _integrate, sde_step_coeffs
 from .errors import NonFiniteError, ShapeError
 from .schedules import InterpolantSchedule, NoiseSchedule
 
@@ -33,8 +33,8 @@ class AdjointTrace:
     terminal_grad: np.ndarray
 
 
-def _vjp(base, x, t, cond, w, sched, ns):
-    out = base.input_vjp(x, t, cond, w)
+def _vjp(base, x, t, w, sched, ns):
+    out = base.input_vjp(x, t, w)
     if ns is None:
         return out
     corr, kappa, _ = sde_step_coeffs(sched, ns, t)
@@ -47,7 +47,6 @@ def lean_adjoint_batch(
     states: np.ndarray,
     terminal_grads: np.ndarray,
     n_truncate: int,
-    cond=None,
     sched: Optional[InterpolantSchedule] = None,
     ns: Optional[NoiseSchedule] = None,
 ):
@@ -55,6 +54,8 @@ def lean_adjoint_batch(
 
     states: (N+1, m, dim); terminal_grads: (m, dim).  Returns
     (window_times (T,), adjoints (T, m, dim)) with window_times ascending.
+    Passing ``sched`` and ``ns`` differentiates the noise-corrected SDE drift
+    instead of the plain field.
     """
     n = times.shape[0] - 1
     if not 1 <= n_truncate <= n:
@@ -73,7 +74,7 @@ def lean_adjoint_batch(
         # evaluated the drift at, so the trace is the exact pathwise
         # gradient of the discrete flow map
         k = n - j
-        a = a + h * _vjp(base, states[k], times[k], cond, a, sched, ns)
+        a = a + h * _vjp(base, states[k], times[k], a, sched, ns)
         if np.max(np.abs(a)) > BLOWUP_NORM:
             raise NonFiniteError(f"adjoint blow-up at grid index {k - 1}")
         adjoints[n_truncate - 1 - j] = a
@@ -86,39 +87,9 @@ def lean_adjoint(
     """Truncated lean adjoint along one trajectory (deterministic dynamics)."""
     tg = np.asarray(terminal_grad, dtype=np.float64)
     window, adj = lean_adjoint_batch(
-        base, traj.times, traj.states[:, None, :], tg[None, :], n_truncate,
-        cond=traj.cond,
+        base, traj.times, traj.states[:, None, :], tg[None, :], n_truncate
     )
     return AdjointTrace(window=window, adjoints=adj[:, 0, :], terminal_grad=tg)
-
-
-def lean_adjoint_sde(
-    base,
-    sched: InterpolantSchedule,
-    ns: NoiseSchedule,
-    traj: Trajectory,
-    terminal_grad,
-    n_truncate: int,
-) -> AdjointTrace:
-    """Lean adjoint against the noise-corrected drift of the SDE sampler."""
-    tg = np.asarray(terminal_grad, dtype=np.float64)
-    window, adj = lean_adjoint_batch(
-        base, traj.times, traj.states[:, None, :], tg[None, :], n_truncate,
-        cond=traj.cond, sched=sched, ns=ns,
-    )
-    return AdjointTrace(window=window, adjoints=adj[:, 0, :], terminal_grad=tg)
-
-
-def integrate_from(field, x, times, start_index: int, cond=None) -> np.ndarray:
-    """Euler-integrate the ODE from grid index start_index to t=1."""
-    x = np.asarray(x, dtype=np.float64).copy()
-    h = times[1] - times[0]
-    for k in range(start_index, times.shape[0] - 1):
-        v = field.forward(x, times[k], cond) if hasattr(field, "forward") else field(
-            x, times[k], cond
-        )
-        x = x + h * v
-    return x
 
 
 def verify_adjoint_fd(base, traj: Trajectory, reward, t_index: int, fd_step=1e-4):
@@ -133,23 +104,16 @@ def verify_adjoint_fd(base, traj: Trajectory, reward, t_index: int, fd_step=1e-4
     if not 1 <= t_index <= n:
         raise ShapeError(f"t_index {t_index} not in [1, {n}]")
     terminal_grad = -np.asarray(reward.grad(traj.states[-1]), dtype=np.float64)
-    n_truncate = n - t_index + 1
-    trace = lean_adjoint(base, traj, terminal_grad, n_truncate)
-    # adjoint entry at grid time t_index
-    idx = t_index - (n - n_truncate + 1)
-    adjoint = trace.adjoints[idx]
+    # the window starts at t_index, so its first entry is the adjoint there
+    adjoint = lean_adjoint(base, traj, terminal_grad, n - t_index + 1).adjoints[0]
 
+    # rows x + h e_j, then rows x - h e_j, re-integrated together
     x = traj.states[t_index]
     dim = x.shape[-1]
-    fd = np.empty(dim)
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = fd_step
-        g_plus = -float(reward.value(integrate_from(base, x + e, traj.times, t_index,
-                                                    traj.cond)))
-        g_minus = -float(reward.value(integrate_from(base, x - e, traj.times, t_index,
-                                                     traj.cond)))
-        fd[j] = (g_plus - g_minus) / (2.0 * fd_step)
+    e = fd_step * np.eye(dim)
+    _, states = _integrate(base, np.concatenate([x + e, x - e]), n, start=t_index)
+    g = -reward.value(states[-1])
+    fd = (g[:dim] - g[dim:]) / (2.0 * fd_step)
     scale = max(np.linalg.norm(fd), 1e-12)
     max_rel_err = float(np.max(np.abs(adjoint - fd)) / scale)
     return adjoint, fd, max_rel_err

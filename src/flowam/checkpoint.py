@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ParseError
+from .errors import ConfigError, NonFiniteError, ParseError
 from .nnet import NetConfig, VelocityField
 
 FORMAT_VERSION = 1
@@ -27,6 +27,21 @@ class Checkpoint:
     iteration: int
 
 
+def atomic_write(path: str, data: bytes) -> None:
+    """Write to a temp file in the same directory, then rename over ``path``."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save(ckpt: Checkpoint, path: str) -> None:
     header = {
         "format_version": FORMAT_VERSION,
@@ -35,21 +50,8 @@ def save(ckpt: Checkpoint, path: str) -> None:
         "iteration": int(ckpt.iteration),
         "n_params": int(ckpt.vf.n_params),
     }
-    params = ckpt.vf.params_flat().astype("<f8")
-    # atomic: write to a temp file in the same directory, then rename
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            f.write(b"\n")
-            f.write(params.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    atomic_write(path, head + ckpt.vf.params_flat().astype("<f8").tobytes())
 
 
 def load(path: str) -> Checkpoint:
@@ -64,7 +66,10 @@ def load(path: str) -> Checkpoint:
         raise ParseError(
             f"unsupported checkpoint format_version {header.get('format_version')}"
         )
-    cfg = NetConfig.from_dict(header["arch"])
+    try:
+        cfg = NetConfig.from_dict(header["arch"])
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
+        raise ParseError(f"bad checkpoint architecture in {path}: {e!r}") from e
     params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if params.size != header["n_params"]:
         raise ParseError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .config import (
     parse_config,
 )
 from .dynamics import sample_batch
-from .errors import FlowError, NonFiniteError, ParseError, ValidationError
+from .errors import ConfigError, FlowError, NonFiniteError, ParseError, ValidationError
 from .evaluation import EVAL_COLUMNS, evaluate
 from .oracles import (
     GaussianFlowSpec,
@@ -34,27 +35,28 @@ from .oracles import (
 from .train import METRICS_COLUMNS, TIMING_COLUMNS, finetune, pretrain, write_csv
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    import tempfile
-
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _workers(cfg: RunConfig) -> int:
     env = os.environ.get("FLOWCTL_THREADS")
-    if env is not None:
+    if env is None:
+        return cfg["workers"]
+    try:
         return max(1, int(env))
-    return cfg["workers"]
+    except ValueError:
+        raise ConfigError(f"FLOWCTL_THREADS must be an integer, got {env!r}") from None
+
+
+def _load_checkpoints(cfg: RunConfig, *paths):
+    """Load each checkpoint and check its state dimension against the config."""
+    out = []
+    for path in paths:
+        ckpt = ckpt_io.load(path)
+        if ckpt.vf.cfg.state_dim != cfg["state_dim"]:
+            raise ConfigError(
+                f"checkpoint {path} has state_dim {ckpt.vf.cfg.state_dim}, "
+                f"the config has state_dim = {cfg['state_dim']}"
+            )
+        out.append(ckpt)
+    return out
 
 
 def _load_run(args) -> RunConfig:
@@ -66,7 +68,9 @@ def _load_run(args) -> RunConfig:
 
 def _emit_run_files(cfg: RunConfig, rows, timings=None) -> None:
     outdir = cfg["outdir"]
-    _atomic_write_text(os.path.join(outdir, "config.resolved"), cfg.resolved_text())
+    ckpt_io.atomic_write(
+        os.path.join(outdir, "config.resolved"), cfg.resolved_text().encode("utf-8")
+    )
     write_csv(rows, METRICS_COLUMNS, os.path.join(outdir, "metrics.csv"))
     if timings is not None:
         write_csv(timings, TIMING_COLUMNS, os.path.join(outdir, "timings.csv"))
@@ -86,10 +90,8 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _load_run(args)
-    base = ckpt_io.load(args.base)
+    (base,) = _load_checkpoints(cfg, args.base)
     reward = make_reward(cfg)
-    from dataclasses import replace
-
     train_cfg = replace(cfg.train, workers=_workers(cfg))
     ckpt, rows, timings = finetune(train_cfg, base, reward)
     _emit_run_files(cfg, rows, timings)
@@ -101,8 +103,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_run(args)
-    ckpt = ckpt_io.load(args.ckpt)
-    base = ckpt_io.load(args.base)
+    ckpt, base = _load_checkpoints(cfg, args.ckpt, args.base)
     reward = make_reward(cfg)
     report = evaluate(
         ckpt, base, reward,

@@ -8,14 +8,16 @@ not one at a time.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .nnet import NetConfig
+from .nnet import ACTIVATIONS, NetConfig
 from .schedules import NOISE_SCHEDULES, SCHEDULES, sigma
 from .tasks import (
+    DISTRIBUTIONS,
+    REWARDS,
     ConstantReward,
     Gaussian1D,
     GaussianMixture2D,
@@ -55,14 +57,12 @@ SCHEMA = {
     "schedule": (str, "linear"),
     "seed": (int, 0),
     "k_window": (int, 1),
-    "eval_every": (int, 0),
     "workers": (int, 1),
     # network
     "state_dim": (int, 2),
     "hidden": (_ints, (64, 64, 64)),
     "activation": (str, "silu"),
     "time_features": (int, 8),
-    "n_cond": (int, 0),
     # data
     "data": (str, "gm2"),
     "data_mu": (float, 0.0),
@@ -164,14 +164,18 @@ def _validate(values: dict) -> list:
                     f"noise schedule {values['noise']!r} vanishes on the "
                     f"matching window; sde-am needs sigma > 0 there"
                 )
-    if values["data"] not in ("gauss1d", "gm2", "ring8"):
-        v.append(f"data must be one of ('gauss1d', 'gm2', 'ring8')")
-    if values["reward"] not in ("quadwell", "tilt", "linear", "constant"):
-        v.append("reward must be one of ('quadwell', 'tilt', 'linear', 'constant')")
-    if values["data"] == "gauss1d" and values["state_dim"] != 1:
-        v.append("data gauss1d requires state_dim = 1")
-    if values["data"] in ("gm2", "ring8") and values["state_dim"] != 2:
-        v.append(f"data {values['data']} requires state_dim = 2")
+    if values["activation"] not in ACTIVATIONS:
+        v.append(
+            f"activation must be one of {ACTIVATIONS}, got {values['activation']!r}"
+        )
+    if values["data"] not in DISTRIBUTIONS:
+        v.append(f"data must be one of {tuple(DISTRIBUTIONS)}")
+    else:
+        dim = DISTRIBUTIONS[values["data"]]().dim
+        if values["state_dim"] != dim:
+            v.append(f"data {values['data']} requires state_dim = {dim}")
+    if values["reward"] not in REWARDS:
+        v.append(f"reward must be one of {tuple(REWARDS)}")
     return v
 
 
@@ -207,7 +211,6 @@ def resolve(raw: dict) -> RunConfig:
         schedule=values["schedule"],
         seed=values["seed"],
         k_window=values["k_window"],
-        eval_every=values["eval_every"],
         workers=values["workers"],
     )
     net = NetConfig(
@@ -215,7 +218,6 @@ def resolve(raw: dict) -> RunConfig:
         hidden=values["hidden"],
         activation=values["activation"],
         time_features=values["time_features"],
-        n_cond=values["n_cond"],
     )
     blob = repr(sorted(values.items())).encode("utf-8")
     return RunConfig(

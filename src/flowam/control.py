@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import AdjointTrace
-from .dynamics import Trajectory, sde_step_coeffs
+from .dynamics import sde_step_coeffs
 from .errors import ConfigError, ShapeError, SingularityError
 from .nnet import VelocityField, accumulate_grads, zero_grads_like
 from .schedules import InterpolantSchedule, NoiseSchedule
@@ -82,18 +81,38 @@ def stochastic_coefficient(
 
 
 # ---------------------------------------------------------------------------
-# Matching losses.  The batch variants consume stacked states
-# (N+1, m, dim) plus the adjoint window (T, m, dim) and pair the adjoint at
-# grid time t_k with the velocities consumed at the step start t_{k-1};
-# they return (loss, param_grads) with the mean taken over window x batch.
+# Matching losses.  Both consume stacked states (N+1, m, dim) plus the
+# adjoint window (T, m, dim), pair the adjoint at grid time t_k with the
+# velocities consumed at the step start t_{k-1}, and return
+# (loss, param_grads) with the mean taken over window x batch.
 # ---------------------------------------------------------------------------
 
 
-def _window_indices(times, window):
-    n = times.shape[0] - 1
-    t_count = window.shape[0]
-    start = n - t_count + 1  # grid index of window[0]
-    return [start + i for i in range(t_count)]
+def _matching_loss(v_theta, v_base, times, states, window, adjoints, reg, coeffs,
+                   want_grad):
+    """Mean of |c (v_theta - v_base) - s u*(a)|^2 with (c, s) = coeffs(t)."""
+    m = states.shape[1]
+    t_count = adjoints.shape[0]
+    grads = zero_grads_like(v_theta) if want_grad else None
+    total = 0.0
+    denom = float(t_count * m)
+    first = times.shape[0] - 1 - window.shape[0]  # step start paired with window[0]
+    for i in range(t_count):
+        x = states[first + i]
+        t = times[first + i]
+        coef, scale = coeffs(t)
+        target = scale * control_from_adjoint(reg, adjoints[i])
+        vb = v_base.forward(x, t)
+        if want_grad:
+            vt, tape = v_theta.forward_tape(x, t)
+        else:
+            vt = v_theta.forward(x, t)
+        resid = coef * (vt - vb) - target
+        total += float(np.sum(resid * resid))
+        if want_grad:
+            g, _ = tape.backward(2.0 * coef * resid / denom)
+            accumulate_grads(grads, g)
+    return total / denom, grads
 
 
 def am_det_loss_and_grad(
@@ -104,29 +123,11 @@ def am_det_loss_and_grad(
     window: np.ndarray,
     adjoints: np.ndarray,
     reg: RegularizerSpec,
-    cond=None,
     want_grad: bool = True,
 ):
-    m = states.shape[1]
-    t_count = adjoints.shape[0]
-    grads = zero_grads_like(v_theta) if want_grad else None
-    total = 0.0
-    denom = float(t_count * m)
-    for i, k in enumerate(_window_indices(times, window)):
-        x = states[k - 1]
-        t = times[k - 1]
-        target = control_from_adjoint(reg, adjoints[i])
-        vb = v_base.forward(x, t, cond)
-        if want_grad:
-            vt, tape = v_theta.forward_tape(x, t, cond)
-        else:
-            vt = v_theta.forward(x, t, cond)
-        resid = (vt - vb) - target
-        total += float(np.sum(resid * resid))
-        if want_grad:
-            g, _ = tape.backward(2.0 * resid / denom)
-            accumulate_grads(grads, g)
-    return total / denom, grads
+    """Regress the implicit control v_theta - v_base onto u*(a)."""
+    return _matching_loss(v_theta, v_base, times, states, window, adjoints, reg,
+                          lambda t: (1.0, 1.0), want_grad)
 
 
 def am_sde_loss_and_grad(
@@ -139,65 +140,17 @@ def am_sde_loss_and_grad(
     window: np.ndarray,
     adjoints: np.ndarray,
     reg: RegularizerSpec,
-    cond=None,
     want_grad: bool = True,
 ):
+    """Match the scaled control against sigma u*(a); quadratic penalty only."""
     if reg.p != 2.0:
         raise ConfigError("stochastic adjoint matching supports p = 2 only")
-    m = states.shape[1]
-    t_count = adjoints.shape[0]
-    grads = zero_grads_like(v_theta) if want_grad else None
-    total = 0.0
-    denom = float(t_count * m)
-    for i, k in enumerate(_window_indices(times, window)):
-        x = states[k - 1]
-        t = times[k - 1]
-        coef = stochastic_coefficient(sched, ns, t)
-        _, _, sig = sde_step_coeffs(sched, ns, t)
-        target = sig * control_from_adjoint(reg, adjoints[i])  # = -sig*lam*a
-        vb = v_base.forward(x, t, cond)
-        if want_grad:
-            vt, tape = v_theta.forward_tape(x, t, cond)
-        else:
-            vt = v_theta.forward(x, t, cond)
-        resid = coef * (vt - vb) - target
-        total += float(np.sum(resid * resid))
-        if want_grad:
-            g, _ = tape.backward(2.0 * coef * resid / denom)
-            accumulate_grads(grads, g)
-    return total / denom, grads
 
+    def coeffs(t):
+        return stochastic_coefficient(sched, ns, t), sde_step_coeffs(sched, ns, t)[2]
 
-def am_loss_deterministic(
-    v_theta: VelocityField,
-    v_base: VelocityField,
-    traj: Trajectory,
-    trace: AdjointTrace,
-    reg: RegularizerSpec,
-) -> float:
-    loss, _ = am_det_loss_and_grad(
-        v_theta, v_base, traj.times, traj.states[:, None, :],
-        trace.window, trace.adjoints[:, None, :], reg,
-        cond=traj.cond, want_grad=False,
-    )
-    return loss
-
-
-def am_loss_stochastic(
-    v_theta: VelocityField,
-    v_base: VelocityField,
-    sched: InterpolantSchedule,
-    ns: NoiseSchedule,
-    traj: Trajectory,
-    trace: AdjointTrace,
-    reg: RegularizerSpec,
-) -> float:
-    loss, _ = am_sde_loss_and_grad(
-        v_theta, v_base, sched, ns, traj.times, traj.states[:, None, :],
-        trace.window, trace.adjoints[:, None, :], reg,
-        cond=traj.cond, want_grad=False,
-    )
-    return loss
+    return _matching_loss(v_theta, v_base, times, states, window, adjoints, reg,
+                          coeffs, want_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +164,6 @@ def draft_loss_and_grad(
     states: np.ndarray,
     reward,
     k: int,
-    cond=None,
     want_grad: bool = True,
 ):
     """Reward backprop through the last k Euler steps.
@@ -229,16 +181,16 @@ def draft_loss_and_grad(
     tapes = []
     for j in range(n - k, n):
         if want_grad:
-            v, tape = v_theta.forward_tape(x, times[j], cond)
+            v, tape = v_theta.forward_tape(x, times[j])
             tapes.append(tape)
         else:
-            v = v_theta.forward(x, times[j], cond)
+            v = v_theta.forward(x, times[j])
         x = x + h * v
-    loss = -float(np.mean([reward.value(x[i]) for i in range(m)]))
+    loss = -float(np.mean(reward.value(x)))
     if not want_grad:
         return loss, None, x
     grads = zero_grads_like(v_theta)
-    w = -np.stack([reward.grad(x[i]) for i in range(m)]) / m
+    w = -reward.grad(x) / m
     for tape in reversed(tapes):
         g, input_grad = tape.backward(h * w)
         accumulate_grads(grads, g)
@@ -253,7 +205,6 @@ def refl_loss_and_grad(
     reward,
     k_window: int,
     rng: np.random.Generator,
-    cond=None,
     want_grad: bool = True,
 ):
     """Reward at a one-step extrapolated terminal state.
@@ -270,31 +221,13 @@ def refl_loss_and_grad(
     t = times[j]
     x = states[j]
     if want_grad:
-        v, tape = v_theta.forward_tape(x, t, cond)
+        v, tape = v_theta.forward_tape(x, t)
     else:
-        v = v_theta.forward(x, t, cond)
+        v = v_theta.forward(x, t)
     x1 = x + (1.0 - t) * v
-    loss = -float(np.mean([reward.value(x1[i]) for i in range(m)]))
+    loss = -float(np.mean(reward.value(x1)))
     if not want_grad:
         return loss, None, x1
-    w = -np.stack([reward.grad(x1[i]) for i in range(m)]) / m
+    w = -reward.grad(x1) / m
     grads, _ = tape.backward((1.0 - t) * w)
     return loss, grads, x1
-
-
-def draft_loss(v_theta, traj: Trajectory, reward, k: int) -> float:
-    loss, _, _ = draft_loss_and_grad(
-        v_theta, traj.times, traj.states[:, None, :], reward, k,
-        cond=traj.cond, want_grad=False,
-    )
-    return loss
-
-
-def refl_loss(
-    v_theta, traj: Trajectory, reward, k_window: int, rng: np.random.Generator
-) -> float:
-    loss, _, _ = refl_loss_and_grad(
-        v_theta, traj.times, traj.states[:, None, :], reward, k_window, rng,
-        cond=traj.cond, want_grad=False,
-    )
-    return loss

@@ -12,11 +12,8 @@ regardless of worker count.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,7 +34,6 @@ class Trajectory:
     times: np.ndarray  # (N+1,)
     states: np.ndarray  # (N+1, dim)
     noises: np.ndarray  # (N, dim) for SDE runs, (0, dim) for ODE runs
-    cond: Optional[int] = None
     seed: Optional[int] = None
 
     @property
@@ -54,12 +50,6 @@ def sample_seed(base_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(base_seed), int(index)]))
 
 
-def _eval_field(field, x, t, cond):
-    if hasattr(field, "forward"):
-        return field.forward(x, t, cond)
-    return field(x, t, cond)
-
-
 def sde_step_coeffs(sched: InterpolantSchedule, ns: NoiseSchedule, t: float):
     """(correction, kappa, sigma) at t clipped to [T_FLOOR, 1 - T_FLOOR]."""
     tc = min(max(t, T_FLOOR), 1.0 - T_FLOOR)
@@ -73,18 +63,19 @@ def _check_finite(x, step):
         raise NonFiniteError(f"non-finite state at step {step}")
 
 
-def _integrate(field, x0, cond, n_steps, sched=None, ns=None, noises=None):
-    """Shared Euler / Euler-Maruyama core over a batch. Returns (N+1, m, dim)."""
+def _integrate(field, x0, n_steps, sched=None, ns=None, noises=None, start=0):
+    """Shared Euler / Euler-Maruyama core over a batch, from grid index
+    ``start`` to t=1.  Returns (times (N+1,), states (N+1-start, m, dim))."""
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
     m, dim = x.shape
     h = 1.0 / n_steps
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    states = np.empty((n_steps + 1, m, dim))
+    states = np.empty((n_steps + 1 - start, m, dim))
     states[0] = x
     stochastic = noises is not None
-    for k in range(n_steps):
+    for k in range(start, n_steps):
         t = times[k]
-        v = np.atleast_2d(_eval_field(field, x, t, cond))
+        v = field.forward(x, t)
         if stochastic:
             corr, kappa, sig = sde_step_coeffs(sched, ns, t)
             drift = v + corr * (v - kappa * x)
@@ -92,21 +83,19 @@ def _integrate(field, x0, cond, n_steps, sched=None, ns=None, noises=None):
         else:
             x = x + h * v
         _check_finite(x, k + 1)
-        states[k + 1] = x
+        states[k + 1 - start] = x
     return times, states
 
 
-def sample_ode(field, n_steps: int, x0, cond=None, seed=None) -> Trajectory:
+def sample_ode(field, n_steps: int, x0, seed=None) -> Trajectory:
     """Explicit-Euler trajectory of the probability-flow ODE."""
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
-    x0 = np.asarray(x0, dtype=np.float64)
-    times, states = _integrate(field, x0, cond, n_steps)
+    times, states = _integrate(field, x0, n_steps)
     return Trajectory(
         times=times,
         states=states[:, 0, :],
         noises=np.empty((0, states.shape[-1])),
-        cond=cond,
         seed=seed,
     )
 
@@ -117,7 +106,6 @@ def sample_sde(
     ns: NoiseSchedule,
     n_steps: int,
     x0,
-    cond=None,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
     noises: Optional[np.ndarray] = None,
@@ -132,7 +120,7 @@ def sample_sde(
     x0 = np.asarray(x0, dtype=np.float64)
     dim = x0.shape[-1] if x0.ndim else 1
     if ns.kind is NoiseKind.ZERO:
-        traj = sample_ode(field, n_steps, x0, cond=cond, seed=seed)
+        traj = sample_ode(field, n_steps, x0, seed=seed)
         traj.noises = np.zeros((n_steps, dim))
         return traj
     if noises is None:
@@ -143,21 +131,18 @@ def sample_sde(
     if noises.shape != (n_steps, dim):
         raise ShapeError(f"noises shape {noises.shape} != {(n_steps, dim)}")
     times, states = _integrate(
-        field, x0, cond, n_steps, sched=sched, ns=ns, noises=noises[:, None, :]
+        field, x0, n_steps, sched=sched, ns=ns, noises=noises[:, None, :]
     )
-    return Trajectory(
-        times=times, states=states[:, 0, :], noises=noises, cond=cond, seed=seed
-    )
+    return Trajectory(times=times, states=states[:, 0, :], noises=noises, seed=seed)
 
 
 def replay(field, traj: Trajectory, sched=None, ns=None) -> Trajectory:
     """Re-integrate from the stored initial state and noises."""
     if traj.noises.shape[0] == 0:
-        return sample_ode(field, traj.n_steps, traj.states[0], cond=traj.cond,
-                          seed=traj.seed)
+        return sample_ode(field, traj.n_steps, traj.states[0], seed=traj.seed)
     return sample_sde(
         field, sched, ns, traj.n_steps, traj.states[0],
-        cond=traj.cond, seed=traj.seed, noises=traj.noises,
+        seed=traj.seed, noises=traj.noises,
     )
 
 
@@ -166,7 +151,6 @@ def sample_batch(
     n_steps: int,
     m: int,
     base_seed: int,
-    cond=None,
     sched: Optional[InterpolantSchedule] = None,
     ns: Optional[NoiseSchedule] = None,
     workers: int = 1,
@@ -192,7 +176,7 @@ def sample_batch(
     def run(sl):
         try:
             return _integrate(
-                field, x0[sl], cond, n_steps,
+                field, x0[sl], n_steps,
                 sched=sched, ns=ns,
                 noises=noises[:, sl, :] if stochastic else None,
             )
@@ -216,39 +200,7 @@ def sample_batch(
                 times=times,
                 states=states[:, i, :],
                 noises=noises[:, i, :] if stochastic else np.empty((0, dim)),
-                cond=cond,
                 seed=base_seed,
             )
         )
     return out
-
-
-def dump_batch(trajs: list[Trajectory], path: str) -> None:
-    """Binary batch dump: JSON header line + packed little-endian doubles."""
-    m = len(trajs)
-    n, dim = trajs[0].n_steps, trajs[0].dim
-    header = {"n_steps": n, "dim": dim, "m": m, "seed": trajs[0].seed}
-    data = np.stack([t.states for t in trajs]).astype("<f8")
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-            f.write(data.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_batch_states(path: str):
-    """Read a dump_batch file; returns (header dict, states (m, N+1, dim))."""
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        blob = f.read()
-    states = np.frombuffer(blob, dtype="<f8").reshape(
-        header["m"], header["n_steps"] + 1, header["dim"]
-    )
-    return header, states.astype(np.float64)

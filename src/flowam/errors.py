@@ -10,7 +10,7 @@ class DomainError(FlowError):
 
 
 class SingularityError(FlowError):
-    """A schedule coefficient or conversion denominator vanished."""
+    """A schedule coefficient vanished where it divides."""
 
 
 class ShapeError(FlowError):

@@ -54,6 +54,16 @@ def _as_points(x) -> np.ndarray:
     return x
 
 
+def _pair_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of x and y, via the Gram expansion."""
+    d2 = (
+        np.sum(x**2, axis=1)[:, None]
+        + np.sum(y**2, axis=1)[None, :]
+        - 2.0 * x @ y.T
+    )
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+
+
 def diversity_mpd(samples, chunk: int = 512) -> float:
     """Mean Euclidean distance over unordered pairs; chunked, O(n^2) memory-free."""
     x = _as_points(samples)
@@ -64,15 +74,7 @@ def diversity_mpd(samples, chunk: int = 512) -> float:
     for i in range(0, n, chunk):
         xi = x[i : i + chunk]
         for j in range(i, n, chunk):
-            xj = x[j : j + chunk]
-            d = np.sqrt(
-                np.maximum(
-                    np.sum(xi**2, axis=1)[:, None]
-                    + np.sum(xj**2, axis=1)[None, :]
-                    - 2.0 * xi @ xj.T,
-                    0.0,
-                )
-            )
+            d = _pair_dists(xi, x[j : j + chunk])
             if i == j:
                 total += float(np.sum(np.triu(d, k=1)))
             else:
@@ -104,12 +106,7 @@ def energy_distance(a, b) -> float:
         raise TooFewSamples("need >= 2 samples per set")
 
     def mean_cross(x, y):
-        d2 = (
-            np.sum(x**2, axis=1)[:, None]
-            + np.sum(y**2, axis=1)[None, :]
-            - 2.0 * x @ y.T
-        )
-        return float(np.mean(np.sqrt(np.maximum(d2, 0.0))))
+        return float(np.mean(_pair_dists(x, y)))
 
     return max(
         2.0 * mean_cross(a, b) - mean_cross(a, a) - mean_cross(b, b), 0.0
@@ -118,15 +115,10 @@ def energy_distance(a, b) -> float:
 
 def _knn_radii(x: np.ndarray, k: int) -> np.ndarray:
     """Distance from each point of x to its k-th nearest other point of x."""
-    d2 = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(x**2, axis=1)[None, :]
-        - 2.0 * x @ x.T
-    )
-    np.fill_diagonal(d2, np.inf)
-    d = np.sqrt(np.maximum(np.sort(d2, axis=1), 0.0))
+    d = _pair_dists(x, x)
+    np.fill_diagonal(d, np.inf)
     kk = min(k, x.shape[0] - 1)
-    return d[:, kk - 1]
+    return np.sort(d, axis=1)[:, kk - 1]
 
 
 def knn_coverage_recall(gen, ref, k: int = 5):
@@ -141,12 +133,7 @@ def knn_coverage_recall(gen, ref, k: int = 5):
     r = _as_points(ref)
     if g.shape[0] < k + 1 or r.shape[0] < k + 1:
         raise TooFewSamples(f"need >= {k + 1} points per set")
-    cross2 = (
-        np.sum(r**2, axis=1)[:, None]
-        + np.sum(g**2, axis=1)[None, :]
-        - 2.0 * r @ g.T
-    )
-    cross = np.sqrt(np.maximum(cross2, 0.0))  # (n_ref, n_gen)
+    cross = _pair_dists(r, g)  # (n_ref, n_gen)
     gen_radii = _knn_radii(g, k)
     recall = float(np.mean(np.any(cross <= gen_radii[None, :], axis=1)))
     ref_radii = _knn_radii(r, k)
@@ -173,7 +160,7 @@ def evaluate(
     ref = np.stack(
         [t.states[-1] for t in sample_batch(base, n_steps, n_samples, seed + 1)]
     )
-    rewards = np.array([reward.value(gen[i]) for i in range(n_samples)])
+    rewards = reward.value(gen)
     if gen.shape[1] == 1:
         dist = wasserstein1_1d(gen, ref)
     else:

@@ -1,7 +1,8 @@
 """Minimal feed-forward velocity network with hand-rolled reverse-mode diff.
 
-The network maps (state, time, condition label) to a velocity of the same
-dimension as the state.  Two derivative primitives are exposed:
+The network maps (state, time) to a velocity of the same dimension as the
+state; every entry point takes a stacked (m, dim) batch, and a single (dim,)
+state is treated as a batch of one.  Two derivative primitives are exposed:
 
 * ``input_vjp`` -- w^T (dv/dx), the contraction the lean adjoint recursion
   consumes at every backward step;
@@ -9,19 +10,18 @@ dimension as the state.  Two derivative primitives are exposed:
   for loss minimization.
 
 Everything is float64 numpy.  No general-purpose autodiff: the architecture
-is a fixed MLP over [state, sinusoidal time features, one-hot condition].
+is a fixed MLP over [state, sinusoidal time features].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 
-_ACTIVATIONS = ("silu", "tanh", "identity")
+ACTIVATIONS = ("silu", "tanh", "identity")
 
 
 def _silu(z):
@@ -56,33 +56,36 @@ class NetConfig:
     hidden: tuple = (64, 64, 64)
     activation: str = "silu"
     time_features: int = 8
-    n_cond: int = 0
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
 
     @property
     def input_dim(self) -> int:
-        return self.state_dim + self.time_features + self.n_cond
+        return self.state_dim + self.time_features
 
     def to_dict(self) -> dict:
+        # "n_cond": 0 keeps the version-1 header layout, so files stay
+        # byte-identical and readable by tools that still expect the key
         return {
             "state_dim": self.state_dim,
             "hidden": list(self.hidden),
             "activation": self.activation,
             "time_features": self.time_features,
-            "n_cond": self.n_cond,
+            "n_cond": 0,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
+        if int(d["n_cond"]) != 0:
+            raise ConfigError(f"conditional networks (n_cond = {d['n_cond']}) "
+                              "are not supported")
         return cls(
             state_dim=int(d["state_dim"]),
             hidden=tuple(int(h) for h in d["hidden"]),
             activation=str(d["activation"]),
             time_features=int(d["time_features"]),
-            n_cond=int(d["n_cond"]),
         )
 
 
@@ -136,7 +139,7 @@ class GradientTape:
 
 
 class VelocityField:
-    """MLP velocity field v(x, t, cond) with weights in float64."""
+    """MLP velocity field v(x, t) with weights in float64."""
 
     def __init__(self, cfg: NetConfig, weights, biases):
         self.cfg = cfg
@@ -192,7 +195,7 @@ class VelocityField:
 
     # -- forward / derivatives ----------------------------------------------
 
-    def _features(self, x, t, cond):
+    def _features(self, x, t):
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         x2 = np.atleast_2d(x)
@@ -207,12 +210,6 @@ class VelocityField:
                 np.atleast_1d(np.asarray(t, dtype=np.float64)), (n,)
             )
             parts.append(time_embedding(tt, self.cfg.time_features))
-        if self.cfg.n_cond > 0:
-            onehot = np.zeros((n, self.cfg.n_cond))
-            if cond is not None:
-                idx = np.broadcast_to(np.atleast_1d(np.asarray(cond, dtype=int)), (n,))
-                onehot[np.arange(n), idx] = 1.0
-            parts.append(onehot)
         return np.concatenate(parts, axis=1), squeeze
 
     def _run(self, feats):
@@ -229,48 +226,24 @@ class VelocityField:
                 h = z
         return h, layer_inputs, preacts
 
-    def forward(self, x, t, cond=None) -> np.ndarray:
-        feats, squeeze = self._features(x, t, cond)
+    def forward(self, x, t) -> np.ndarray:
+        feats, squeeze = self._features(x, t)
         out, _, _ = self._run(feats)
         return out[0] if squeeze else out
 
-    def forward_tape(self, x, t, cond=None):
-        feats, squeeze = self._features(x, t, cond)
+    def forward_tape(self, x, t):
+        feats, squeeze = self._features(x, t)
         out, layer_inputs, preacts = self._run(feats)
         tape = GradientTape(self, layer_inputs, preacts)
         return (out[0] if squeeze else out), tape
 
-    def input_vjp(self, x, t, cond, w) -> np.ndarray:
-        """w^T (dv/dx) at (x, t, cond); batched over leading axis."""
+    def input_vjp(self, x, t, w) -> np.ndarray:
+        """w^T (dv/dx) at (x, t); batched over leading axis."""
         w = np.asarray(w, dtype=np.float64)
         squeeze = w.ndim == 1
-        _, tape = self.forward_tape(x, t, cond)
+        _, tape = self.forward_tape(x, t)
         _, input_grad = tape.backward(np.atleast_2d(w))
         return input_grad[0] if squeeze else input_grad
-
-
-def param_grad(
-    vf: VelocityField,
-    x,
-    t,
-    cond,
-    loss_fn: Callable[[np.ndarray], tuple],
-):
-    """Gradient of a scalar loss of one forward batch w.r.t. parameters.
-
-    ``loss_fn`` maps the (n, state_dim) batch output to
-    ``(scalar_loss, dloss_doutput)``.  Returns (loss, grads) where grads
-    matches the (W, b) layer structure.
-    """
-    out, tape = vf.forward_tape(x, t, cond)
-    loss, dout = loss_fn(np.atleast_2d(out))
-    if not np.isfinite(loss):
-        raise NonFiniteError(f"loss is not finite: {loss}")
-    grads, _ = tape.backward(dout)
-    for dw, db in grads:
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise NonFiniteError("non-finite gradient entries")
-    return float(loss), grads
 
 
 def grads_flat(grads) -> np.ndarray:

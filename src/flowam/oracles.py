@@ -138,10 +138,10 @@ class GaussianFlowField:
     def __init__(self, spec: GaussianFlowSpec):
         self.spec = spec
 
-    def forward(self, x, t, cond=None):
+    def forward(self, x, t):
         return rf_velocity(self.spec, x, t)
 
-    def input_vjp(self, x, t, cond, w):
+    def input_vjp(self, x, t, w):
         # dv/dx = A(t), a scalar
         t = float(t)
         a = (t - (1.0 - t) * self.spec.sigma**2) / self.spec.d(t)
@@ -160,8 +160,8 @@ class LinearVelocityField:
             else np.asarray(bias, dtype=np.float64)
         )
 
-    def forward(self, x, t, cond=None):
+    def forward(self, x, t):
         return np.asarray(x, dtype=np.float64) @ self.matrix.T + self.bias
 
-    def input_vjp(self, x, t, cond, w):
+    def input_vjp(self, x, t, w):
         return np.asarray(w, dtype=np.float64) @ self.matrix

@@ -1,4 +1,4 @@
-"""Affine interpolant schedules, derived drift coefficients, and diffusion noise schedules.
+"""Affine interpolant schedule, its drift coefficients, and diffusion noise schedules.
 
 The interpolant is x_t = beta(t) * x0 + alpha(t) * x1 with alpha(0)=0,
 alpha(1)=1, beta(0)=1, beta(1)=0.  From (alpha, beta) we derive
@@ -6,9 +6,10 @@ alpha(1)=1, beta(0)=1, beta(1)=0.  From (alpha, beta) we derive
     kappa(t) = alpha'(t) / alpha(t)
     eta(t)   = beta(t) * (kappa(t) * beta(t) - beta'(t))
 
-which convert between velocity / score / noise / clean-data parameterizations
-and define the matched ODE/SDE sampler pair.  All schedule queries clamp t to
-[T_FLOOR, 1] so the kappa singularity at t=0 never surfaces.
+which define the matched ODE/SDE sampler pair: the SDE adds the score
+correction (sigma^2 / (2 eta)) (v - kappa x), and the memoryless noise level
+is sigma^2 = 2 eta.  All schedule queries clamp t to [T_FLOOR, 1] so the
+kappa singularity at t=0 never surfaces.
 """
 
 from __future__ import annotations
@@ -20,20 +21,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, SingularityError
+from .errors import DomainError, SingularityError
 
 # Time clamp floor: samplers never need drift coefficients below this.
 T_FLOOR = 1e-3
 
 
-class ScheduleKind(Enum):
-    LINEAR = "linear"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class InterpolantSchedule:
-    kind: ScheduleKind
     alpha: Callable[[float], float]
     beta: Callable[[float], float]
     alpha_dot: Callable[[float], float]
@@ -43,7 +38,6 @@ class InterpolantSchedule:
 def linear_schedule() -> InterpolantSchedule:
     """alpha(t) = t, beta(t) = 1 - t."""
     return InterpolantSchedule(
-        kind=ScheduleKind.LINEAR,
         alpha=lambda t: np.asarray(t, dtype=np.float64) + 0.0,
         beta=lambda t: 1.0 - np.asarray(t, dtype=np.float64),
         alpha_dot=lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
@@ -76,66 +70,17 @@ def drift_coefficients(sched: InterpolantSchedule, t: float) -> DriftCoefficient
     return DriftCoefficients(kappa=kappa, eta=eta, t=tc)
 
 
-class Parameterization(Enum):
-    VELOCITY = "velocity"
-    SCORE = "score"
-    NOISE = "noise"
-    CLEAN_DATA = "clean_data"
-
-
-def to_velocity(
-    param: Parameterization,
-    value: np.ndarray,
-    x: np.ndarray,
-    t: float,
-    sched: InterpolantSchedule,
-) -> np.ndarray:
-    """Convert a model prediction of the given parameterization to a velocity."""
-    value = np.asarray(value, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if value.shape != x.shape:
-        raise ShapeError(f"value shape {value.shape} != x shape {x.shape}")
-    if param is Parameterization.VELOCITY:
-        return value
-    tc = clamp_time(t)
-    if param is Parameterization.CLEAN_DATA:
-        b = sched.beta(tc)
-        if b == 0.0:
-            raise SingularityError(f"beta({tc}) = 0 in clean-data conversion")
-        ratio = sched.beta_dot(tc) / b
-        return ratio * x - (ratio * sched.alpha(tc) - sched.alpha_dot(tc)) * value
-    coeffs = drift_coefficients(sched, tc)
-    if param is Parameterization.SCORE:
-        return coeffs.kappa * x + coeffs.eta * value
-    if param is Parameterization.NOISE:
-        b = sched.beta(tc)
-        return coeffs.kappa * x - (coeffs.kappa * b - sched.beta_dot(tc)) * value
-    raise DomainError(f"unknown parameterization {param}")
-
-
-def score_from_velocity(
-    v: np.ndarray, x: np.ndarray, t: float, sched: InterpolantSchedule
-) -> np.ndarray:
-    """Inverse of the score conversion: s = (v - kappa x) / eta."""
-    coeffs = drift_coefficients(sched, t)
-    if coeffs.eta == 0.0:
-        raise SingularityError(f"eta({coeffs.t}) = 0; score undefined")
-    return (np.asarray(v, dtype=np.float64) - coeffs.kappa * np.asarray(x)) / coeffs.eta
-
-
 class NoiseKind(Enum):
     MEMORYLESS = "memoryless"
     SIN_SQ = "sin2"
     ONE_MINUS_T = "one_minus_t"
     SIGMA_T = "sigma_t"
     ZERO = "zero"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
     kind: NoiseKind
-    fn: Callable[[float], float] | None = None
 
 
 def sigma(ns: NoiseSchedule, t: float, sched: InterpolantSchedule) -> float:
@@ -151,14 +96,8 @@ def sigma(ns: NoiseSchedule, t: float, sched: InterpolantSchedule) -> float:
         return math.sin(math.pi * t) ** 2
     if ns.kind is NoiseKind.ONE_MINUS_T:
         return 1.0 - t
-    if ns.kind is NoiseKind.SIGMA_T:
-        # beta(t) itself used as the noise level.
-        return float(sched.beta(t))
-    if ns.kind is NoiseKind.CUSTOM:
-        if ns.fn is None:
-            raise DomainError("custom noise schedule needs fn")
-        return float(ns.fn(t))
-    raise DomainError(f"unknown noise kind {ns.kind}")
+    # SIGMA_T: beta(t) itself used as the noise level.
+    return float(sched.beta(t))
 
 
 SCHEDULES = {"linear": linear_schedule()}

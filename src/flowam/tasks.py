@@ -1,9 +1,11 @@
 """Synthetic data distributions and differentiable toy rewards.
 
 Every distribution exposes a sampler plus an exact log-density and score,
-so pretrained models can be checked against closed forms.  Rewards expose
-value and gradient closures; the gradient is what seeds the backward
-adjoint pass during fine-tuning.
+so pretrained models can be checked against closed forms.  Rewards are
+batch-native: ``value`` maps stacked (m, dim) states to (m,) and a single
+(dim,) state to a scalar, ``grad`` maps (m, dim) to (m, dim), and row i of a
+batch result is bitwise the result for row i alone.  The gradient is what
+seeds the backward adjoint pass during fine-tuning.
 """
 
 from __future__ import annotations
@@ -127,9 +129,9 @@ class QuadraticWell:
     center: np.ndarray
     curvature: float = 1.0
 
-    def value(self, x) -> float:
+    def value(self, x):
         d = np.asarray(x, dtype=np.float64) - np.asarray(self.center)
-        return -0.5 * self.curvature * float(np.sum(d * d, axis=-1))
+        return -0.5 * self.curvature * np.sum(d * d, axis=-1)
 
     def grad(self, x) -> np.ndarray:
         d = np.asarray(x, dtype=np.float64) - np.asarray(self.center)
@@ -142,11 +144,13 @@ class LogDensityTilt:
 
     target: object
 
-    def value(self, x) -> float:
-        return float(self.target.log_density(np.atleast_2d(x))[0])
+    def value(self, x):
+        v = self.target.log_density(x)
+        return v if np.ndim(x) > 1 else v[0]
 
     def grad(self, x) -> np.ndarray:
-        return self.target.score(np.atleast_2d(x))[0]
+        s = self.target.score(x)
+        return s if np.ndim(x) > 1 else s[0]
 
 
 @dataclass(frozen=True)
@@ -155,8 +159,12 @@ class LinearProbe:
 
     direction: np.ndarray
 
-    def value(self, x) -> float:
-        return float(np.asarray(x, dtype=np.float64) @ np.asarray(self.direction))
+    def value(self, x):
+        # a stack of 1 x dim products: each row is summed exactly as the
+        # 1-D dot product of that row alone
+        x = np.asarray(x, dtype=np.float64)
+        v = np.matmul(np.atleast_2d(x)[:, None, :], np.asarray(self.direction))[:, 0]
+        return v if x.ndim > 1 else v[0]
 
     def grad(self, x) -> np.ndarray:
         return np.asarray(self.direction, dtype=np.float64) + 0.0 * np.asarray(x)
@@ -168,8 +176,8 @@ class ConstantReward:
 
     c: float = 0.0
 
-    def value(self, x) -> float:
-        return self.c
+    def value(self, x):
+        return self.c + np.zeros(np.shape(x)[:-1])
 
     def grad(self, x) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=np.float64))

@@ -13,12 +13,12 @@ durations are tracked separately so metrics files stay byte-reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adjoint import lean_adjoint_batch
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, atomic_write
 from .control import (
     RegularizerSpec,
     am_det_loss_and_grad,
@@ -29,7 +29,7 @@ from .control import (
 from .dynamics import sample_batch, sample_seed
 from .errors import ConfigError, NonFiniteError
 from .nnet import NetConfig, VelocityField, grads_flat
-from .schedules import NOISE_SCHEDULES, SCHEDULES, InterpolantSchedule, NoiseSchedule
+from .schedules import NOISE_SCHEDULES, SCHEDULES, InterpolantSchedule
 
 METHODS = ("ode-am", "sde-am", "draft", "refl")
 
@@ -53,7 +53,6 @@ class TrainConfig:
     schedule: str = "linear"
     seed: int = 0
     k_window: int = 1
-    eval_every: int = 0
     workers: int = 1
 
     def __post_init__(self):
@@ -186,29 +185,28 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
     rows, timings = [], []
     for it in range(cfg.iterations):
         it_seed = _iteration_seed(cfg.seed, it)
-        t0 = time.perf_counter()
-        trajs = sample_batch(
-            vf, cfg.n_steps, cfg.batch, it_seed,
-            sched=sched if stochastic else None,
-            ns=ns if stochastic else None,
-            workers=cfg.workers,
-        )
-        times = trajs[0].times
-        states = np.stack([tr.states for tr in trajs], axis=1)  # (N+1, m, dim)
-        x1 = states[-1]
-        rewards = np.array([reward.value(x1[i]) for i in range(cfg.batch)])
-        t1 = time.perf_counter()
-
-        if cfg.method in ("ode-am", "sde-am"):
-            terminal_grads = -np.stack([reward.grad(x1[i]) for i in range(cfg.batch)])
-            window, adjoints = lean_adjoint_batch(
-                base, times, states, terminal_grads, cfg.n_truncate,
+        try:
+            t0 = time.perf_counter()
+            trajs = sample_batch(
+                vf, cfg.n_steps, cfg.batch, it_seed,
                 sched=sched if stochastic else None,
                 ns=ns if stochastic else None,
+                workers=cfg.workers,
             )
-        t2 = time.perf_counter()
+            times = trajs[0].times
+            states = np.stack([tr.states for tr in trajs], axis=1)  # (N+1, m, dim)
+            x1 = states[-1]
+            rewards = reward.value(x1)
+            t1 = time.perf_counter()
 
-        try:
+            if cfg.method in ("ode-am", "sde-am"):
+                window, adjoints = lean_adjoint_batch(
+                    base, times, states, -reward.grad(x1), cfg.n_truncate,
+                    sched=sched if stochastic else None,
+                    ns=ns if stochastic else None,
+                )
+            t2 = time.perf_counter()
+
             if cfg.method == "ode-am":
                 loss, grads = am_det_loss_and_grad(
                     vf, base, times, states, window, adjoints, reg
@@ -231,9 +229,9 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
                 warmup_lr(cfg.lr, cfg.warmup, it),
             )
             vf.set_params_flat(params)
+            t3 = time.perf_counter()
         except NonFiniteError as e:
             raise NonFiniteError(f"fine-tuning aborted at iteration {it}: {e}") from e
-        t3 = time.perf_counter()
 
         rows.append(
             {
@@ -256,25 +254,12 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
 
 def write_csv(rows, columns, path: str) -> None:
     """Plain CSV with shortest round-trip float formatting (deterministic)."""
-    import os
-    import tempfile
-
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(",".join(columns) + "\n")
-            for row in rows:
-                f.write(
-                    ",".join(
-                        repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                        for c in columns
-                    )
-                    + "\n"
-                )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(
+            ",".join(
+                repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                for c in columns
+            )
+        )
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -5,7 +5,6 @@ from flowam.adjoint import (
     BLOWUP_NORM,
     lean_adjoint,
     lean_adjoint_batch,
-    lean_adjoint_sde,
     verify_adjoint_fd,
 )
 from flowam.dynamics import sample_ode, sde_step_coeffs
@@ -112,10 +111,10 @@ def test_blowup_guard():
     class Amplifier:
         state_dim = 1
 
-        def forward(self, x, t, cond=None):
+        def forward(self, x, t):
             return np.zeros_like(np.atleast_2d(x))
 
-        def input_vjp(self, x, t, cond, w):
+        def input_vjp(self, x, t, w):
             return 1e3 * np.asarray(w) / traj.times[1]  # enormous Jacobian
 
     with pytest.raises(NonFiniteError):
@@ -125,8 +124,10 @@ def test_blowup_guard():
 def test_sde_zero_noise_equals_deterministic():
     lf, traj = linear_traj(n=30)
     det = lean_adjoint(lf, traj, np.array([1.7]), 30)
-    sde = lean_adjoint_sde(lf, SCHED, ZERO, traj, np.array([1.7]), 30)
-    np.testing.assert_array_equal(det.adjoints, sde.adjoints)
+    _, sde = lean_adjoint_batch(
+        lf, traj.times, traj.states[:, None, :], np.array([[1.7]]), 30, SCHED, ZERO
+    )
+    np.testing.assert_array_equal(det.adjoints, sde[:, 0, :])
 
 
 def test_sde_corrected_jacobian_matches_fd():
@@ -146,7 +147,7 @@ def test_sde_corrected_jacobian_matches_fd():
 
         x = 0.8
         fd = (drift(x + eps) - drift(x - eps)) / (2 * eps)
-        vjp = _vjp(lf, np.array([x]), t, None, np.array([1.0]), SCHED, MEMORYLESS)
+        vjp = _vjp(lf, np.array([x]), t, np.array([1.0]), SCHED, MEMORYLESS)
         assert vjp[0] == pytest.approx(fd, rel=1e-5)
 
 

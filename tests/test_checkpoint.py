@@ -88,3 +88,36 @@ def test_load_rejects_nonfinite_params(tmp_path):
         f.write(header_line + params.astype("<f8").tobytes())
     with pytest.raises(NonFiniteError):
         cio.load(bad)
+
+
+def test_header_keeps_version_one_arch_layout(tmp_path):
+    path = str(tmp_path / "ck.bin")
+    cio.save(make_ckpt(), path)
+    with open(path, "rb") as f:
+        header = json.loads(f.readline())
+    assert header["format_version"] == 1
+    assert header["arch"]["n_cond"] == 0
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda arch: arch.update(activation="relu"),
+        lambda arch: arch.pop("state_dim"),
+        lambda arch: arch.update(n_cond=2),
+        lambda arch: arch.update(hidden="six"),
+    ],
+    ids=["unknown-activation", "missing-key", "conditional", "bad-hidden"],
+)
+def test_load_rejects_bad_arch_header(tmp_path, edit):
+    path = str(tmp_path / "ck.bin")
+    cio.save(make_ckpt(), path)
+    with open(path, "rb") as f:
+        header = json.loads(f.readline())
+        blob = f.read()
+    edit(header["arch"])
+    bad = str(tmp_path / "bad.bin")
+    with open(bad, "wb") as f:
+        f.write(json.dumps(header).encode() + b"\n" + blob)
+    with pytest.raises(ParseError, match="architecture"):
+        cio.load(bad)

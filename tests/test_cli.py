@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 
 import numpy as np
@@ -184,3 +185,87 @@ def test_plot_data_dumps_samples(tmp_path):
     assert len(rows) == 50
     assert set(rows[0]) == {"x0"}
     assert all(np.isfinite(float(r["x0"])) for r in rows)
+
+
+@pytest.fixture(scope="module")
+def tiny_base(tmp_path_factory):
+    """A 1D checkpoint pretrained by the CLI, shared by the error-table test."""
+    d = tmp_path_factory.mktemp("base")
+    (d / "pre.cfg").write_text(TINY_PRETRAIN)
+    assert main(["pretrain", "--config", str(d / "pre.cfg"), "--outdir", str(d)]) == 0
+    return d / "ckpt_pretrain.bin"
+
+
+def _edit_arch(src, dst, edit):
+    with open(src, "rb") as f:
+        header = json.loads(f.readline())
+        blob = f.read()
+    edit(header["arch"])
+    dst.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    return str(dst)
+
+
+GM2_CONFIG = "data = gm2\nstate_dim = 2\niterations = 1\nn_eval = 20\n"
+
+# name -> (config text or None, env, argv after the config, stderr fragment)
+ERROR_CASES = {
+    "threads-not-an-integer": (
+        TINY_FINETUNE, {"FLOWCTL_THREADS": "abc"},
+        lambda base, tmp: ["finetune", "--base", base, "--outdir", str(tmp)],
+        "FLOWCTL_THREADS",
+    ),
+    "finetune-dim-mismatch": (
+        GM2_CONFIG, {},
+        lambda base, tmp: ["finetune", "--base", base, "--outdir", str(tmp)],
+        "state_dim",
+    ),
+    "eval-dim-mismatch": (
+        GM2_CONFIG, {},
+        lambda base, tmp: ["eval", "--ckpt", base, "--base", base,
+                           "--outdir", str(tmp)],
+        "state_dim",
+    ),
+    "unknown-activation": (
+        TINY_PRETRAIN + "activation = relu\n", {},
+        lambda base, tmp: ["pretrain", "--outdir", str(tmp)],
+        "activation",
+    ),
+    "header-unknown-activation": (
+        None, {},
+        lambda base, tmp: ["plot-data", "--ckpt", _edit_arch(
+            base, tmp / "a.bin", lambda a: a.update(activation="relu")),
+            "--out", str(tmp / "s.csv")],
+        "architecture",
+    ),
+    "header-missing-key": (
+        None, {},
+        lambda base, tmp: ["plot-data", "--ckpt", _edit_arch(
+            base, tmp / "b.bin", lambda a: a.pop("hidden")),
+            "--out", str(tmp / "s.csv")],
+        "architecture",
+    ),
+    "header-conditional": (
+        None, {},
+        lambda base, tmp: ["plot-data", "--ckpt", _edit_arch(
+            base, tmp / "c.bin", lambda a: a.update(n_cond=3)),
+            "--out", str(tmp / "s.csv")],
+        "architecture",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_bad_input_exits_one_with_one_error_line(case, tiny_base, tmp_path,
+                                                 monkeypatch, capsys):
+    text, env, argv, fragment = ERROR_CASES[case]
+    monkeypatch.delenv("FLOWCTL_THREADS", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    args = argv(str(tiny_base), tmp_path)
+    if text is not None:
+        (tmp_path / "run.cfg").write_text(text)
+        args[1:1] = ["--config", str(tmp_path / "run.cfg")]
+    assert main(args) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert fragment in lines[0]

@@ -7,8 +7,6 @@ from flowam.adjoint import lean_adjoint
 from flowam.control import (
     RegularizerSpec,
     am_det_loss_and_grad,
-    am_loss_deterministic,
-    am_loss_stochastic,
     am_sde_loss_and_grad,
     check_pmp_optimality,
     control_from_adjoint,
@@ -142,12 +140,21 @@ def test_memoryless_coefficient_sqrt2_at_unit_eta():
     assert stochastic_coefficient(SCHED, MEMORYLESS, 0.5) == pytest.approx(np.sqrt(2.0))
 
 
+def batch_of_one(traj, trace):
+    """(times, states, window, adjoints) of one trajectory as an m = 1 batch."""
+    return (traj.times, traj.states[:, None, :], trace.window,
+            trace.adjoints[:, None, :])
+
+
 def test_det_loss_zero_when_matched_and_zero_adjoint():
     base, theta = make_fields()
     traj = sample_ode(base, 20, np.array([0.4]))
     trace = lean_adjoint(base, traj, np.array([0.0]), 5)
     reg = RegularizerSpec()
-    assert am_loss_deterministic(theta, base, traj, trace, reg) == 0.0
+    loss, grads = am_det_loss_and_grad(
+        theta, base, *batch_of_one(traj, trace), reg, want_grad=False
+    )
+    assert loss == 0.0 and grads is None
 
 
 def test_det_loss_equals_target_norm_at_base():
@@ -155,7 +162,9 @@ def test_det_loss_equals_target_norm_at_base():
     traj = sample_ode(base, 20, np.array([0.4]))
     trace = lean_adjoint(base, traj, np.array([1.5]), 5)
     reg = RegularizerSpec(p=2.0, lam=1.0)
-    loss = am_loss_deterministic(theta, base, traj, trace, reg)
+    loss, _ = am_det_loss_and_grad(
+        theta, base, *batch_of_one(traj, trace), reg, want_grad=False
+    )
     expected = float(np.mean(np.sum(trace.adjoints**2, axis=-1)))
     assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -165,7 +174,10 @@ def test_stochastic_loss_reduces_to_sigma_adjoint_at_base():
     traj = sample_ode(base, 20, np.array([0.4]))
     trace = lean_adjoint(base, traj, np.array([0.8]), 5)
     reg = RegularizerSpec(p=2.0, lam=1.0)
-    loss = am_loss_stochastic(theta, base, SCHED, MEMORYLESS, traj, trace, reg)
+    loss, _ = am_sde_loss_and_grad(
+        theta, base, SCHED, MEMORYLESS, *batch_of_one(traj, trace), reg,
+        want_grad=False,
+    )
     from flowam.dynamics import sde_step_coeffs
 
     n = traj.n_steps
@@ -182,8 +194,9 @@ def test_stochastic_loss_requires_quadratic():
     traj = sample_ode(base, 10, np.array([0.1]))
     trace = lean_adjoint(base, traj, np.array([1.0]), 3)
     with pytest.raises(ConfigError):
-        am_loss_stochastic(
-            theta, base, SCHED, MEMORYLESS, traj, trace, RegularizerSpec(p=4.0)
+        am_sde_loss_and_grad(
+            theta, base, SCHED, MEMORYLESS, *batch_of_one(traj, trace),
+            RegularizerSpec(p=4.0), want_grad=False,
         )
 
 

@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from flowam.dynamics import (
-    Trajectory,
-    dump_batch,
-    load_batch_states,
     replay,
     sample_batch,
     sample_ode,
@@ -121,19 +118,8 @@ def test_nonfinite_state_aborts():
     class Exploder:
         state_dim = 1
 
-        def forward(self, x, t, cond=None):
+        def forward(self, x, t):
             return np.full_like(np.atleast_2d(x), np.inf)
 
     with pytest.raises(NonFiniteError):
         sample_ode(Exploder(), 5, np.array([1.0]))
-
-
-def test_dump_and_load_batch(tmp_path):
-    lf = LinearVelocityField([[0.3]])
-    trajs = sample_batch(lf, 8, 5, 11)
-    path = str(tmp_path / "batch.bin")
-    dump_batch(trajs, path)
-    header, states = load_batch_states(path)
-    assert header["m"] == 5 and header["n_steps"] == 8 and header["dim"] == 1
-    for i, t in enumerate(trajs):
-        np.testing.assert_array_equal(states[i], t.states)

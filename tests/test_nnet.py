@@ -7,10 +7,10 @@ from flowam.nnet import (
     VelocityField,
     accumulate_grads,
     grads_flat,
-    param_grad,
     time_embedding,
     zero_grads_like,
 )
+from flowam.train import OptimizerState, optimizer_step
 
 CFG = NetConfig(state_dim=2, hidden=(8, 8), activation="silu", time_features=4)
 
@@ -93,10 +93,8 @@ def test_param_grad_matches_finite_differences():
     x = np.array([[0.4], [-0.7], [1.1]])
     t = 0.3
 
-    def loss_fn(out):
-        return float(np.sum(out**2)), 2.0 * out
-
-    loss, grads = param_grad(vf, x, t, None, loss_fn)
+    out, tape = vf.forward_tape(x, t)
+    grads, _ = tape.backward(2.0 * out)  # d/dout of sum(out^2)
     fd = _fd_param_grad(vf, x, t, lambda out: float(np.sum(out**2)))
     np.testing.assert_allclose(grads_flat(grads), fd, rtol=1e-5, atol=1e-7)
 
@@ -114,7 +112,7 @@ def test_input_vjp_matches_finite_differences():
         fd[j] = (
             w @ vf.forward(x + e, t) - w @ vf.forward(x - e, t)
         ) / (2 * eps)
-    np.testing.assert_allclose(vf.input_vjp(x, t, None, w), fd, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(vf.input_vjp(x, t, w), fd, rtol=1e-6, atol=1e-9)
 
 
 def test_tape_single_use():
@@ -129,31 +127,23 @@ def test_param_grad_batch_order_deterministic():
     # summing per-sample grads in ascending order is bit-reproducible
     vf = small_field(seed=5)
     x = np.random.default_rng(1).standard_normal((16, 2))
-
-    def loss_fn(out):
-        return float(np.sum(out)), np.ones_like(out)
-
-    _, g1 = param_grad(vf, x, 0.2, None, loss_fn)
-    _, g2 = param_grad(vf, x, 0.2, None, loss_fn)
-    np.testing.assert_array_equal(grads_flat(g1), grads_flat(g2))
-
-
-def test_condition_one_hot_changes_output():
-    cfg = NetConfig(state_dim=1, hidden=(8,), n_cond=3)
-    vf = VelocityField.init(cfg, seed=0)
-    a = vf.forward(np.zeros(1), 0.5, cond=0)
-    b = vf.forward(np.zeros(1), 0.5, cond=2)
-    assert not np.allclose(a, b)
+    flats = []
+    for _ in range(2):
+        out, tape = vf.forward_tape(x, 0.2)
+        grads, _ = tape.backward(np.ones_like(out))  # d/dout of sum(out)
+        flats.append(grads_flat(grads))
+    np.testing.assert_array_equal(flats[0], flats[1])
 
 
 def test_param_grad_rejects_nonfinite_loss():
+    # a non-finite loss cotangent gives non-finite parameter gradients,
+    # which the optimizer refuses before they reach the parameters
     vf = small_field()
-
-    def loss_fn(out):
-        return np.nan, np.zeros_like(out)
-
+    out, tape = vf.forward_tape(np.zeros((1, 2)), 0.5)
+    grads, _ = tape.backward(np.full_like(out, np.nan))
+    opt = OptimizerState.init(vf.n_params)
     with pytest.raises(NonFiniteError):
-        param_grad(vf, np.zeros((1, 2)), 0.5, None, loss_fn)
+        optimizer_step(opt, vf.params_flat(), grads_flat(grads), clip=1.0, lr=0.1)
 
 
 def test_grad_accumulation_helpers():

@@ -1,24 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowam.errors import DomainError, ShapeError, SingularityError
+from flowam.errors import DomainError
 from flowam.schedules import (
     NOISE_SCHEDULES,
     SCHEDULES,
     T_FLOOR,
-    NoiseKind,
-    NoiseSchedule,
-    Parameterization,
     clamp_time,
     drift_coefficients,
-    linear_schedule,
-    score_from_velocity,
     sigma,
-    to_velocity,
 )
 
 SCHED = SCHEDULES["linear"]
@@ -55,48 +47,6 @@ def test_clamp_time_rejects_outside_unit_interval():
         clamp_time(1.01)
 
 
-def test_velocity_parameterization_is_identity():
-    x = np.array([0.3, -1.2])
-    v = np.array([1.0, 2.0])
-    out = to_velocity(Parameterization.VELOCITY, v, x, 0.4, SCHED)
-    np.testing.assert_array_equal(out, v)
-
-
-def test_score_roundtrip():
-    x = np.array([0.7, -0.2])
-    s = np.array([0.5, -1.5])
-    v = to_velocity(Parameterization.SCORE, s, x, 0.6, SCHED)
-    back = score_from_velocity(v, x, 0.6, SCHED)
-    np.testing.assert_allclose(back, s, rtol=1e-12)
-
-
-def test_noise_parameterization_linear_schedule():
-    # v = kappa x - (kappa beta - beta') eps; linear at t: kappa=1/t
-    t = 0.5
-    x = np.array([1.0])
-    eps = np.array([2.0])
-    v = to_velocity(Parameterization.NOISE, eps, x, t, SCHED)
-    kappa = 1.0 / t
-    expected = kappa * x - (kappa * (1.0 - t) + 1.0) * eps
-    np.testing.assert_allclose(v, expected, rtol=1e-12)
-
-
-def test_clean_data_parameterization_consistency():
-    # with xhat = x1 and x = beta x0 + alpha x1, conversion gives x1 - x0
-    t = 0.3
-    x0, x1 = np.array([0.4]), np.array([-1.1])
-    x = (1.0 - t) * x0 + t * x1
-    v = to_velocity(Parameterization.CLEAN_DATA, x1, x, t, SCHED)
-    np.testing.assert_allclose(v, x1 - x0, rtol=1e-10)
-
-
-def test_to_velocity_shape_mismatch():
-    with pytest.raises(ShapeError):
-        to_velocity(
-            Parameterization.SCORE, np.zeros(3), np.zeros(2), 0.5, SCHED
-        )
-
-
 def test_memoryless_sigma_squared_is_twice_eta():
     ns = NOISE_SCHEDULES["memoryless"]
     for t in [0.1, 0.5, 0.9]:
@@ -109,18 +59,11 @@ def test_noise_schedule_kinds():
     assert sigma(NOISE_SCHEDULES["sin2"], 0.5, SCHED) == pytest.approx(1.0)
     assert sigma(NOISE_SCHEDULES["one_minus_t"], 0.25, SCHED) == pytest.approx(0.75)
     assert sigma(NOISE_SCHEDULES["sigma_t"], 0.25, SCHED) == pytest.approx(0.75)
-    custom = NoiseSchedule(NoiseKind.CUSTOM, fn=lambda t: 0.3)
-    assert sigma(custom, 0.9, SCHED) == pytest.approx(0.3)
 
 
 def test_sigma_rejects_time_outside_domain():
     with pytest.raises(DomainError):
         sigma(NOISE_SCHEDULES["memoryless"], 1.5, SCHED)
-
-
-def test_custom_noise_without_fn():
-    with pytest.raises(DomainError):
-        sigma(NoiseSchedule(NoiseKind.CUSTOM), 0.5, SCHED)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
@@ -129,17 +72,3 @@ def test_eta_nonnegative_on_unit_interval(t):
     co = drift_coefficients(SCHED, t)
     assert co.eta >= 0.0
     assert np.isfinite(co.kappa) and np.isfinite(co.eta)
-
-
-@given(
-    st.floats(min_value=0.05, max_value=0.95),
-    st.floats(min_value=-3.0, max_value=3.0),
-    st.floats(min_value=-3.0, max_value=3.0),
-)
-@settings(max_examples=100)
-def test_score_velocity_inversion_property(t, x, s):
-    xv, sv = np.array([x]), np.array([s])
-    v = to_velocity(Parameterization.SCORE, sv, xv, t, SCHED)
-    np.testing.assert_allclose(
-        score_from_velocity(v, xv, t, SCHED), sv, rtol=1e-9, atol=1e-9
-    )

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flowam.errors import ConfigError, DomainError
 from flowam.tasks import (
@@ -138,3 +141,38 @@ def test_constant_reward():
     r = ConstantReward(3.0)
     assert r.value(np.array([5.0, 5.0])) == 3.0
     np.testing.assert_array_equal(r.grad(np.array([5.0, 5.0])), np.zeros(2))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "reward,dim",
+    [
+        (QuadraticWell(center=np.array([1.0]), curvature=0.7), 1),
+        (QuadraticWell(center=np.array([0.5, -1.0]), curvature=2.0), 2),
+        (LogDensityTilt(target=Gaussian1D(0.2, 1.1)), 1),
+        (LogDensityTilt(target=GaussianMixture2D.two_modes()), 2),
+        (LogDensityTilt(target=ring8()), 2),
+        (LinearProbe(direction=np.array([1.7])), 1),
+        (LinearProbe(direction=np.array([0.3, -0.8])), 2),
+        (ConstantReward(1.5), 1),
+        (ConstantReward(-2.0), 2),
+    ],
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reward_batch_equals_rows_bitwise(reward, dim, data):
+    m = data.draw(st.integers(min_value=1, max_value=40))
+    x = data.draw(arrays(np.float64, (m, dim), elements=st.floats(-6.0, 6.0)))
+    values, grads = reward.value(x), reward.grad(x)
+    assert values.shape == (m,) and grads.shape == (m, dim)
+    for i in range(m):
+        value = reward.value(x[i])
+        assert np.ndim(value) == 0
+        assert _bits(values[i]) == _bits(value)
+        assert _bits(grads[i]) == _bits(reward.grad(x[i]))
+        if isinstance(reward, LinearProbe):
+            # each row sums like the plain 1-D dot product
+            assert _bits(values[i]) == _bits(x[i] @ reward.direction)

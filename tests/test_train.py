@@ -180,6 +180,18 @@ def test_stop_gradient_discipline():
     np.testing.assert_array_equal(a.vf.params_flat(), b.vf.params_flat())
 
 
+def test_sampling_abort_names_iteration():
+    # parameters this large overflow the first forward pass, so the sampler
+    # aborts before any loss is formed; the message must still say when
+    base = make_base(seed=1)
+    base.vf.set_params_flat(base.vf.params_flat() * 1e200)
+    reward = QuadraticWell(center=np.array([1.0]), curvature=1.0)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as exc:
+        finetune(small_cfg(iterations=2), base, reward)
+    assert "iteration 0" in str(exc.value)
+    assert "non-finite state at step" in str(exc.value)
+
+
 def test_sde_am_requires_quadratic():
     base = make_base()
     with pytest.raises(ConfigError):
