@@ -62,14 +62,21 @@ def load(path: str) -> Checkpoint:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"bad checkpoint header in {path}: {e}") from e
+    if not isinstance(header, dict):
+        raise ParseError(f"bad checkpoint header in {path}: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ParseError(
             f"unsupported checkpoint format_version {header.get('format_version')}"
         )
+    for key in ("n_params", "seed", "iteration"):
+        if type(header.get(key)) is not int:
+            raise ParseError(f"checkpoint {path}: header {key} is not an integer")
     try:
         cfg = NetConfig.from_dict(header["arch"])
     except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise ParseError(f"bad checkpoint architecture in {path}: {e!r}") from e
+    if len(blob) % 8:
+        raise ParseError(f"checkpoint {path}: parameter bytes are not whole float64s")
     params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if params.size != header["n_params"]:
         raise ParseError(
@@ -80,4 +87,4 @@ def load(path: str) -> Checkpoint:
         raise NonFiniteError(f"checkpoint {path} contains non-finite parameters")
     vf = VelocityField.init(cfg, seed=0)
     vf.set_params_flat(params)
-    return Checkpoint(vf=vf, seed=int(header["seed"]), iteration=int(header["iteration"]))
+    return Checkpoint(vf=vf, seed=header["seed"], iteration=header["iteration"])

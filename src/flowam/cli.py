@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,16 +32,6 @@ from .oracles import (
     toy_control_component,
 )
 from .train import METRICS_COLUMNS, TIMING_COLUMNS, finetune, pretrain, write_csv
-
-
-def _workers(cfg: RunConfig) -> int:
-    env = os.environ.get("FLOWCTL_THREADS")
-    if env is None:
-        return cfg["workers"]
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigError(f"FLOWCTL_THREADS must be an integer, got {env!r}") from None
 
 
 def _load_checkpoints(cfg: RunConfig, *paths):
@@ -79,11 +68,10 @@ def _emit_run_files(cfg: RunConfig, rows, timings=None) -> None:
 def cmd_pretrain(args) -> int:
     cfg = _load_run(args)
     dist = make_distribution(cfg)
-    train_cfg = cfg.train
-    ckpt, rows = pretrain(train_cfg, dist, cfg.net)
+    ckpt, rows = pretrain(cfg.train, dist, cfg.net)
     _emit_run_files(cfg, rows)
     ckpt_io.save(ckpt, os.path.join(cfg["outdir"], "ckpt_pretrain.bin"))
-    print(f"pretrained {ckpt.vf.n_params} params over {train_cfg.iterations} "
+    print(f"pretrained {ckpt.vf.n_params} params over {cfg['iterations']} "
           f"iterations -> {cfg['outdir']}")
     return 0
 
@@ -92,12 +80,12 @@ def cmd_finetune(args) -> int:
     cfg = _load_run(args)
     (base,) = _load_checkpoints(cfg, args.base)
     reward = make_reward(cfg)
-    train_cfg = replace(cfg.train, workers=_workers(cfg))
-    ckpt, rows, timings = finetune(train_cfg, base, reward)
+    ckpt, rows, timings = finetune(cfg.train, base, reward)
     _emit_run_files(cfg, rows, timings)
     ckpt_io.save(ckpt, os.path.join(cfg["outdir"], "ckpt_finetune.bin"))
-    print(f"finetuned ({train_cfg.method}) for {train_cfg.iterations} iterations; "
-          f"final reward_mean {rows[-1]['reward_mean']:.4f} -> {cfg['outdir']}")
+    final = f"; final reward_mean {rows[-1]['reward_mean']:.4f}" if rows else ""
+    print(f"finetuned ({cfg['method']}) for {cfg['iterations']} iterations"
+          f"{final} -> {cfg['outdir']}")
     return 0
 
 

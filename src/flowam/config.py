@@ -1,20 +1,22 @@
 """Flat key=value run configuration: parsing, defaults, and validation.
 
-One `key = value` pair per line; `#` starts a comment.  Unknown keys and
-every violated cross-field constraint are collected and reported together,
-not one at a time.
+One `key = value` pair per line; `#` starts a comment.  The training and
+network keys are the fields of `TrainConfig` and `NetConfig` (keys `p` and
+`lam` set `reg_p` and `reg_lam`), which own their defaults and checks; this
+module adds the data, reward, evaluation and output keys and the checks
+that need them.  Unknown keys and every violated constraint are collected
+and reported together, not one at a time.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .nnet import ACTIVATIONS, NetConfig
-from .schedules import NOISE_SCHEDULES, SCHEDULES, sigma
+from .nnet import NetConfig
 from .tasks import (
     DISTRIBUTIONS,
     REWARDS,
@@ -26,11 +28,9 @@ from .tasks import (
     QuadraticWell,
     ring8,
 )
-from .train import METHODS, TrainConfig
+from .train import TrainConfig
 
 TOOL_VERSION = "0.1.0"
-
-# key -> (parser, default).  Parsers: int, float, str, comma lists.
 
 
 def _floats(s):
@@ -41,28 +41,21 @@ def _ints(s):
     return tuple(int(v) for v in str(s).split(",") if v != "")
 
 
+_KEYS = {"reg_p": "p", "reg_lam": "lam"}  # dataclass field -> config key
+_PARSERS = {"int": int, "float": float, "str": str, "tuple": _ints}
+
+
+def _entries(cls, **defaults) -> dict:
+    """Schema entries for the fields of a settings dataclass."""
+    return {_KEYS.get(f.name, f.name): (_PARSERS[f.type],
+                                        defaults.get(f.name, f.default))
+            for f in fields(cls)}
+
+
+# key -> (parser, default).  Parsers: int, float, str, comma lists.
 SCHEMA = {
-    # training
-    "method": (str, "ode-am"),
-    "n_steps": (int, 50),
-    "n_truncate": (int, 10),
-    "batch": (int, 64),
-    "iterations": (int, 300),
-    "lr": (float, 1e-4),
-    "warmup": (int, 10),
-    "grad_clip": (float, 1.0),
-    "p": (float, 2.0),
-    "lam": (float, 1.0),
-    "noise": (str, "memoryless"),
-    "schedule": (str, "linear"),
-    "seed": (int, 0),
-    "k_window": (int, 1),
-    "workers": (int, 1),
-    # network
-    "state_dim": (int, 2),
-    "hidden": (_ints, (64, 64, 64)),
-    "activation": (str, "silu"),
-    "time_features": (int, 8),
+    **_entries(TrainConfig),
+    **_entries(NetConfig, state_dim=2),
     # data
     "data": (str, "gm2"),
     "data_mu": (float, 0.0),
@@ -127,47 +120,18 @@ def parse_kv_text(text: str) -> dict:
     return out
 
 
-def _validate(values: dict) -> list:
+def _build(cls, values: dict):
+    """``cls`` from its config keys; returns (instance or None, violations)."""
+    kwargs = {f.name: values[_KEYS.get(f.name, f.name)] for f in fields(cls)}
+    try:
+        return cls(**kwargs), []
+    except ValidationError as e:
+        return None, e.violations
+
+
+def _validate(values: dict, raw: dict) -> list:
+    """The checks of keys that are not TrainConfig or NetConfig fields."""
     v = []
-    if values["method"] not in METHODS:
-        v.append(f"method must be one of {METHODS}, got {values['method']!r}")
-    if not 1 <= values["n_truncate"] <= values["n_steps"]:
-        v.append(
-            f"n_truncate must satisfy 1 <= n_truncate <= n_steps, got "
-            f"n_truncate={values['n_truncate']} n_steps={values['n_steps']}"
-        )
-    if values["method"] == "sde-am" and values["p"] != 2.0:
-        v.append("stochastic matching (sde-am) requires p = 2")
-    if values["p"] <= 1.0:
-        v.append(f"p must be > 1, got {values['p']}")
-    if values["lam"] <= 0.0:
-        v.append(f"lam must be > 0, got {values['lam']}")
-    if values["lr"] <= 0.0:
-        v.append(f"lr must be > 0, got {values['lr']}")
-    if values["batch"] < 1:
-        v.append(f"batch must be >= 1, got {values['batch']}")
-    if values["schedule"] not in SCHEDULES:
-        v.append(f"schedule must be one of {tuple(SCHEDULES)}")
-    if values["noise"] not in NOISE_SCHEDULES:
-        v.append(f"noise must be one of {tuple(NOISE_SCHEDULES)}")
-    elif values["method"] == "sde-am" and values["schedule"] in SCHEDULES:
-        # sigma must stay positive on the matching window (last n_truncate steps)
-        sched = SCHEDULES[values["schedule"]]
-        ns = NOISE_SCHEDULES[values["noise"]]
-        n, t_count = values["n_steps"], values["n_truncate"]
-        if 1 <= t_count <= n:
-            h = 1.0 / n
-            window = [max(min((n - j) * h, 1.0 - 1e-3), 1e-3)
-                      for j in range(1, t_count + 1)]
-            if any(sigma(ns, t, sched) <= 0.0 for t in window):
-                v.append(
-                    f"noise schedule {values['noise']!r} vanishes on the "
-                    f"matching window; sde-am needs sigma > 0 there"
-                )
-    if values["activation"] not in ACTIVATIONS:
-        v.append(
-            f"activation must be one of {ACTIVATIONS}, got {values['activation']!r}"
-        )
     if values["data"] not in DISTRIBUTIONS:
         v.append(f"data must be one of {tuple(DISTRIBUTIONS)}")
     else:
@@ -176,6 +140,13 @@ def _validate(values: dict) -> list:
             v.append(f"data {values['data']} requires state_dim = {dim}")
     if values["reward"] not in REWARDS:
         v.append(f"reward must be one of {tuple(REWARDS)}")
+    for key in ("reward_center", "reward_direction"):
+        if key in raw and len(values[key]) != values["state_dim"]:
+            v.append(f"{key} must have state_dim = {values['state_dim']} "
+                     f"entries, got {len(values[key])}")
+    for key in ("eval_steps", "knn_k"):
+        if values[key] < 1:
+            v.append(f"{key} must be >= 1, got {values[key]}")
     return v
 
 
@@ -192,33 +163,10 @@ def resolve(raw: dict) -> RunConfig:
             values[key] = parser(text)
         except ValueError:
             violations.append(f"line {lineno}: bad value for {key}: {text!r}")
-    if not violations:
-        violations = _validate(values)
-    if violations:
-        raise ValidationError(violations)
-    train = TrainConfig(
-        method=values["method"],
-        n_steps=values["n_steps"],
-        n_truncate=values["n_truncate"],
-        batch=values["batch"],
-        iterations=values["iterations"],
-        lr=values["lr"],
-        warmup=values["warmup"],
-        grad_clip=values["grad_clip"],
-        reg_p=values["p"],
-        reg_lam=values["lam"],
-        noise=values["noise"],
-        schedule=values["schedule"],
-        seed=values["seed"],
-        k_window=values["k_window"],
-        workers=values["workers"],
-    )
-    net = NetConfig(
-        state_dim=values["state_dim"],
-        hidden=values["hidden"],
-        activation=values["activation"],
-        time_features=values["time_features"],
-    )
+    ValidationError.check(violations)
+    train, train_violations = _build(TrainConfig, values)
+    net, net_violations = _build(NetConfig, values)
+    ValidationError.check(train_violations + net_violations + _validate(values, raw))
     blob = repr(sorted(values.items())).encode("utf-8")
     return RunConfig(
         values=values,

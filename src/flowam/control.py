@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import sde_step_coeffs
-from .errors import ConfigError, ShapeError, SingularityError
+from .errors import ConfigError, ShapeError, SingularityError, ValidationError
 from .nnet import VelocityField, accumulate_grads, zero_grads_like
 from .schedules import InterpolantSchedule, NoiseSchedule
 
@@ -31,10 +31,12 @@ class RegularizerSpec:
     eps_adjoint: float = 1e-12
 
     def __post_init__(self):
+        v = []
         if self.p <= 1.0:
-            raise ConfigError(f"regularizer order p must be > 1, got {self.p}")
+            v.append(f"p must be > 1, got {self.p}")
         if self.lam <= 0.0:
-            raise ConfigError(f"regularizer weight must be > 0, got {self.lam}")
+            v.append(f"lam must be > 0, got {self.lam}")
+        ValidationError.check(v)
 
     def fprime(self, r):
         """f'(r) = r^{p-1} / lambda."""

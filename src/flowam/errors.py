@@ -29,7 +29,7 @@ class ParseError(FlowError):
     """Config file could not be parsed."""
 
 
-class ValidationError(FlowError):
+class ValidationError(ConfigError):
     """One or more config constraints violated.
 
     ``violations`` lists every violated constraint, not just the first.
@@ -38,6 +38,12 @@ class ValidationError(FlowError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+    @classmethod
+    def check(cls, violations) -> None:
+        """Raise one error listing ``violations`` unless it is empty."""
+        if violations:
+            raise cls(violations)
 
 
 class TooFewSamples(FlowError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import sample_batch
-from .errors import EmptyInput, ShapeError, TooFewSamples
+from .errors import DomainError, EmptyInput, ShapeError, TooFewSamples
 
 
 @dataclass
@@ -117,8 +117,7 @@ def _knn_radii(x: np.ndarray, k: int) -> np.ndarray:
     """Distance from each point of x to its k-th nearest other point of x."""
     d = _pair_dists(x, x)
     np.fill_diagonal(d, np.inf)
-    kk = min(k, x.shape[0] - 1)
-    return np.sort(d, axis=1)[:, kk - 1]
+    return np.sort(d, axis=1)[:, k - 1]
 
 
 def knn_coverage_recall(gen, ref, k: int = 5):
@@ -129,6 +128,8 @@ def knn_coverage_recall(gen, ref, k: int = 5):
     coverage: fraction of reference points whose own k-NN ball (radii
     measured within the reference set) contains a generated point.
     """
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
     g = _as_points(gen)
     r = _as_points(ref)
     if g.shape[0] < k + 1 or r.shape[0] < k + 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError, ValidationError
 
 ACTIVATIONS = ("silu", "tanh", "identity")
 
@@ -52,14 +52,25 @@ def _act_prime(name: str, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetConfig:
+    """Network architecture; construction checks every field."""
+
     state_dim: int
     hidden: tuple = (64, 64, 64)
     activation: str = "silu"
     time_features: int = 8
 
     def __post_init__(self):
+        v = []
+        if self.state_dim < 1:
+            v.append(f"state_dim must be >= 1, got {self.state_dim}")
+        if any(h < 1 for h in self.hidden):
+            v.append(f"hidden widths must be >= 1, got {self.hidden}")
         if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {ACTIVATIONS}")
+            v.append(f"activation must be one of {ACTIVATIONS}, "
+                     f"got {self.activation!r}")
+        if self.time_features < 0:
+            v.append(f"time_features must be >= 0, got {self.time_features}")
+        ValidationError.check(v)
 
     @property
     def input_dim(self) -> int:

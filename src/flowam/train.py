@@ -26,8 +26,8 @@ from .control import (
     draft_loss_and_grad,
     refl_loss_and_grad,
 )
-from .dynamics import sample_batch, sample_seed
-from .errors import ConfigError, NonFiniteError
+from .dynamics import sample_batch, sample_seed, sde_step_coeffs
+from .errors import ConfigError, NonFiniteError, ValidationError
 from .nnet import NetConfig, VelocityField, grads_flat
 from .schedules import NOISE_SCHEDULES, SCHEDULES, InterpolantSchedule
 
@@ -39,6 +39,8 @@ TIMING_COLUMNS = ("iter", "phase_sim_ms", "phase_adj_ms", "phase_upd_ms")
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every training setting with its default; construction checks them all."""
+
     method: str = "ode-am"
     n_steps: int = 50
     n_truncate: int = 10
@@ -53,19 +55,45 @@ class TrainConfig:
     schedule: str = "linear"
     seed: int = 0
     k_window: int = 1
-    workers: int = 1
+    workers: int = 1  # accepted so that existing configs run; sampling is serial
 
     def __post_init__(self):
+        v = []
         if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method}")
-        if not 1 <= self.n_truncate <= self.n_steps:
-            raise ConfigError(
-                f"n_truncate must be in [1, n_steps], got {self.n_truncate}"
-            )
+            v.append(f"method must be one of {METHODS}, got {self.method!r}")
+        window_ok = 1 <= self.n_truncate <= self.n_steps
+        if not window_ok:
+            v.append(f"n_truncate must satisfy 1 <= n_truncate <= n_steps, got "
+                     f"n_truncate={self.n_truncate} n_steps={self.n_steps}")
+        if self.method in ("draft", "refl") and not 1 <= self.k_window <= self.n_steps:
+            v.append(f"k_window must satisfy 1 <= k_window <= n_steps for "
+                     f"{self.method}, got k_window={self.k_window}")
+        if self.method == "sde-am" and self.reg_p != 2.0:
+            v.append("stochastic matching (sde-am) requires p = 2")
+        try:
+            self.regularizer
+        except ValidationError as e:
+            v += e.violations
         if self.lr <= 0.0:
-            raise ConfigError(f"learning rate must be > 0, got {self.lr}")
+            v.append(f"lr must be > 0, got {self.lr}")
         if self.batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {self.batch}")
+            v.append(f"batch must be >= 1, got {self.batch}")
+        if self.iterations < 0:
+            v.append(f"iterations must be >= 0, got {self.iterations}")
+        if self.schedule not in SCHEDULES:
+            v.append(f"schedule must be one of {tuple(SCHEDULES)}, "
+                     f"got {self.schedule!r}")
+        if self.noise not in NOISE_SCHEDULES:
+            v.append(f"noise must be one of {tuple(NOISE_SCHEDULES)}, "
+                     f"got {self.noise!r}")
+        elif self.method == "sde-am" and window_ok and self.schedule in SCHEDULES:
+            # sigma > 0 at the step starts of the last n_truncate steps
+            sched, ns = SCHEDULES[self.schedule], NOISE_SCHEDULES[self.noise]
+            starts = np.linspace(0.0, 1.0, self.n_steps + 1)[-1 - self.n_truncate:-1]
+            if any(sde_step_coeffs(sched, ns, t)[2] <= 0.0 for t in starts):
+                v.append(f"noise schedule {self.noise!r} vanishes on the matching "
+                         f"window; sde-am needs sigma > 0 there")
+        ValidationError.check(v)
 
     @property
     def regularizer(self) -> RegularizerSpec:
@@ -174,8 +202,6 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
     """
     sched = SCHEDULES[cfg.schedule]
     ns = NOISE_SCHEDULES[cfg.noise]
-    if cfg.method == "sde-am" and cfg.reg_p != 2.0:
-        raise ConfigError("sde-am requires p = 2")
     base = base_ckpt.vf
     vf = base.copy()
     opt = OptimizerState.init(vf.n_params)
@@ -187,12 +213,9 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
         it_seed = _iteration_seed(cfg.seed, it)
         try:
             t0 = time.perf_counter()
-            trajs = sample_batch(
-                vf, cfg.n_steps, cfg.batch, it_seed,
-                sched=sched if stochastic else None,
-                ns=ns if stochastic else None,
-                workers=cfg.workers,
-            )
+            trajs = sample_batch(vf, cfg.n_steps, cfg.batch, it_seed,
+                                 sched=sched if stochastic else None,
+                                 ns=ns if stochastic else None)
             times = trajs[0].times
             states = np.stack([tr.states for tr in trajs], axis=1)  # (N+1, m, dim)
             x1 = states[-1]

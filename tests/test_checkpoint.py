@@ -121,3 +121,28 @@ def test_load_rejects_bad_arch_header(tmp_path, edit):
         f.write(json.dumps(header).encode() + b"\n" + blob)
     with pytest.raises(ParseError, match="architecture"):
         cio.load(bad)
+
+
+@pytest.mark.parametrize(
+    "edit, tail, fragment",
+    [
+        (lambda h: [h], b"", "JSON object"),
+        (lambda h: {k: v for k, v in h.items() if k != "n_params"}, b"", "n_params"),
+        (lambda h: {k: v for k, v in h.items() if k != "iteration"}, b"", "iteration"),
+        (lambda h: {**h, "seed": "x"}, b"", "seed"),
+        (lambda h: {**h, "n_params": 2.5}, b"", "n_params"),
+        (lambda h: h, b"abc", "float64"),
+    ],
+    ids=["not-an-object", "no-n-params", "no-iteration", "text-seed", "float-n-params",
+         "trailing-bytes"],
+)
+def test_load_rejects_bad_header_shape(tmp_path, edit, tail, fragment):
+    path = str(tmp_path / "ck.bin")
+    cio.save(make_ckpt(), path)
+    with open(path, "rb") as f:
+        header = json.loads(f.readline())
+        blob = f.read()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps(edit(header)).encode() + b"\n" + blob + tail)
+    with pytest.raises(ParseError, match=fragment):
+        cio.load(str(bad))

@@ -153,23 +153,18 @@ def test_finetune_rerun_metrics_byte_identical(tmp_path):
     assert c_a == c_b
 
 
-def test_worker_env_does_not_change_results(tmp_path, monkeypatch):
+def test_finetune_zero_iterations_writes_empty_run(tmp_path, capsys):
     pre_cfg = tmp_path / "pre.cfg"
     pre_cfg.write_text(TINY_PRETRAIN)
     assert main(["pretrain", "--config", str(pre_cfg),
                  "--outdir", str(tmp_path / "pre")]) == 0
-    base = str(tmp_path / "pre" / "ckpt_pretrain.bin")
     ft_cfg = tmp_path / "ft.cfg"
-    ft_cfg.write_text(TINY_FINETUNE)
-    monkeypatch.setenv("FLOWCTL_THREADS", "1")
-    assert main(["finetune", "--config", str(ft_cfg), "--base", base,
-                 "--outdir", str(tmp_path / "w1")]) == 0
-    monkeypatch.setenv("FLOWCTL_THREADS", "4")
-    assert main(["finetune", "--config", str(ft_cfg), "--base", base,
-                 "--outdir", str(tmp_path / "w4")]) == 0
-    assert (tmp_path / "w1" / "metrics.csv").read_bytes() == (
-        tmp_path / "w4" / "metrics.csv"
-    ).read_bytes()
+    ft_cfg.write_text(TINY_FINETUNE.replace("iterations = 5", "iterations = 0"))
+    assert main(["finetune", "--config", str(ft_cfg),
+                 "--base", str(tmp_path / "pre" / "ckpt_pretrain.bin"),
+                 "--outdir", str(tmp_path / "ft")]) == 0
+    assert read_csv(tmp_path / "ft" / "metrics.csv") == []
+    assert "reward_mean" not in capsys.readouterr().out
 
 
 def test_plot_data_dumps_samples(tmp_path):
@@ -196,71 +191,117 @@ def tiny_base(tmp_path_factory):
     return d / "ckpt_pretrain.bin"
 
 
-def _edit_arch(src, dst, edit):
+def _edit_header(src, dst, edit, tail=b""):
+    """Copy a checkpoint with its header replaced by ``edit(header)``."""
     with open(src, "rb") as f:
         header = json.loads(f.readline())
         blob = f.read()
-    edit(header["arch"])
-    dst.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + blob)
+    header = edit(header)
+    head = json.dumps(header, sort_keys=True).encode() + b"\n"
+    dst.write_bytes(head + blob + tail)
     return str(dst)
+
+
+def _edit_arch(src, dst, edit):
+    def apply(header):
+        edit(header["arch"])
+        return header
+    return _edit_header(src, dst, apply)
+
+
+def plot_argv(ckpt, tmp, *extra):
+    """plot-data argv for the checkpoint at ``ckpt``."""
+    return ["plot-data", "--ckpt", ckpt, "--out", str(tmp / "s.csv"), *extra]
 
 
 GM2_CONFIG = "data = gm2\nstate_dim = 2\niterations = 1\nn_eval = 20\n"
 
-# name -> (config text or None, env, argv after the config, stderr fragment)
+DRAFT_CONFIG = TINY_FINETUNE.replace("method = ode-am", "method = draft")
+
+
+def finetune_argv(base, tmp):
+    return ["finetune", "--base", base, "--outdir", str(tmp)]
+
+
+def pretrain_argv(base, tmp):
+    return ["pretrain", "--outdir", str(tmp)]
+
+
+def eval_argv(base, tmp):
+    return ["eval", "--ckpt", base, "--base", base, "--outdir", str(tmp)]
+
+
+# name -> (config text or None, argv after the config, stderr fragment)
 ERROR_CASES = {
-    "threads-not-an-integer": (
-        TINY_FINETUNE, {"FLOWCTL_THREADS": "abc"},
-        lambda base, tmp: ["finetune", "--base", base, "--outdir", str(tmp)],
-        "FLOWCTL_THREADS",
-    ),
-    "finetune-dim-mismatch": (
-        GM2_CONFIG, {},
-        lambda base, tmp: ["finetune", "--base", base, "--outdir", str(tmp)],
-        "state_dim",
-    ),
-    "eval-dim-mismatch": (
-        GM2_CONFIG, {},
-        lambda base, tmp: ["eval", "--ckpt", base, "--base", base,
-                           "--outdir", str(tmp)],
-        "state_dim",
-    ),
-    "unknown-activation": (
-        TINY_PRETRAIN + "activation = relu\n", {},
-        lambda base, tmp: ["pretrain", "--outdir", str(tmp)],
-        "activation",
-    ),
+    "finetune-dim-mismatch": (GM2_CONFIG, finetune_argv, "state_dim"),
+    "eval-dim-mismatch": (GM2_CONFIG, eval_argv, "state_dim"),
+    "unknown-activation": (TINY_PRETRAIN + "activation = relu\n", pretrain_argv,
+                           "activation"),
+    "hidden-width-zero": (TINY_PRETRAIN.replace("hidden = 16,16", "hidden = 16,0"),
+                          pretrain_argv, "hidden"),
+    "time-features-negative": (TINY_PRETRAIN + "time_features = -1\n", pretrain_argv,
+                               "time_features"),
+    "iterations-negative": (TINY_FINETUNE.replace("iterations = 5", "iterations = -1"),
+                            finetune_argv, "iterations"),
+    "draft-k-window-too-long": (DRAFT_CONFIG + "k_window = 99\n", finetune_argv,
+                                "k_window"),
+    "reward-center-length": (GM2_CONFIG + "reward_center = 2.0\n", pretrain_argv,
+                             "reward_center"),
+    "reward-direction-length": (GM2_CONFIG + "reward_direction = 1,0,0\n", pretrain_argv,
+                                "reward_direction"),
+    "eval-steps-zero": (TINY_FINETUNE + "eval_steps = 0\n", eval_argv, "eval_steps"),
+    "knn-k-zero": (TINY_FINETUNE + "knn_k = 0\n", eval_argv, "knn_k"),
+    "knn-k-negative": (TINY_FINETUNE + "knn_k = -2\n", eval_argv, "knn_k"),
+    "plot-steps-zero": (None, lambda base, tmp: plot_argv(base, tmp, "--steps", "0"),
+                        "n_steps"),
     "header-unknown-activation": (
-        None, {},
-        lambda base, tmp: ["plot-data", "--ckpt", _edit_arch(
-            base, tmp / "a.bin", lambda a: a.update(activation="relu")),
-            "--out", str(tmp / "s.csv")],
+        None,
+        lambda base, tmp: plot_argv(_edit_arch(
+            base, tmp / "a.bin", lambda a: a.update(activation="relu")), tmp),
         "architecture",
     ),
     "header-missing-key": (
-        None, {},
-        lambda base, tmp: ["plot-data", "--ckpt", _edit_arch(
-            base, tmp / "b.bin", lambda a: a.pop("hidden")),
-            "--out", str(tmp / "s.csv")],
+        None,
+        lambda base, tmp: plot_argv(_edit_arch(
+            base, tmp / "b.bin", lambda a: a.pop("hidden")), tmp),
         "architecture",
     ),
     "header-conditional": (
-        None, {},
-        lambda base, tmp: ["plot-data", "--ckpt", _edit_arch(
-            base, tmp / "c.bin", lambda a: a.update(n_cond=3)),
-            "--out", str(tmp / "s.csv")],
+        None,
+        lambda base, tmp: plot_argv(_edit_arch(
+            base, tmp / "c.bin", lambda a: a.update(n_cond=3)), tmp),
         "architecture",
+    ),
+    "header-not-an-object": (
+        None,
+        lambda base, tmp: plot_argv(_edit_header(base, tmp / "d.bin", lambda h: [h]), tmp),
+        "JSON object",
+    ),
+    "header-missing-n-params": (
+        None,
+        lambda base, tmp: plot_argv(_edit_header(
+            base, tmp / "e.bin",
+            lambda h: {k: v for k, v in h.items() if k != "n_params"}), tmp),
+        "n_params",
+    ),
+    "header-seed-not-an-integer": (
+        None,
+        lambda base, tmp: plot_argv(_edit_header(
+            base, tmp / "f.bin", lambda h: {**h, "seed": "x"}), tmp),
+        "seed",
+    ),
+    "params-trailing-bytes": (
+        None,
+        lambda base, tmp: plot_argv(_edit_header(
+            base, tmp / "g.bin", lambda h: h, tail=b"abc"), tmp),
+        "float64",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
-def test_bad_input_exits_one_with_one_error_line(case, tiny_base, tmp_path,
-                                                 monkeypatch, capsys):
-    text, env, argv, fragment = ERROR_CASES[case]
-    monkeypatch.delenv("FLOWCTL_THREADS", raising=False)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_bad_input_exits_one_with_one_error_line(case, tiny_base, tmp_path, capsys):
+    text, argv, fragment = ERROR_CASES[case]
     args = argv(str(tiny_base), tmp_path)
     if text is not None:
         (tmp_path / "run.cfg").write_text(text)

@@ -8,8 +8,10 @@ from flowam.config import (
     parse_config_text,
     parse_kv_text,
 )
-from flowam.errors import ParseError, ValidationError
+from flowam.errors import ConfigError, ParseError, ValidationError
+from flowam.nnet import NetConfig
 from flowam.tasks import Gaussian1D, GaussianMixture2D, QuadraticWell
+from flowam.train import TrainConfig
 
 
 def test_empty_config_yields_defaults():
@@ -19,6 +21,21 @@ def test_empty_config_yields_defaults():
     assert cfg.train.method == "ode-am"
     assert cfg.net.state_dim == 2
     assert len(cfg.config_sha256) == 64
+
+
+def test_default_config_hash_is_pinned():
+    # the hash of every default value; it moves only if a key or default does
+    assert parse_config_text("").config_sha256 == (
+        "e7f09b83295263f6497d225ec2b7dd6e5648a7dc0819b8be07f82127cd6c0c0c"
+    )
+
+
+def test_schema_takes_training_and_network_keys_from_the_dataclasses():
+    cfg = parse_config_text("")
+    assert cfg.train == TrainConfig()
+    assert cfg.net == NetConfig(state_dim=2)
+    assert {"p", "lam", "workers"} <= set(SCHEMA)
+    assert "reg_p" not in SCHEMA
 
 
 def test_parse_comments_and_blank_lines():
@@ -74,6 +91,27 @@ def test_sde_am_rejects_vanishing_noise():
         parse_config_text("method = sde-am\nnoise = zero\n")
     # sigma_t = beta(t) vanishes only at t = 1, never at a step start
     parse_config_text("method = sde-am\nnoise = sigma_t\n")
+
+
+def test_validation_error_is_a_config_error():
+    with pytest.raises(ConfigError):
+        parse_config_text("lr = -1\n")
+
+
+def test_reward_vectors_need_state_dim_entries():
+    with pytest.raises(ValidationError, match="reward_center"):
+        parse_config_text("reward_center = 2.0\n")
+    with pytest.raises(ValidationError, match="reward_direction"):
+        parse_config_text("data = gauss1d\nstate_dim = 1\nreward_direction = 1,0\n")
+    # the two-entry defaults still serve a 1D config
+    cfg = parse_config_text("data = gauss1d\nstate_dim = 1\n")
+    assert make_reward(cfg).center.shape == (1,)
+
+
+def test_evaluation_sizes_must_be_positive():
+    with pytest.raises(ValidationError) as exc:
+        parse_config_text("eval_steps = 0\nknn_k = -1\n")
+    assert [v.split()[0] for v in exc.value.violations] == ["eval_steps", "knn_k"]
 
 
 def test_data_dimension_consistency():

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from flowam.dynamics import (
-    replay,
-    sample_batch,
-    sample_ode,
-    sample_sde,
-    sample_seed,
-    sde_step_coeffs,
-)
+from flowam.dynamics import sample_batch, sample_ode, sample_seed, sde_step_coeffs
 from flowam.errors import NonFiniteError, ShapeError
 from flowam.oracles import LinearVelocityField
 from flowam.schedules import NOISE_SCHEDULES, SCHEDULES, T_FLOOR
@@ -56,62 +49,50 @@ def test_sde_step_coeffs_clipping_and_memoryless_correction():
 
 def test_zero_noise_sde_equals_ode():
     lf = LinearVelocityField([[0.4]])
-    ode = sample_ode(lf, 50, np.array([1.0]))
-    sde = sample_sde(lf, SCHED, ZERO, 50, np.array([1.0]), seed=9)
-    np.testing.assert_array_equal(sde.states, ode.states)
-    assert sde.noises.shape == (50, 1)
-    assert np.all(sde.noises == 0.0)
+    sde = sample_batch(lf, 50, 3, 9, sched=SCHED, ns=ZERO)
+    for traj in sde:
+        ode = sample_ode(lf, 50, traj.states[0])
+        np.testing.assert_array_equal(traj.states, ode.states)
 
 
 def test_sde_seed_determinism():
     lf = LinearVelocityField([[-0.5]])
-    a = sample_sde(lf, SCHED, MEMORYLESS, 30, np.array([0.3]), seed=7)
-    b = sample_sde(lf, SCHED, MEMORYLESS, 30, np.array([0.3]), seed=7)
-    np.testing.assert_array_equal(a.states, b.states)
-    c = sample_sde(lf, SCHED, MEMORYLESS, 30, np.array([0.3]), seed=8)
-    assert not np.array_equal(a.states, c.states)
+    a = sample_batch(lf, 30, 4, 7, sched=SCHED, ns=MEMORYLESS)
+    b = sample_batch(lf, 30, 4, 7, sched=SCHED, ns=MEMORYLESS)
+    c = sample_batch(lf, 30, 4, 8, sched=SCHED, ns=MEMORYLESS)
+    for ta, tb, tc in zip(a, b, c):
+        np.testing.assert_array_equal(ta.states, tb.states)
+        assert not np.array_equal(ta.states, tc.states)
 
 
-def test_sde_noise_shape_validation():
+def test_sample_batch_rejects_bad_sizes():
     lf = LinearVelocityField([[0.0]])
     with pytest.raises(ShapeError):
-        sample_sde(
-            lf, SCHED, MEMORYLESS, 10, np.array([0.0]), noises=np.zeros((5, 1))
-        )
-
-
-def test_replay_reproduces_sde_bit_exactly():
-    lf = LinearVelocityField([[-0.3]])
-    traj = sample_sde(lf, SCHED, MEMORYLESS, 25, np.array([1.2]), seed=4)
-    again = replay(lf, traj, sched=SCHED, ns=MEMORYLESS)
-    np.testing.assert_array_equal(again.states, traj.states)
-
-
-def test_replay_reproduces_ode():
-    lf = LinearVelocityField([[0.2]])
-    traj = sample_ode(lf, 25, np.array([0.5]))
-    np.testing.assert_array_equal(replay(lf, traj).states, traj.states)
-
-
-def test_sample_batch_worker_count_never_changes_results():
-    lf = LinearVelocityField([[0.1, 0.0], [0.0, -0.2]])
-    one = sample_batch(lf, 20, 17, 42, sched=SCHED, ns=MEMORYLESS, workers=1)
-    four = sample_batch(lf, 20, 17, 42, sched=SCHED, ns=MEMORYLESS, workers=4)
-    for a, b in zip(one, four):
-        np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.noises, b.noises)
+        sample_batch(lf, 0, 4, 0)
+    with pytest.raises(ShapeError):
+        sample_batch(lf, 10, 0, 0)
 
 
 def test_sample_batch_matches_single_sample_streams():
-    # sample i of a batch must equal a lone run seeded with the same stream
+    # row i of a batch must equal a hand-written Euler-Maruyama loop over
+    # the stream sample_seed(seed, i)
     lf = LinearVelocityField([[0.1]])
-    batch = sample_batch(lf, 15, 4, 7, sched=SCHED, ns=MEMORYLESS)
+    n = 15
+    batch = sample_batch(lf, n, 4, 7, sched=SCHED, ns=MEMORYLESS)
+    h = 1.0 / n
     for i in (0, 3):
         rng = sample_seed(7, i)
-        x0 = rng.standard_normal(1)
-        noises = rng.standard_normal((15, 1))
-        solo = sample_sde(lf, SCHED, MEMORYLESS, 15, x0, noises=noises)
-        np.testing.assert_array_equal(batch[i].states, solo.states)
+        x = rng.standard_normal((1, 1))
+        noises = rng.standard_normal((n, 1))
+        states = [x]
+        for k in range(n):
+            t = k * h
+            corr, kappa, sig = sde_step_coeffs(SCHED, MEMORYLESS, t)
+            v = lf.forward(x, t)
+            x = x + h * (v + corr * (v - kappa * x)) + np.sqrt(h) * sig * noises[k]
+            states.append(x)
+        np.testing.assert_array_equal(batch[i].states, np.concatenate(states))
+        np.testing.assert_array_equal(batch[i].noises, noises)
 
 
 def test_nonfinite_state_aborts():

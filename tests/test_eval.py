@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowam.errors import EmptyInput, TooFewSamples
+from flowam.errors import DomainError, EmptyInput, TooFewSamples
 from flowam.evaluation import (
     diversity_mpd,
     energy_distance,
@@ -164,6 +164,13 @@ def test_knn_permutation_invariance(rng):
 def test_knn_too_few_points():
     with pytest.raises(TooFewSamples):
         knn_coverage_recall(np.zeros((4, 2)), np.zeros((10, 2)), k=5)
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_knn_rejects_k_below_one(k):
+    x = np.zeros((10, 2))
+    with pytest.raises(DomainError):
+        knn_coverage_recall(x, x, k=k)
 
 
 # -- report assembly ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowam.errors import NonFiniteError, ShapeError
+from flowam.errors import NonFiniteError, ShapeError, ValidationError
 from flowam.nnet import (
     NetConfig,
     VelocityField,
@@ -27,6 +27,13 @@ def test_time_embedding_values():
         np.sin(2 * np.pi * 0.25), np.cos(2 * np.pi * 0.25),
     ]
     np.testing.assert_allclose(emb[0], expected, rtol=1e-12)
+
+
+def test_net_config_lists_every_violation():
+    with pytest.raises(ValidationError) as exc:
+        NetConfig(state_dim=0, hidden=(8, 0), activation="relu", time_features=-1)
+    assert [v.split()[0] for v in exc.value.violations] == [
+        "state_dim", "hidden", "activation", "time_features"]
 
 
 def test_forward_shapes():

@@ -1,9 +1,11 @@
-"""The benchmark tracer must keep installing against the library.
+"""The benchmark must keep running against the library.
 
 ``perfbench/tracer.py`` wraps library functions under every name a module
-binds them to.  Removing or renaming one of those names breaks only traced
-benchmark runs, so this smoke test loads the tracer (read-only) and checks
-that it installs, counts a small traced call and uninstalls cleanly.
+binds them to, and ``perfbench/workload.py`` captures what the sampler and
+the adjoint return to check them against its own reference loops.
+Removing or renaming one of those names, or changing the shape of what
+they return, breaks only benchmark runs; these tests load the benchmark's
+modules read-only and pin the names and shapes they rely on.
 """
 
 import importlib.util
@@ -11,7 +13,8 @@ import os
 
 import numpy as np
 
-from flowam import dynamics, nnet, tasks, train
+from flowam import adjoint, checkpoint, dynamics, evaluation, nnet, tasks, train
+from flowam.schedules import NOISE_SCHEDULES, SCHEDULES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
@@ -43,3 +46,59 @@ def test_tracer_installs_counts_and_uninstalls():
     assert tracer.calls["dynamics.sample_batch"] == 1
     assert tracer.calls["nnet.forward"] == 3
     assert tracer.calls["tasks.reward_value"] == 1
+
+
+def small_base():
+    net = nnet.NetConfig(state_dim=2, hidden=(6,), time_features=4)
+    return checkpoint.Checkpoint(vf=nnet.VelocityField.init(net, seed=1), seed=1,
+                                 iteration=0)
+
+
+def test_sample_batch_returns_one_trajectory_per_sample():
+    vf = small_base().vf
+    sched, ns = SCHEDULES["linear"], NOISE_SCHEDULES["memoryless"]
+    for kw, noise_rows in (({}, 0), (dict(sched=sched, ns=ns), 7)):
+        trajs = dynamics.sample_batch(vf, 7, 5, 3, **kw)
+        assert isinstance(trajs, list) and len(trajs) == 5
+        for tr in trajs:
+            assert isinstance(tr, dynamics.Trajectory)
+            assert tr.times.shape == (8,)
+            assert tr.states.shape == (8, 2)
+            assert tr.noises.shape == (noise_rows, 2)
+
+
+def test_finetune_iteration_samples_and_adjoints_once_through_module_bindings():
+    patch_everywhere, restore = (getattr(load_tracer_module(), name)
+                                 for name in ("patch_everywhere", "restore"))
+    seen = {"sample_batch": [], "lean_adjoint_batch": []}
+
+    def recorder(name):
+        def make(fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                seen[name].append(result)
+                return result
+            return wrapper
+        return make
+
+    undo = patch_everywhere(dynamics, "sample_batch", recorder("sample_batch"))
+    undo += patch_everywhere(adjoint, "lean_adjoint_batch",
+                             recorder("lean_adjoint_batch"))
+    cfg = train.TrainConfig(method="ode-am", n_steps=6, n_truncate=3, batch=4,
+                            iterations=1, lr=1e-3)
+    try:
+        train.finetune(cfg, small_base(),
+                       tasks.QuadraticWell(center=np.array([1.0, 0.0])))
+    finally:
+        restore(undo)
+    assert [len(v) for v in seen.values()] == [1, 1]
+    assert len(seen["sample_batch"][0]) == 4
+    _, adj = seen["lean_adjoint_batch"][0]
+    assert adj.shape == (3, 4, 2)
+
+
+def test_eval_columns_are_the_report_row():
+    ckpt = small_base()
+    report = evaluation.evaluate(ckpt, ckpt, tasks.ConstantReward(), n_samples=8,
+                                 n_steps=3, seed=0, k=2)
+    assert tuple(report.as_row()) == tuple(evaluation.EVAL_COLUMNS)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowam.checkpoint import Checkpoint
-from flowam.errors import ConfigError, NonFiniteError
+from flowam.errors import ConfigError, NonFiniteError, ValidationError
 from flowam.nnet import NetConfig, VelocityField
 from flowam.oracles import GaussianFlowSpec, rf_velocity
 from flowam.tasks import ConstantReward, Gaussian1D, QuadraticWell
@@ -40,6 +40,32 @@ def test_train_config_validation():
         small_cfg(lr=0.0)
     with pytest.raises(ConfigError):
         small_cfg(batch=0)
+
+
+def test_train_config_lists_every_violation():
+    with pytest.raises(ValidationError) as exc:
+        TrainConfig(method="bogus", lr=-1, reg_p=0.5, reg_lam=0, n_truncate=99)
+    assert len(exc.value.violations) == 5
+    for name, violation in zip(("method", "n_truncate", "p", "lam", "lr"),
+                               exc.value.violations):
+        assert violation.startswith(name + " must")
+
+
+@pytest.mark.parametrize(
+    "kw, fragment",
+    [
+        (dict(noise="bogus"), "noise"),
+        (dict(schedule="cosine"), "schedule"),
+        (dict(method="draft", k_window=99), "k_window"),
+        (dict(method="refl", k_window=0), "k_window"),
+        (dict(method="sde-am", noise="zero"), "sigma > 0"),
+        (dict(iterations=-1), "iterations"),
+    ],
+    ids=["noise", "schedule", "draft-k", "refl-k", "sde-zero-noise", "iterations"],
+)
+def test_train_config_rejects_bad_run_at_construction(kw, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        small_cfg(**kw)
 
 
 # -- optimizer -----------------------------------------------------------------
