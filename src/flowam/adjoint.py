@@ -8,20 +8,21 @@ pass, using vector-Jacobian products against the frozen base field only:
 with terminal condition a_1 = grad of the terminal cost at X_1.  The SDE
 variant differentiates the corrected drift v + c (v - kappa x) with
 c = sigma^2 / (2 eta), i.e. scales the VJP by (1 + c) and subtracts
-c kappa a.  Traces are plain arrays: nothing downstream differentiates
+c kappa a, reading (c, kappa) from the ``schedules.step_coeffs`` row of the
+step start.  Traces are plain arrays: nothing downstream differentiates
 through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, _integrate, sde_step_coeffs
+from .dynamics import Trajectory, _integrate
 from .errors import NonFiniteError, ShapeError
-from .schedules import InterpolantSchedule, NoiseSchedule
+from .schedules import InterpolantSchedule, step_coeffs
 
 BLOWUP_NORM = 1e12
 
@@ -33,11 +34,12 @@ class AdjointTrace:
     terminal_grad: np.ndarray
 
 
-def _vjp(base, x, t, w, sched, ns):
+def _vjp(base, x, t, w, row=None):
+    """a^T d(drift)/dx; ``row`` is the step's (correction, kappa, sigma)."""
     out = base.input_vjp(x, t, w)
-    if ns is None:
+    if row is None:
         return out
-    corr, kappa, _ = sde_step_coeffs(sched, ns, t)
+    corr, kappa, _ = row
     return (1.0 + corr) * out - corr * kappa * w
 
 
@@ -48,7 +50,7 @@ def lean_adjoint_batch(
     terminal_grads: np.ndarray,
     n_truncate: int,
     sched: Optional[InterpolantSchedule] = None,
-    ns: Optional[NoiseSchedule] = None,
+    ns: Optional[Callable] = None,
 ):
     """Backward Euler adjoint for a stacked batch.
 
@@ -66,6 +68,7 @@ def lean_adjoint_batch(
     if not np.all(np.isfinite(tg)):
         raise NonFiniteError("non-finite terminal gradient")
     h = times[1] - times[0]
+    coeffs = step_coeffs(sched, ns, n) if ns is not None else None
     adjoints = np.empty((n_truncate,) + tg.shape)
     adjoints[-1] = tg
     a = tg
@@ -74,7 +77,8 @@ def lean_adjoint_batch(
         # evaluated the drift at, so the trace is the exact pathwise
         # gradient of the discrete flow map
         k = n - j
-        a = a + h * _vjp(base, states[k], times[k], a, sched, ns)
+        row = coeffs[k] if coeffs is not None else None
+        a = a + h * _vjp(base, states[k], times[k], a, row)
         if np.max(np.abs(a)) > BLOWUP_NORM:
             raise NonFiniteError(f"adjoint blow-up at grid index {k - 1}")
         adjoints[n_truncate - 1 - j] = a

@@ -86,5 +86,8 @@ def load(path: str) -> Checkpoint:
     if not np.all(np.isfinite(params)):
         raise NonFiniteError(f"checkpoint {path} contains non-finite parameters")
     vf = VelocityField.init(cfg, seed=0)
+    if header["n_params"] != vf.n_params:
+        raise ParseError(f"checkpoint {path}: header n_params {header['n_params']} "
+                         f"!= {vf.n_params}, the count its architecture implies")
     vf.set_params_flat(params)
     return Checkpoint(vf=vf, seed=header["seed"], iteration=header["iteration"])

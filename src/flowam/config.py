@@ -11,6 +11,7 @@ and reported together, not one at a time.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,8 +34,15 @@ from .train import TrainConfig
 TOOL_VERSION = "0.1.0"
 
 
+def _float(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {s!r}")
+    return v
+
+
 def _floats(s):
-    return tuple(float(v) for v in str(s).split(",") if v != "")
+    return tuple(_float(v) for v in str(s).split(",") if v != "")
 
 
 def _ints(s):
@@ -42,7 +50,7 @@ def _ints(s):
 
 
 _KEYS = {"reg_p": "p", "reg_lam": "lam"}  # dataclass field -> config key
-_PARSERS = {"int": int, "float": float, "str": str, "tuple": _ints}
+_PARSERS = {"int": int, "float": _float, "str": str, "tuple": _ints}
 
 
 def _entries(cls, **defaults) -> dict:
@@ -58,16 +66,16 @@ SCHEMA = {
     **_entries(NetConfig, state_dim=2),
     # data
     "data": (str, "gm2"),
-    "data_mu": (float, 0.0),
-    "data_sigma": (float, 1.0),
-    "mode_offset": (float, 2.0),
-    "mode_std": (float, 0.5),
-    "ring_radius": (float, 3.0),
-    "ring_std": (float, 0.3),
+    "data_mu": (_float, 0.0),
+    "data_sigma": (_float, 1.0),
+    "mode_offset": (_float, 2.0),
+    "mode_std": (_float, 0.5),
+    "ring_radius": (_float, 3.0),
+    "ring_std": (_float, 0.3),
     # reward
     "reward": (str, "quadwell"),
     "reward_center": (_floats, (2.0, 0.0)),
-    "reward_curvature": (float, 1.0),
+    "reward_curvature": (_float, 1.0),
     "reward_direction": (_floats, (1.0, 0.0)),
     # evaluation
     "n_eval": (int, 2000),
@@ -147,6 +155,8 @@ def _validate(values: dict, raw: dict) -> list:
     for key in ("eval_steps", "knn_k"):
         if values[key] < 1:
             v.append(f"{key} must be >= 1, got {values[key]}")
+    if values["eval_seed"] < 0:
+        v.append(f"eval_seed must be >= 0, got {values['eval_seed']}")
     return v
 
 

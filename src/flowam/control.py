@@ -7,7 +7,9 @@ first-order stationarity condition inverts to the closed-form target
 
 which the deterministic matching loss regresses the implicit control
 v_theta - v_base onto.  The stochastic (quadratic-penalty) loss matches
-(sigma^2 + 2 eta) / (2 sigma eta) * (v_theta - v_base) against -sigma u*(a).
+(sigma^2 + 2 eta) / (2 sigma eta) * (v_theta - v_base) against -sigma u*(a);
+with c = sigma^2 / (2 eta) from the ``schedules.step_coeffs`` row of the
+step start, that coefficient is (c + 1) / sigma.
 DRaFT / ReFL baselines backpropagate the terminal reward through the last
 sampler steps instead.
 """
@@ -15,13 +17,13 @@ sampler steps instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dynamics import sde_step_coeffs
 from .errors import ConfigError, ShapeError, SingularityError, ValidationError
 from .nnet import VelocityField, accumulate_grads, zero_grads_like
-from .schedules import InterpolantSchedule, NoiseSchedule
+from .schedules import InterpolantSchedule, step_coeffs
 
 
 @dataclass(frozen=True)
@@ -71,17 +73,6 @@ def check_pmp_optimality(reg: RegularizerSpec, a, u) -> float:
     return float(np.linalg.norm(grad_f + a))
 
 
-def stochastic_coefficient(
-    sched: InterpolantSchedule, ns: NoiseSchedule, t: float
-) -> float:
-    """(sigma^2 + 2 eta) / (2 sigma eta) at the clipped time."""
-    corr, _, sig = sde_step_coeffs(sched, ns, t)
-    if sig == 0.0:
-        raise SingularityError(f"sigma({t}) = 0 on the matching window")
-    # corr = sigma^2 / (2 eta) so the coefficient is (corr + 1) / sigma
-    return (corr + 1.0) / sig
-
-
 # ---------------------------------------------------------------------------
 # Matching losses.  Both consume stacked states (N+1, m, dim) plus the
 # adjoint window (T, m, dim), pair the adjoint at grid time t_k with the
@@ -92,7 +83,7 @@ def stochastic_coefficient(
 
 def _matching_loss(v_theta, v_base, times, states, window, adjoints, reg, coeffs,
                    want_grad):
-    """Mean of |c (v_theta - v_base) - s u*(a)|^2 with (c, s) = coeffs(t)."""
+    """Mean of |c (v_theta - v_base) - s u*(a)|^2 with (c, s) = coeffs(k)."""
     m = states.shape[1]
     t_count = adjoints.shape[0]
     grads = zero_grads_like(v_theta) if want_grad else None
@@ -100,9 +91,9 @@ def _matching_loss(v_theta, v_base, times, states, window, adjoints, reg, coeffs
     denom = float(t_count * m)
     first = times.shape[0] - 1 - window.shape[0]  # step start paired with window[0]
     for i in range(t_count):
-        x = states[first + i]
-        t = times[first + i]
-        coef, scale = coeffs(t)
+        k = first + i
+        x, t = states[k], times[k]
+        coef, scale = coeffs(k)
         target = scale * control_from_adjoint(reg, adjoints[i])
         vb = v_base.forward(x, t)
         if want_grad:
@@ -129,14 +120,14 @@ def am_det_loss_and_grad(
 ):
     """Regress the implicit control v_theta - v_base onto u*(a)."""
     return _matching_loss(v_theta, v_base, times, states, window, adjoints, reg,
-                          lambda t: (1.0, 1.0), want_grad)
+                          lambda k: (1.0, 1.0), want_grad)
 
 
 def am_sde_loss_and_grad(
     v_theta: VelocityField,
     v_base: VelocityField,
     sched: InterpolantSchedule,
-    ns: NoiseSchedule,
+    ns: Callable,
     times: np.ndarray,
     states: np.ndarray,
     window: np.ndarray,
@@ -148,8 +139,13 @@ def am_sde_loss_and_grad(
     if reg.p != 2.0:
         raise ConfigError("stochastic adjoint matching supports p = 2 only")
 
-    def coeffs(t):
-        return stochastic_coefficient(sched, ns, t), sde_step_coeffs(sched, ns, t)[2]
+    table = step_coeffs(sched, ns, times.shape[0] - 1)
+
+    def coeffs(k):
+        corr, _, sig = table[k]
+        if sig == 0.0:
+            raise SingularityError(f"sigma({times[k]}) = 0 on the matching window")
+        return (corr + 1.0) / sig, sig
 
     return _matching_loss(v_theta, v_base, times, states, window, adjoints, reg,
                           coeffs, want_grad)

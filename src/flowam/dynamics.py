@@ -2,8 +2,8 @@
 
 Trajectories are recorded on a uniform grid t_0=0 < ... < t_N=1.  SDE steps
 add the score-derived drift correction (sigma^2 / (2 eta)) (v - kappa x) and
-sqrt(h) sigma noise; coefficients are evaluated with t clipped to
-[T_FLOOR, 1 - T_FLOOR] so eta never vanishes inside a step.
+sqrt(h) sigma noise, with (correction, kappa, sigma) read from the row of
+``schedules.step_coeffs`` that belongs to the step start.
 
 ``sample_batch`` is the one sampler of the fine-tuning loop and of
 evaluation: sample i draws its initial state and then its (N, dim) noise
@@ -15,19 +15,12 @@ integrated jointly, so row i is bitwise the run of sample i alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
-from .schedules import (
-    T_FLOOR,
-    InterpolantSchedule,
-    NoiseKind,
-    NoiseSchedule,
-    drift_coefficients,
-    sigma,
-)
+from .errors import DomainError, NonFiniteError, ShapeError
+from .schedules import InterpolantSchedule, step_coeffs
 
 
 @dataclass
@@ -50,22 +43,10 @@ def sample_seed(base_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(base_seed), int(index)]))
 
 
-def sde_step_coeffs(sched: InterpolantSchedule, ns: NoiseSchedule, t: float):
-    """(correction, kappa, sigma) at t clipped to [T_FLOOR, 1 - T_FLOOR]."""
-    tc = min(max(t, T_FLOOR), 1.0 - T_FLOOR)
-    co = drift_coefficients(sched, tc)
-    sig = sigma(ns, tc, sched)
-    return sig * sig / (2.0 * co.eta), co.kappa, sig
-
-
-def _check_finite(x, step):
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(f"non-finite state at step {step}")
-
-
-def _integrate(field, x0, n_steps, sched=None, ns=None, noises=None, start=0):
+def _integrate(field, x0, n_steps, coeffs=None, noises=None, start=0):
     """Shared Euler / Euler-Maruyama core over a batch, from grid index
-    ``start`` to t=1.  Returns (times (N+1,), states (N+1-start, m, dim))."""
+    ``start`` to t=1; Euler-Maruyama reads ``coeffs``, a ``step_coeffs``
+    table.  Returns (times (N+1,), states (N+1-start, m, dim))."""
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
     m, dim = x.shape
     h = 1.0 / n_steps
@@ -77,12 +58,13 @@ def _integrate(field, x0, n_steps, sched=None, ns=None, noises=None, start=0):
         t = times[k]
         v = field.forward(x, t)
         if stochastic:
-            corr, kappa, sig = sde_step_coeffs(sched, ns, t)
+            corr, kappa, sig = coeffs[k]
             drift = v + corr * (v - kappa * x)
             x = x + h * drift + np.sqrt(h) * sig * noises[k]
         else:
             x = x + h * v
-        _check_finite(x, k + 1)
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteError(f"non-finite state at step {k + 1}")
         states[k + 1 - start] = x
     return times, states
 
@@ -101,20 +83,24 @@ def sample_batch(
     m: int,
     base_seed: int,
     sched: Optional[InterpolantSchedule] = None,
-    ns: Optional[NoiseSchedule] = None,
+    ns: Optional[Callable] = None,
 ) -> list[Trajectory]:
     """m independent trajectories with per-sample derived seeds.
 
     x0 ~ N(0, I) and the noise block are drawn from each sample's own stream,
-    then the batch is integrated jointly (vectorized over samples).  Without
-    ``ns``, or with zero noise, this is the Euler flow of the ODE.
+    then the batch is integrated jointly (vectorized over samples).  ``ns``
+    is a value of ``NOISE_SCHEDULES``; without it, or where sigma is 0 at
+    every step, this is the Euler flow of the ODE.
     """
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
     if m < 1:
         raise ShapeError("batch size must be >= 1")
+    if base_seed < 0:
+        raise DomainError(f"seed must be >= 0, got {base_seed}")
     dim = field.cfg.state_dim if hasattr(field, "cfg") else field.state_dim
-    stochastic = ns is not None and ns.kind is not NoiseKind.ZERO
+    coeffs = step_coeffs(sched, ns, n_steps) if ns is not None else None
+    stochastic = coeffs is not None and bool(np.any(coeffs[:, 2]))
     x0 = np.empty((m, dim))
     noises = np.empty((n_steps, m, dim)) if stochastic else None
     for i in range(m):
@@ -123,8 +109,7 @@ def sample_batch(
         if stochastic:
             noises[:, i, :] = rng.standard_normal((n_steps, dim))
     try:
-        times, states = _integrate(field, x0, n_steps, sched=sched, ns=ns,
-                                   noises=noises)
+        times, states = _integrate(field, x0, n_steps, coeffs, noises)
     except NonFiniteError as e:
         raise NonFiniteError(f"{e} (samples 0:{m})") from e
     empty = np.empty((0, dim))

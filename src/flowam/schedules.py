@@ -1,4 +1,4 @@
-"""Affine interpolant schedule, its drift coefficients, and diffusion noise schedules.
+"""Affine interpolant schedule, noise schedules, and the SDE coefficient table.
 
 The interpolant is x_t = beta(t) * x0 + alpha(t) * x1 with alpha(0)=0,
 alpha(1)=1, beta(0)=1, beta(1)=0.  From (alpha, beta) we derive
@@ -8,22 +8,21 @@ alpha(1)=1, beta(0)=1, beta(1)=0.  From (alpha, beta) we derive
 
 which define the matched ODE/SDE sampler pair: the SDE adds the score
 correction (sigma^2 / (2 eta)) (v - kappa x), and the memoryless noise level
-is sigma^2 = 2 eta.  All schedule queries clamp t to [T_FLOOR, 1] so the
-kappa singularity at t=0 never surfaces.
+is sigma^2 = 2 eta.  ``step_coeffs`` evaluates (correction, kappa, sigma)
+once per grid at the step starts, with t clipped to [T_FLOOR, 1 - T_FLOOR]
+so kappa and the correction stay finite at both ends; the sampler, the
+adjoint, the stochastic loss and the config check all read that table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
-
-# Time clamp floor: samplers never need drift coefficients below this.
+# Time clip: coefficients are never evaluated closer than this to 0 or 1.
 T_FLOOR = 1e-3
 
 
@@ -45,66 +44,32 @@ def linear_schedule() -> InterpolantSchedule:
     )
 
 
-@dataclass(frozen=True)
-class DriftCoefficients:
-    kappa: float
-    eta: float
-    t: float
+def step_coeffs(sched: InterpolantSchedule, ns, n_steps: int) -> np.ndarray:
+    """(N, 3) rows (correction, kappa, sigma) at the step starts of the grid.
+
+    Row k belongs to t_k = k/N as ``np.linspace`` places it, clipped to
+    [T_FLOOR, 1 - T_FLOOR]; ``ns`` is a value of ``NOISE_SCHEDULES``.
+    """
+    t = np.clip(np.linspace(0.0, 1.0, n_steps + 1)[:-1], T_FLOOR, 1.0 - T_FLOOR)
+    kappa = sched.alpha_dot(t) / sched.alpha(t)
+    b = sched.beta(t)
+    eta = b * (kappa * b - sched.beta_dot(t))
+    sig = ns(sched, t, eta)
+    return np.stack([sig * sig / (2.0 * eta), kappa, sig], axis=1)
 
 
-def clamp_time(t: float, floor: float = T_FLOOR) -> float:
-    if t < 0.0 or t > 1.0:
-        raise DomainError(f"time {t} outside [0, 1]")
-    return max(t, floor)
-
-
-def drift_coefficients(sched: InterpolantSchedule, t: float) -> DriftCoefficients:
-    """kappa(t), eta(t) at the clamped time."""
-    tc = clamp_time(t)
-    a = float(sched.alpha(tc))
-    if a == 0.0:
-        raise SingularityError(f"alpha({tc}) = 0 after clamping")
-    kappa = float(sched.alpha_dot(tc)) / a
-    b = float(sched.beta(tc))
-    eta = b * (kappa * b - float(sched.beta_dot(tc)))
-    return DriftCoefficients(kappa=kappa, eta=eta, t=tc)
-
-
-class NoiseKind(Enum):
-    MEMORYLESS = "memoryless"
-    SIN_SQ = "sin2"
-    ONE_MINUS_T = "one_minus_t"
-    SIGMA_T = "sigma_t"
-    ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class NoiseSchedule:
-    kind: NoiseKind
-
-
-def sigma(ns: NoiseSchedule, t: float, sched: InterpolantSchedule) -> float:
-    """Diffusion coefficient sigma(t) >= 0."""
-    if t < 0.0 or t > 1.0:
-        raise DomainError(f"time {t} outside [0, 1]")
-    if ns.kind is NoiseKind.ZERO:
-        return 0.0
-    if ns.kind is NoiseKind.MEMORYLESS:
-        eta = drift_coefficients(sched, t).eta
-        return math.sqrt(max(2.0 * eta, 0.0))
-    if ns.kind is NoiseKind.SIN_SQ:
-        return math.sin(math.pi * t) ** 2
-    if ns.kind is NoiseKind.ONE_MINUS_T:
-        return 1.0 - t
-    # SIGMA_T: beta(t) itself used as the noise level.
-    return float(sched.beta(t))
+def _sin2(sched, t, eta):
+    # math.sin entry by entry: np.sin differs from it in the last bit at
+    # some grid times, and the sampler's bytes must not depend on that
+    return np.array([math.sin(math.pi * s) ** 2 for s in t.tolist()])
 
 
 SCHEDULES = {"linear": linear_schedule()}
+# name -> sigma(sched, t, eta) >= 0 over the clipped step-start times
 NOISE_SCHEDULES = {
-    "memoryless": NoiseSchedule(NoiseKind.MEMORYLESS),
-    "sin2": NoiseSchedule(NoiseKind.SIN_SQ),
-    "one_minus_t": NoiseSchedule(NoiseKind.ONE_MINUS_T),
-    "sigma_t": NoiseSchedule(NoiseKind.SIGMA_T),
-    "zero": NoiseSchedule(NoiseKind.ZERO),
+    "memoryless": lambda sched, t, eta: np.sqrt(np.maximum(2.0 * eta, 0.0)),
+    "sin2": _sin2,
+    "one_minus_t": lambda sched, t, eta: 1.0 - t,
+    "sigma_t": lambda sched, t, eta: sched.beta(t),  # beta(t) as the noise level
+    "zero": lambda sched, t, eta: np.zeros_like(t),
 }

@@ -26,10 +26,10 @@ from .control import (
     draft_loss_and_grad,
     refl_loss_and_grad,
 )
-from .dynamics import sample_batch, sample_seed, sde_step_coeffs
+from .dynamics import sample_batch, sample_seed
 from .errors import ConfigError, NonFiniteError, ValidationError
 from .nnet import NetConfig, VelocityField, grads_flat
-from .schedules import NOISE_SCHEDULES, SCHEDULES, InterpolantSchedule
+from .schedules import NOISE_SCHEDULES, SCHEDULES, InterpolantSchedule, step_coeffs
 
 METHODS = ("ode-am", "sde-am", "draft", "refl")
 
@@ -78,8 +78,9 @@ class TrainConfig:
             v.append(f"lr must be > 0, got {self.lr}")
         if self.batch < 1:
             v.append(f"batch must be >= 1, got {self.batch}")
-        if self.iterations < 0:
-            v.append(f"iterations must be >= 0, got {self.iterations}")
+        for key in ("iterations", "warmup", "grad_clip", "seed"):
+            if getattr(self, key) < 0:
+                v.append(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.schedule not in SCHEDULES:
             v.append(f"schedule must be one of {tuple(SCHEDULES)}, "
                      f"got {self.schedule!r}")
@@ -88,9 +89,9 @@ class TrainConfig:
                      f"got {self.noise!r}")
         elif self.method == "sde-am" and window_ok and self.schedule in SCHEDULES:
             # sigma > 0 at the step starts of the last n_truncate steps
-            sched, ns = SCHEDULES[self.schedule], NOISE_SCHEDULES[self.noise]
-            starts = np.linspace(0.0, 1.0, self.n_steps + 1)[-1 - self.n_truncate:-1]
-            if any(sde_step_coeffs(sched, ns, t)[2] <= 0.0 for t in starts):
+            sig = step_coeffs(SCHEDULES[self.schedule], NOISE_SCHEDULES[self.noise],
+                              self.n_steps)[-self.n_truncate:, 2]
+            if np.any(sig <= 0.0):
                 v.append(f"noise schedule {self.noise!r} vanishes on the matching "
                          f"window; sde-am needs sigma > 0 there")
         ValidationError.check(v)

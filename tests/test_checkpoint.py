@@ -146,3 +146,17 @@ def test_load_rejects_bad_header_shape(tmp_path, edit, tail, fragment):
     bad.write_bytes(json.dumps(edit(header)).encode() + b"\n" + blob + tail)
     with pytest.raises(ParseError, match=fragment):
         cio.load(str(bad))
+
+
+def test_load_rejects_n_params_that_disagree_with_arch(tmp_path):
+    # header count and blob agree with each other, not with the architecture
+    path = str(tmp_path / "ck.bin")
+    cio.save(make_ckpt(), path)
+    with open(path, "rb") as f:
+        header = json.loads(f.readline())
+        blob = f.read()
+    header["n_params"] -= 1
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + blob[:-8])
+    with pytest.raises(ParseError, match="n_params"):
+        cio.load(str(bad))

@@ -191,14 +191,15 @@ def tiny_base(tmp_path_factory):
     return d / "ckpt_pretrain.bin"
 
 
-def _edit_header(src, dst, edit, tail=b""):
-    """Copy a checkpoint with its header replaced by ``edit(header)``."""
+def _edit_header(src, dst, edit, tail=b"", cut=0):
+    """Copy a checkpoint with its header replaced by ``edit(header)`` and
+    ``cut`` bytes dropped from the end of its parameters."""
     with open(src, "rb") as f:
         header = json.loads(f.readline())
         blob = f.read()
     header = edit(header)
     head = json.dumps(header, sort_keys=True).encode() + b"\n"
-    dst.write_bytes(head + blob + tail)
+    dst.write_bytes(head + blob[:len(blob) - cut] + tail)
     return str(dst)
 
 
@@ -290,6 +291,33 @@ ERROR_CASES = {
             base, tmp / "f.bin", lambda h: {**h, "seed": "x"}), tmp),
         "seed",
     ),
+    "header-n-params-vs-arch": (
+        None,
+        lambda base, tmp: plot_argv(_edit_header(
+            base, tmp / "h.bin", lambda h: {**h, "n_params": h["n_params"] - 1},
+            cut=8), tmp),
+        "n_params",
+    ),
+    "seed-negative": (TINY_FINETUNE.replace("seed = 1", "seed = -1"), finetune_argv,
+                      "seed"),
+    "eval-seed-negative": (TINY_FINETUNE + "eval_seed = -3\n", eval_argv, "eval_seed"),
+    "plot-seed-negative": (None, lambda base, tmp: plot_argv(base, tmp, "--seed", "-1"),
+                           "seed"),
+    "lr-nan": (TINY_FINETUNE.replace("lr = 0.0005", "lr = nan"), finetune_argv,
+               "for lr:"),
+    "lr-inf": (TINY_FINETUNE.replace("lr = 0.0005", "lr = inf"), finetune_argv,
+               "for lr:"),
+    "data-sigma-nan": (TINY_PRETRAIN + "data_sigma = nan\n", pretrain_argv,
+                       "for data_sigma:"),
+    "p-nan": (TINY_FINETUNE + "p = nan\n", finetune_argv, "for p:"),
+    "lam-nan": (TINY_FINETUNE + "lam = nan\n", finetune_argv, "for lam:"),
+    "reward-center-inf": (TINY_FINETUNE.replace("reward_center = 1.0",
+                                                "reward_center = inf"),
+                          finetune_argv, "for reward_center:"),
+    "grad-clip-negative": (TINY_FINETUNE + "grad_clip = -1\n", finetune_argv,
+                           "grad_clip"),
+    "warmup-negative": (TINY_FINETUNE.replace("warmup = 2", "warmup = -4"),
+                        finetune_argv, "warmup"),
     "params-trailing-bytes": (
         None,
         lambda base, tmp: plot_argv(_edit_header(

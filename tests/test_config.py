@@ -114,6 +114,15 @@ def test_evaluation_sizes_must_be_positive():
     assert [v.split()[0] for v in exc.value.violations] == ["eval_steps", "knn_k"]
 
 
+def test_non_finite_floats_rejected_by_key():
+    text = ("lr = nan\ndata_sigma = inf\np = nan\nlam = -inf\n"
+            "reward_center = 1,nan\n")
+    with pytest.raises(ValidationError) as exc:
+        parse_config_text(text)
+    keys = [v.split("bad value for ")[1].split(":")[0] for v in exc.value.violations]
+    assert keys == ["lr", "data_sigma", "p", "lam", "reward_center"]
+
+
 def test_data_dimension_consistency():
     with pytest.raises(ValidationError, match="state_dim"):
         parse_config_text("data = gauss1d\nstate_dim = 2\n")

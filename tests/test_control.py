@@ -12,12 +12,11 @@ from flowam.control import (
     control_from_adjoint,
     draft_loss_and_grad,
     refl_loss_and_grad,
-    stochastic_coefficient,
 )
 from flowam.dynamics import sample_ode
 from flowam.errors import ConfigError, ShapeError
 from flowam.nnet import NetConfig, VelocityField, grads_flat
-from flowam.schedules import NOISE_SCHEDULES, SCHEDULES
+from flowam.schedules import NOISE_SCHEDULES, SCHEDULES, step_coeffs
 from flowam.tasks import ConstantReward, LinearProbe, QuadraticWell
 
 SCHED = SCHEDULES["linear"]
@@ -136,8 +135,10 @@ def make_fields(dim=1, seed=0):
 
 
 def test_memoryless_coefficient_sqrt2_at_unit_eta():
-    # eta = 1 at t = 0.5 on the linear schedule
-    assert stochastic_coefficient(SCHED, MEMORYLESS, 0.5) == pytest.approx(np.sqrt(2.0))
+    # eta = 1 at t = 0.5 on the linear schedule; the loss coefficient
+    # (sigma^2 + 2 eta) / (2 sigma eta) is (corr + 1) / sigma
+    corr, _, sig = step_coeffs(SCHED, MEMORYLESS, 4)[2]
+    assert (corr + 1.0) / sig == pytest.approx(np.sqrt(2.0))
 
 
 def batch_of_one(traj, trace):
@@ -178,13 +179,12 @@ def test_stochastic_loss_reduces_to_sigma_adjoint_at_base():
         theta, base, SCHED, MEMORYLESS, *batch_of_one(traj, trace), reg,
         want_grad=False,
     )
-    from flowam.dynamics import sde_step_coeffs
-
     n = traj.n_steps
+    table = step_coeffs(SCHED, MEMORYLESS, n)
     terms = []
     for i in range(5):
         k = n - 5 + 1 + i
-        _, _, sig = sde_step_coeffs(SCHED, MEMORYLESS, traj.times[k - 1])
+        _, _, sig = table[k - 1]
         terms.append(np.sum((sig * trace.adjoints[i]) ** 2))
     assert loss == pytest.approx(float(np.mean(terms)), rel=1e-12)
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from flowam.dynamics import sample_batch, sample_ode, sample_seed, sde_step_coeffs
-from flowam.errors import NonFiniteError, ShapeError
+from flowam.dynamics import sample_batch, sample_ode, sample_seed
+from flowam.errors import DomainError, NonFiniteError, ShapeError
 from flowam.oracles import LinearVelocityField
-from flowam.schedules import NOISE_SCHEDULES, SCHEDULES, T_FLOOR
+from flowam.schedules import NOISE_SCHEDULES, SCHEDULES, T_FLOOR, step_coeffs
 
 SCHED = SCHEDULES["linear"]
 MEMORYLESS = NOISE_SCHEDULES["memoryless"]
@@ -36,15 +36,15 @@ def test_ode_rejects_bad_step_count():
 
 def test_sde_step_coeffs_clipping_and_memoryless_correction():
     # memoryless: sigma^2 = 2 eta so the correction factor is exactly 1
-    corr, kappa, sig = sde_step_coeffs(SCHED, MEMORYLESS, 0.5)
+    table = step_coeffs(SCHED, MEMORYLESS, 2000)
+    corr, kappa, sig = table[1000]  # t = 0.5
     assert corr == pytest.approx(1.0)
     assert kappa == pytest.approx(2.0)
     assert sig == pytest.approx(np.sqrt(2.0))
     # t clipped away from both endpoints
-    _, kappa0, _ = sde_step_coeffs(SCHED, MEMORYLESS, 0.0)
-    assert kappa0 == pytest.approx(1.0 / T_FLOOR)
-    corr1, _, _ = sde_step_coeffs(SCHED, MEMORYLESS, 1.0)
-    assert np.isfinite(corr1)
+    assert table[0, 1] == pytest.approx(1.0 / T_FLOOR)
+    assert table[-1, 1] == pytest.approx(1.0 / (1.0 - T_FLOOR))
+    assert np.all(np.isfinite(table))
 
 
 def test_zero_noise_sde_equals_ode():
@@ -71,6 +71,8 @@ def test_sample_batch_rejects_bad_sizes():
         sample_batch(lf, 0, 4, 0)
     with pytest.raises(ShapeError):
         sample_batch(lf, 10, 0, 0)
+    with pytest.raises(DomainError):
+        sample_batch(lf, 10, 4, -1)
 
 
 def test_sample_batch_matches_single_sample_streams():
@@ -80,6 +82,7 @@ def test_sample_batch_matches_single_sample_streams():
     n = 15
     batch = sample_batch(lf, n, 4, 7, sched=SCHED, ns=MEMORYLESS)
     h = 1.0 / n
+    table = step_coeffs(SCHED, MEMORYLESS, n)
     for i in (0, 3):
         rng = sample_seed(7, i)
         x = rng.standard_normal((1, 1))
@@ -87,7 +90,7 @@ def test_sample_batch_matches_single_sample_streams():
         states = [x]
         for k in range(n):
             t = k * h
-            corr, kappa, sig = sde_step_coeffs(SCHED, MEMORYLESS, t)
+            corr, kappa, sig = table[k]
             v = lf.forward(x, t)
             x = x + h * (v + corr * (v - kappa * x)) + np.sqrt(h) * sig * noises[k]
             states.append(x)

@@ -5,13 +5,18 @@ binds them to, and ``perfbench/workload.py`` captures what the sampler and
 the adjoint return to check them against its own reference loops.
 Removing or renaming one of those names, or changing the shape of what
 they return, breaks only benchmark runs; these tests load the benchmark's
-modules read-only and pin the names and shapes they rely on.
+modules read-only and pin the names and shapes they rely on.  The
+experiment scripts under ``scripts/`` are likewise run by nothing else, so
+one test runs each of them at tiny sizes.
 """
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from flowam import adjoint, checkpoint, dynamics, evaluation, nnet, tasks, train
 from flowam.schedules import NOISE_SCHEDULES, SCHEDULES
@@ -56,8 +61,10 @@ def small_base():
 
 def test_sample_batch_returns_one_trajectory_per_sample():
     vf = small_base().vf
-    sched, ns = SCHEDULES["linear"], NOISE_SCHEDULES["memoryless"]
-    for kw, noise_rows in (({}, 0), (dict(sched=sched, ns=ns), 7)):
+    sched = SCHEDULES["linear"]
+    runs = [({}, 0)] + [(dict(sched=sched, ns=ns), 0 if name == "zero" else 7)
+                        for name, ns in NOISE_SCHEDULES.items()]
+    for kw, noise_rows in runs:
         trajs = dynamics.sample_batch(vf, 7, 5, 3, **kw)
         assert isinstance(trajs, list) and len(trajs) == 5
         for tr in trajs:
@@ -102,3 +109,31 @@ def test_eval_columns_are_the_report_row():
     report = evaluation.evaluate(ckpt, ckpt, tasks.ConstantReward(), n_samples=8,
                                  n_steps=3, seed=0, k=2)
     assert tuple(report.as_row()) == tuple(evaluation.EVAL_COLUMNS)
+
+
+SCRIPTS = {
+    "tilt_experiment.py": (["--pretrain-iters", "20", "--finetune-iters", "3",
+                            "--n-samples", "200"],
+                           ["base.bin", "tuned.bin", "metrics.csv"]),
+    "tradeoff_sweep.py": (["--seeds", "0", "--iterations", "2", "--pretrain-iters", "20",
+                           "--n-eval", "50"],
+                          ["base.bin", "sweep.csv"]),
+    "oracle_curves.py": (["--points", "11"],
+                         ["relative_strength.csv", "toy_control.csv"]),
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs_at_tiny_size(script, tmp_path):
+    args, outputs = SCRIPTS[script]
+    src = os.path.join(ROOT, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", script),
+         "--outdir", str(tmp_path), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in outputs:
+        assert (tmp_path / name).stat().st_size > 0, name

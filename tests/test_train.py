@@ -60,12 +60,22 @@ def test_train_config_lists_every_violation():
         (dict(method="refl", k_window=0), "k_window"),
         (dict(method="sde-am", noise="zero"), "sigma > 0"),
         (dict(iterations=-1), "iterations"),
+        (dict(seed=-1), "seed"),
+        (dict(grad_clip=-1.0), "grad_clip"),
+        (dict(warmup=-4), "warmup"),
     ],
-    ids=["noise", "schedule", "draft-k", "refl-k", "sde-zero-noise", "iterations"],
+    ids=["noise", "schedule", "draft-k", "refl-k", "sde-zero-noise", "iterations",
+         "seed", "grad-clip", "warmup"],
 )
 def test_train_config_rejects_bad_run_at_construction(kw, fragment):
     with pytest.raises(ValidationError, match=fragment):
         small_cfg(**kw)
+
+
+def test_zero_grad_clip_and_warmup_stay_legal():
+    # 0 means "off": no clipping and no warm-up ramp
+    cfg = small_cfg(grad_clip=0.0, warmup=0, seed=0)
+    assert warmup_lr(cfg.lr, cfg.warmup, 0) == cfg.lr
 
 
 # -- optimizer -----------------------------------------------------------------
