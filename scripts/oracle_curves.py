@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from flowam.errors import DomainError
 from flowam.oracles import (
     GaussianFlowSpec,
     ToyDiffusionSpec,
@@ -32,7 +33,13 @@ def main():
     ap.add_argument("--points", type=int, default=1001)
     args = ap.parse_args()
 
-    spec = GaussianFlowSpec(mu=0.0, sigma=args.sigma)
+    try:  # every spec checks its inputs before any CSV is written
+        spec = GaussianFlowSpec(mu=0.0, sigma=args.sigma)
+        ve = ToyDiffusionSpec(ToyKind.VE, T=args.horizon, eta=args.eta)
+        vp = ToyDiffusionSpec(ToyKind.VP, T=args.horizon, eta=args.eta)
+    except DomainError as e:
+        ap.error(str(e))
+
     t = np.linspace(0.0, 1.0, args.points)
     ps = (2.0, 4.0, 6.0)
     rows = [
@@ -46,8 +53,6 @@ def main():
           f"-> {path}")
 
     s = np.linspace(0.0, args.horizon, args.points)
-    ve = ToyDiffusionSpec(ToyKind.VE, T=args.horizon, eta=args.eta)
-    vp = ToyDiffusionSpec(ToyKind.VP, T=args.horizon, eta=args.eta)
     rows = [
         {"t": float(si),
          "c_ve": float(toy_control_component(ve, si)),

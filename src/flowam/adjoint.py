@@ -30,8 +30,7 @@ BLOWUP_NORM = 1e12
 @dataclass
 class AdjointTrace:
     window: np.ndarray  # (T,) grid times, ascending, window[-1] == 1
-    adjoints: np.ndarray  # (T, dim); adjoints[-1] == terminal_grad
-    terminal_grad: np.ndarray
+    adjoints: np.ndarray  # (T, dim); adjoints[-1] is the terminal gradient
 
 
 def _vjp(base, x, t, w, row=None):
@@ -93,7 +92,7 @@ def lean_adjoint(
     window, adj = lean_adjoint_batch(
         base, traj.times, traj.states[:, None, :], tg[None, :], n_truncate
     )
-    return AdjointTrace(window=window, adjoints=adj[:, 0, :], terminal_grad=tg)
+    return AdjointTrace(window=window, adjoints=adj[:, 0, :])
 
 
 def verify_adjoint_fd(base, traj: Trajectory, reward, t_index: int, fd_step=1e-4):

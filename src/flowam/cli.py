@@ -1,4 +1,4 @@
-"""flowctl command line: pretrain / finetune / eval / oracle / plot-data.
+"""flowctl command line: pretrain / finetune / eval / plot-data.
 
 Exit codes: 0 success, 1 usage or validation failure, 2 numerical abort.
 All artifacts are written atomically (temp file + rename) under the run's
@@ -11,8 +11,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import checkpoint as ckpt_io
 from .config import (
     TOOL_VERSION,
@@ -24,33 +22,26 @@ from .config import (
 from .dynamics import sample_batch
 from .errors import ConfigError, FlowError, NonFiniteError, ParseError, ValidationError
 from .evaluation import EVAL_COLUMNS, evaluate
-from .oracles import (
-    GaussianFlowSpec,
-    ToyDiffusionSpec,
-    ToyKind,
-    rf_relative_strength,
-    toy_control_component,
-)
 from .train import METRICS_COLUMNS, TIMING_COLUMNS, finetune, pretrain, write_csv
 
 
 def _load_checkpoints(cfg: RunConfig, *paths):
-    """Load each checkpoint and check its state dimension against the config."""
+    """Load each checkpoint and check its architecture against the config."""
     out = []
     for path in paths:
         ckpt = ckpt_io.load(path)
-        if ckpt.vf.cfg.state_dim != cfg["state_dim"]:
-            raise ConfigError(
-                f"checkpoint {path} has state_dim {ckpt.vf.cfg.state_dim}, "
-                f"the config has state_dim = {cfg['state_dim']}"
-            )
+        have, want = ckpt.vf.cfg.to_dict(), cfg.net.to_dict()
+        diff = [k for k in want if have[k] != want[k]]
+        if diff:
+            raise ConfigError(f"checkpoint {path} has " + ", ".join(
+                f"{k} {have[k]} where the config has {want[k]}" for k in diff))
         out.append(ckpt)
     return out
 
 
 def _load_run(args) -> RunConfig:
     cfg = parse_config(args.config)
-    if getattr(args, "outdir", None):
+    if args.outdir:
         cfg.values["outdir"] = args.outdir
     return cfg
 
@@ -105,37 +96,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    t = np.linspace(0.0, 1.0 if args.kind == "rp" else args.T, 1001)
-    if args.kind == "rp":
-        spec = GaussianFlowSpec(mu=0.0, sigma=args.sigma)
-        ps = [float(p) for p in args.p.split(",")]
-        cols = ["t"] + [f"R_{p:g}" for p in ps]
-        rows = [
-            {"t": float(ti), **{f"R_{p:g}": float(rf_relative_strength(spec, p, ti))
-                                for p in ps}}
-            for ti in t
-        ]
-    else:
-        ve = ToyDiffusionSpec(kind=ToyKind.VE, T=args.T, eta=args.eta)
-        vp = ToyDiffusionSpec(kind=ToyKind.VP, T=args.T, eta=args.eta)
-        cols = ["t", "c_ve", "c_vp"]
-        rows = [
-            {"t": float(ti),
-             "c_ve": float(toy_control_component(ve, ti)),
-             "c_vp": float(toy_control_component(vp, ti))}
-            for ti in t
-        ]
-    write_csv(rows, cols, args.out)
-    print(f"wrote {len(rows)} rows -> {args.out}")
-    return 0
-
-
 def cmd_plot_data(args) -> int:
     ckpt = ckpt_io.load(args.ckpt)
     trajs = sample_batch(ckpt.vf, args.steps, args.n, args.seed)
-    dim = trajs[0].dim
-    cols = [f"x{i}" for i in range(dim)]
+    cols = [f"x{i}" for i in range(ckpt.vf.state_dim)]
     rows = [{c: float(t.states[-1][i]) for i, c in enumerate(cols)} for t in trajs]
     write_csv(rows, cols, args.out)
     print(f"wrote {len(rows)} samples -> {args.out}")
@@ -167,15 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--outdir", default=None)
     p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("oracle", help="emit closed-form curves as CSV")
-    p.add_argument("--kind", choices=("rp", "toy"), required=True)
-    p.add_argument("--sigma", type=float, default=5.0)
-    p.add_argument("--p", default="2,4,6")
-    p.add_argument("--T", type=float, default=5.0)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("plot-data", help="dump terminal samples for plotting")
     p.add_argument("--ckpt", required=True)

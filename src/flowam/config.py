@@ -188,8 +188,7 @@ def resolve(raw: dict) -> RunConfig:
 
 def parse_config(path: str) -> RunConfig:
     with open(path, "r") as f:
-        text = f.read()
-    return resolve(parse_kv_text(text))
+        return parse_config_text(f.read())
 
 
 def parse_config_text(text: str) -> RunConfig:

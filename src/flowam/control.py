@@ -26,17 +26,19 @@ from .nnet import VelocityField, accumulate_grads, zero_grads_like
 from .schedules import InterpolantSchedule, step_coeffs
 
 
+EPS_ADJOINT = 1e-12  # adjoint norms below this get a zero control target
+
+
 @dataclass(frozen=True)
 class RegularizerSpec:
     p: float = 2.0
     lam: float = 1.0
-    eps_adjoint: float = 1e-12
 
     def __post_init__(self):
         v = []
-        if self.p <= 1.0:
+        if not self.p > 1.0:
             v.append(f"p must be > 1, got {self.p}")
-        if self.lam <= 0.0:
+        if not self.lam > 0.0:
             v.append(f"lam must be > 0, got {self.lam}")
         ValidationError.check(v)
 
@@ -52,12 +54,12 @@ def control_from_adjoint(reg: RegularizerSpec, a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     norm = np.linalg.norm(a, axis=-1, keepdims=True)
-    safe = np.maximum(norm, reg.eps_adjoint)
+    safe = np.maximum(norm, EPS_ADJOINT)
     factor = reg.lam ** (1.0 / (reg.p - 1.0)) * safe ** (
         (2.0 - reg.p) / (reg.p - 1.0)
     )
     u = -factor * a
-    return np.where(norm < reg.eps_adjoint, 0.0, u)
+    return np.where(norm < EPS_ADJOINT, 0.0, u)
 
 
 def check_pmp_optimality(reg: RegularizerSpec, a, u) -> float:

@@ -7,8 +7,10 @@ sqrt(h) sigma noise, with (correction, kappa, sigma) read from the row of
 
 ``sample_batch`` is the one sampler of the fine-tuning loop and of
 evaluation: sample i draws its initial state and then its (N, dim) noise
-block from its own stream ``sample_seed(seed, i)``, and the batch is
-integrated jointly, so row i is bitwise the run of sample i alone.
+block from its own stream ``sample_seed(seed, i)``, bitwise as if alone.
+The batch is integrated jointly, and BLAS may round a product over m rows
+differently from one over a single row, so row i matches the run of sample i
+alone only to rounding; a rerun at the same batch size repeats bit for bit.
 ``sample_ode`` integrates the flow from a given initial state.
 """
 
@@ -98,7 +100,7 @@ def sample_batch(
         raise ShapeError("batch size must be >= 1")
     if base_seed < 0:
         raise DomainError(f"seed must be >= 0, got {base_seed}")
-    dim = field.cfg.state_dim if hasattr(field, "cfg") else field.state_dim
+    dim = field.state_dim
     coeffs = step_coeffs(sched, ns, n_steps) if ns is not None else None
     stochastic = coeffs is not None and bool(np.any(coeffs[:, 2]))
     x0 = np.empty((m, dim))

@@ -153,7 +153,7 @@ def evaluate(
 ) -> EvalReport:
     """Sample both models with the deterministic flow and fill every metric."""
     vf, base = ckpt.vf, base_ckpt.vf
-    if vf.cfg.state_dim != base.cfg.state_dim:
+    if vf.state_dim != base.state_dim:
         raise ShapeError("checkpoints have different state dimensions")
     gen = np.stack(
         [t.states[-1] for t in sample_batch(vf, n_steps, n_samples, seed)]

@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteError, ShapeError, ValidationError
 
-ACTIVATIONS = ("silu", "tanh", "identity")
-
 
 def _silu(z):
     s = 1.0 / (1.0 + np.exp(-z))
@@ -34,20 +32,12 @@ def _silu_prime(z):
     return s * (1.0 + z * (1.0 - s))
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "silu":
-        return _silu(z)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _act_prime(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "silu":
-        return _silu_prime(z)
-    if name == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    return np.ones_like(z)
+# name -> (activation, derivative)
+ACTIVATIONS = {
+    "silu": (_silu, _silu_prime),
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "identity": (lambda z: z, np.ones_like),
+}
 
 
 @dataclass(frozen=True)
@@ -66,7 +56,7 @@ class NetConfig:
         if any(h < 1 for h in self.hidden):
             v.append(f"hidden widths must be >= 1, got {self.hidden}")
         if self.activation not in ACTIVATIONS:
-            v.append(f"activation must be one of {ACTIVATIONS}, "
+            v.append(f"activation must be one of {tuple(ACTIVATIONS)}, "
                      f"got {self.activation!r}")
         if self.time_features < 0:
             v.append(f"time_features must be >= 0, got {self.time_features}")
@@ -138,13 +128,14 @@ class GradientTape:
             raise ShapeError(
                 f"cotangent dim {g.shape[1]} != state_dim {vf.cfg.state_dim}"
             )
+        act_prime = ACTIVATIONS[vf.cfg.activation][1]
         grads = [None] * len(vf.weights)
         for l in range(len(vf.weights) - 1, -1, -1):
             h = self._layer_inputs[l]
             grads[l] = (g.T @ h, g.sum(axis=0))
             g = g @ vf.weights[l]
             if l > 0:
-                g = g * _act_prime(vf.cfg.activation, self._preacts[l - 1])
+                g = g * act_prime(self._preacts[l - 1])
         input_grad = g[:, : vf.cfg.state_dim]
         return grads, input_grad
 
@@ -196,6 +187,10 @@ class VelocityField:
             off += b.size
 
     @property
+    def state_dim(self) -> int:
+        return self.cfg.state_dim
+
+    @property
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
@@ -224,6 +219,7 @@ class VelocityField:
         return np.concatenate(parts, axis=1), squeeze
 
     def _run(self, feats):
+        act = ACTIVATIONS[self.cfg.activation][0]
         layer_inputs, preacts = [], []
         h = feats
         last = len(self.weights) - 1
@@ -232,7 +228,7 @@ class VelocityField:
             z = h @ w.T + b
             if l < last:
                 preacts.append(z)
-                h = _act(self.cfg.activation, z)
+                h = act(z)
             else:
                 h = z
         return h, layer_inputs, preacts
@@ -272,8 +268,8 @@ def zero_grads_like(vf: VelocityField):
     ]
 
 
-def accumulate_grads(total, grads, scale: float = 1.0):
+def accumulate_grads(total, grads):
     for (tw, tb), (dw, db) in zip(total, grads):
-        tw += scale * dw
-        tb += scale * db
+        tw += dw
+        tb += db
     return total

@@ -1,4 +1,4 @@
-"""Closed-form references used as ground truth by the tests and the CLI.
+"""Closed-form references used as ground truth by the tests and the scripts.
 
 A linear Gaussian flow (noise N(mu, sigma^2) to standard normal data) admits
 exact expressions for its velocity field, its lean adjoint, the time at
@@ -26,6 +26,11 @@ class GaussianFlowSpec:
     mu: float = 0.0
     sigma: float = 1.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.mu) and 0.0 < self.sigma < np.inf):
+            raise DomainError(f"need a finite mu and 0 < sigma < inf, "
+                              f"got mu={self.mu}, sigma={self.sigma}")
+
     def m(self, t):
         """Marginal mean (1 - t) mu."""
         return (1.0 - np.asarray(t, dtype=np.float64)) * self.mu
@@ -51,15 +56,13 @@ def rf_adjoint(spec: GaussianFlowSpec, a1, t):
 
 def rf_peak_time(spec: GaussianFlowSpec) -> float:
     """Time of maximal optimal-control intensity, sigma^2 / (1 + sigma^2)."""
-    if spec.sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {spec.sigma}")
     s2 = spec.sigma**2
     return s2 / (1.0 + s2)
 
 
 def rf_relative_strength(spec: GaussianFlowSpec, p: float, t):
     """Normalized control intensity R_p(t); equals 1 at the peak time."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise DomainError(f"p must be > 1, got {p}")
     s2 = spec.sigma**2
     ratio = s2 / (spec.d(t) * (1.0 + s2))
@@ -78,8 +81,9 @@ class ToyDiffusionSpec:
     eta: float
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise DomainError(f"horizon must be > 0, got {self.T}")
+        if not (0.0 < self.T < np.inf and 0.0 < self.eta < np.inf):
+            raise DomainError(f"need 0 < T < inf and 0 < eta < inf, "
+                              f"got T={self.T}, eta={self.eta}")
 
 
 def toy_control_component(spec: ToyDiffusionSpec, t):
@@ -119,7 +123,7 @@ def tilted_gaussian(c: float, m: float):
 
     Completing the square gives mean c m / (1 + c), variance 1 / (1 + c).
     """
-    if c <= -1.0:
+    if not c > -1.0:
         raise DomainError(f"tilt curvature must exceed -1, got {c}")
     return c * m / (1.0 + c), 1.0 / (1.0 + c)
 

@@ -19,10 +19,9 @@ from .errors import ConfigError, DomainError
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
-def _logsumexp(a, axis=None):
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis) if axis is not None else float(out)
+def _logsumexp(a):  # row-wise, over axis 1
+    m = np.max(a, axis=1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True)))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class Gaussian1D:
     dim: int = 1
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise DomainError(f"sigma must be > 0, got {self.sigma}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -60,9 +59,9 @@ class GaussianMixture2D:
     def __post_init__(self):
         if not (len(self.centers) == len(self.weights) == len(self.stds)):
             raise ConfigError("mode lists must have equal lengths")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ConfigError(f"mode weights must sum to 1, got {sum(self.weights)}")
-        if any(s <= 0.0 for s in self.stds):
+        if not all(s > 0.0 for s in self.stds):
             raise DomainError("mode stds must be > 0")
 
     @classmethod
@@ -94,11 +93,11 @@ class GaussianMixture2D:
 
     def log_density(self, x) -> np.ndarray:
         logs, _, _, _ = self._component_logs(x)
-        return _logsumexp(logs, axis=1)
+        return _logsumexp(logs)
 
     def score(self, x) -> np.ndarray:
         logs, x2, c, s = self._component_logs(x)
-        w = np.exp(logs - _logsumexp(logs, axis=1)[:, None])  # posterior weights
+        w = np.exp(logs - _logsumexp(logs)[:, None])  # posterior weights
         comp_scores = -(x2[:, None, :] - c[None, :, :]) / (s**2)[None, :, None]
         return np.sum(w[:, :, None] * comp_scores, axis=1)
 

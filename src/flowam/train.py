@@ -29,7 +29,7 @@ from .control import (
 from .dynamics import sample_batch, sample_seed
 from .errors import ConfigError, NonFiniteError, ValidationError
 from .nnet import NetConfig, VelocityField, grads_flat
-from .schedules import NOISE_SCHEDULES, SCHEDULES, InterpolantSchedule, step_coeffs
+from .schedules import NOISE_SCHEDULES, SCHEDULES, step_coeffs
 
 METHODS = ("ode-am", "sde-am", "draft", "refl")
 
@@ -74,12 +74,12 @@ class TrainConfig:
             self.regularizer
         except ValidationError as e:
             v += e.violations
-        if self.lr <= 0.0:
+        if not self.lr > 0.0:
             v.append(f"lr must be > 0, got {self.lr}")
         if self.batch < 1:
             v.append(f"batch must be >= 1, got {self.batch}")
         for key in ("iterations", "warmup", "grad_clip", "seed"):
-            if getattr(self, key) < 0:
+            if not getattr(self, key) >= 0:
                 v.append(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.schedule not in SCHEDULES:
             v.append(f"schedule must be one of {tuple(SCHEDULES)}, "
@@ -153,18 +153,13 @@ def _iteration_seed(base_seed: int, iteration: int) -> int:
     return int(np.random.SeedSequence([base_seed, iteration]).generate_state(1)[0])
 
 
-def pretrain(
-    cfg: TrainConfig,
-    dist,
-    net_cfg: NetConfig,
-    sched: InterpolantSchedule = None,
-):
+def pretrain(cfg: TrainConfig, dist, net_cfg: NetConfig):
     """Flow-matching pretraining; returns (Checkpoint, metrics rows).
 
     Each iteration draws (X_0 ~ N(0, I), X_1 ~ data, t ~ U[0, 1]) and
     regresses v(xbar_t, t) onto beta'(t) X_0 + alpha'(t) X_1.
     """
-    sched = sched if sched is not None else SCHEDULES[cfg.schedule]
+    sched = SCHEDULES[cfg.schedule]
     vf = VelocityField.init(net_cfg, seed=cfg.seed)
     opt = OptimizerState.init(vf.n_params)
     params = vf.params_flat()

@@ -7,7 +7,6 @@ import pytest
 
 from flowam import checkpoint as ckpt_io
 from flowam.cli import main
-from flowam.oracles import GaussianFlowSpec, rf_peak_time
 
 TINY_PRETRAIN = """\
 data = gauss1d
@@ -53,7 +52,7 @@ def test_version_flag(capsys):
 
 
 def test_unknown_flag_exits_one(capsys):
-    assert main(["oracle", "--bogus"]) == 1
+    assert main(["plot-data", "--bogus"]) == 1
 
 
 def test_missing_subcommand_exits_one(capsys):
@@ -72,32 +71,6 @@ def test_invalid_config_lists_all_violations(tmp_path, capsys):
     assert main(["pretrain", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") >= 2
-
-
-def test_oracle_rp_curve(tmp_path, capsys):
-    out = tmp_path / "rp.csv"
-    code = main(["oracle", "--kind", "rp", "--sigma", "5.0",
-                 "--p", "2,6", "--out", str(out)])
-    assert code == 0
-    rows = read_csv(out)
-    assert len(rows) == 1001
-    assert set(rows[0]) == {"t", "R_2", "R_6"}
-    # the profile is normalized: its max over the grid is 1 at the peak time
-    t = np.array([float(r["t"]) for r in rows])
-    r2 = np.array([float(r["R_2"]) for r in rows])
-    t_star = rf_peak_time(GaussianFlowSpec(0.0, 5.0))
-    assert abs(t[np.argmax(r2)] - t_star) < 2e-3
-    assert r2.max() <= 1.0 + 1e-12
-
-
-def test_oracle_toy_curve(tmp_path):
-    out = tmp_path / "toy.csv"
-    assert main(["oracle", "--kind", "toy", "--T", "5", "--eta", "1",
-                 "--out", str(out)]) == 0
-    rows = read_csv(out)
-    assert len(rows) == 1001
-    assert float(rows[-1]["c_ve"]) == 0.0
-    assert float(rows[-1]["c_vp"]) == 0.0
 
 
 def test_end_to_end_pretrain_finetune_eval(tmp_path, capsys):
@@ -236,6 +209,8 @@ def eval_argv(base, tmp):
 ERROR_CASES = {
     "finetune-dim-mismatch": (GM2_CONFIG, finetune_argv, "state_dim"),
     "eval-dim-mismatch": (GM2_CONFIG, eval_argv, "state_dim"),
+    "finetune-hidden-mismatch": (TINY_FINETUNE.replace("hidden = 16,16", "hidden = 16,8"),
+                                 finetune_argv, "hidden [16, 16] where the config has [16, 8]"),
     "unknown-activation": (TINY_PRETRAIN + "activation = relu\n", pretrain_argv,
                            "activation"),
     "hidden-width-zero": (TINY_PRETRAIN.replace("hidden = 16,16", "hidden = 16,0"),

@@ -158,6 +158,7 @@ def test_grad_accumulation_helpers():
     z = zero_grads_like(vf)
     assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in z)
     g = [(np.ones_like(w), np.ones_like(b)) for w, b in zip(vf.weights, vf.biases)]
-    accumulate_grads(z, g, scale=2.0)
+    accumulate_grads(z, g)
+    accumulate_grads(z, g)
     assert all(np.all(dw == 2.0) for dw, _ in z)
     assert grads_flat(z).size == vf.n_params

@@ -119,6 +119,24 @@ def test_toy_spec_requires_positive_horizon():
         ToyDiffusionSpec(ToyKind.VE, T=0.0, eta=1.0)
 
 
+def test_oracle_inputs_are_checked_and_nan_fails_every_check():
+    nan, inf = float("nan"), float("inf")
+    for bad in (0.0, -1.0, nan, inf):
+        with pytest.raises(DomainError):
+            GaussianFlowSpec(mu=0.0, sigma=bad)
+        with pytest.raises(DomainError):
+            ToyDiffusionSpec(ToyKind.VP, T=bad, eta=1.0)
+        with pytest.raises(DomainError):
+            ToyDiffusionSpec(ToyKind.VE, T=5.0, eta=bad)
+    for mu in (nan, inf):
+        with pytest.raises(DomainError):
+            GaussianFlowSpec(mu=mu, sigma=1.0)
+    with pytest.raises(DomainError):
+        rf_relative_strength(GaussianFlowSpec(0.0, 1.0), nan, 0.5)
+    with pytest.raises(DomainError):
+        tilted_gaussian(nan, 0.0)
+
+
 def test_bimodal_score_values():
     assert bimodal_score(4.0, 0.3, 0.0) == 0.0
     assert bimodal_score(4.0, 0.0, 1.0) == pytest.approx(-1.0 + 4.0 * np.tanh(4.0))

@@ -24,8 +24,9 @@ def test_gaussian1d_sampling_stats(rng):
 
 
 def test_gaussian1d_rejects_bad_sigma():
-    with pytest.raises(DomainError):
-        Gaussian1D(0.0, 0.0)
+    for sigma in (0.0, float("nan")):
+        with pytest.raises(DomainError):
+            Gaussian1D(0.0, sigma)
 
 
 def test_gaussian1d_log_density_normalizes():
@@ -51,6 +52,10 @@ def test_mixture_weights_must_sum_to_one():
         GaussianMixture2D(centers=((0, 0), (1, 1)), weights=(0.6, 0.6), stds=(1, 1))
     with pytest.raises(DomainError):
         GaussianMixture2D(centers=((0, 0),), weights=(1.0,), stds=(0.0,))
+    with pytest.raises(DomainError):
+        GaussianMixture2D(centers=((0, 0),), weights=(1.0,), stds=(float("nan"),))
+    with pytest.raises(ConfigError):
+        GaussianMixture2D(centers=((0, 0),), weights=(float("nan"),), stds=(1.0,))
 
 
 def test_degenerate_mixture_equals_single_gaussian(rng):

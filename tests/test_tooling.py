@@ -123,17 +123,29 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_runs_at_tiny_size(script, tmp_path):
-    args, outputs = SCRIPTS[script]
+def run_script(script, outdir, *args):
     src = os.path.join(ROOT, "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script),
-         "--outdir", str(tmp_path), *args],
+         "--outdir", str(outdir), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_runs_at_tiny_size(script, tmp_path):
+    args, outputs = SCRIPTS[script]
+    proc = run_script(script, tmp_path, *args)
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+@pytest.mark.parametrize("flag, value", [("--sigma", "-1"), ("--horizon", "nan")])
+def test_oracle_curves_rejects_bad_input_before_writing(flag, value, tmp_path):
+    proc = run_script("oracle_curves.py", tmp_path, "--points", "11", flag, value)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []

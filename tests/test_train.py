@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flowam.checkpoint import Checkpoint
+from flowam.control import RegularizerSpec
 from flowam.errors import ConfigError, NonFiniteError, ValidationError
 from flowam.nnet import NetConfig, VelocityField
 from flowam.oracles import GaussianFlowSpec, rf_velocity
@@ -49,6 +50,17 @@ def test_train_config_lists_every_violation():
     for name, violation in zip(("method", "n_truncate", "p", "lam", "lr"),
                                exc.value.violations):
         assert violation.startswith(name + " must")
+
+
+def test_train_config_rejects_nan_in_every_float_check():
+    nan = float("nan")
+    with pytest.raises(ValidationError) as exc:
+        TrainConfig(lr=nan, grad_clip=nan, reg_p=nan, reg_lam=nan)
+    names = [v.split()[0] for v in exc.value.violations]
+    assert sorted(names) == ["grad_clip", "lam", "lr", "p"]
+    with pytest.raises(ValidationError) as exc:
+        RegularizerSpec(p=nan, lam=nan)
+    assert [v.split()[0] for v in exc.value.violations] == ["p", "lam"]
 
 
 @pytest.mark.parametrize(
