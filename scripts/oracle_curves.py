@@ -32,6 +32,8 @@ def main():
     ap.add_argument("--eta", type=float, default=1.0)
     ap.add_argument("--points", type=int, default=1001)
     args = ap.parse_args()
+    if args.points < 2:
+        ap.error(f"--points must be >= 2, got {args.points}")
 
     try:  # every spec checks its inputs before any CSV is written
         spec = GaussianFlowSpec(mu=0.0, sigma=args.sigma)

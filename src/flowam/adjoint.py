@@ -16,13 +16,12 @@ through them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .dynamics import Trajectory, _integrate
 from .errors import NonFiniteError, ShapeError
-from .schedules import InterpolantSchedule, step_coeffs
 
 BLOWUP_NORM = 1e12
 
@@ -48,15 +47,14 @@ def lean_adjoint_batch(
     states: np.ndarray,
     terminal_grads: np.ndarray,
     n_truncate: int,
-    sched: Optional[InterpolantSchedule] = None,
-    ns: Optional[Callable] = None,
+    coeffs: Optional[np.ndarray] = None,
 ):
     """Backward Euler adjoint for a stacked batch.
 
     states: (N+1, m, dim); terminal_grads: (m, dim).  Returns
     (window_times (T,), adjoints (T, m, dim)) with window_times ascending.
-    Passing ``sched`` and ``ns`` differentiates the noise-corrected SDE drift
-    instead of the plain field.
+    Passing ``coeffs``, the ``step_coeffs`` table of the grid, differentiates
+    the noise-corrected SDE drift instead of the plain field.
     """
     n = times.shape[0] - 1
     if not 1 <= n_truncate <= n:
@@ -67,7 +65,6 @@ def lean_adjoint_batch(
     if not np.all(np.isfinite(tg)):
         raise NonFiniteError("non-finite terminal gradient")
     h = times[1] - times[0]
-    coeffs = step_coeffs(sched, ns, n) if ns is not None else None
     adjoints = np.empty((n_truncate,) + tg.shape)
     adjoints[-1] = tg
     a = tg

@@ -17,7 +17,8 @@ from .config import (
     RunConfig,
     make_distribution,
     make_reward,
-    parse_config,
+    parse_kv_text,
+    resolve,
 )
 from .dynamics import sample_batch
 from .errors import ConfigError, FlowError, NonFiniteError, ParseError, ValidationError
@@ -40,10 +41,12 @@ def _load_checkpoints(cfg: RunConfig, *paths):
 
 
 def _load_run(args) -> RunConfig:
-    cfg = parse_config(args.config)
+    """The run's config, with ``--outdir`` applied before the hash is taken."""
+    with open(args.config, "r") as f:
+        raw = parse_kv_text(f.read())
     if args.outdir:
-        cfg.values["outdir"] = args.outdir
-    return cfg
+        raw["outdir"] = (0, args.outdir)
+    return resolve(raw)
 
 
 def _emit_run_files(cfg: RunConfig, rows, timings=None) -> None:

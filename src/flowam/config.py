@@ -174,6 +174,9 @@ def resolve(raw: dict) -> RunConfig:
         except ValueError:
             violations.append(f"line {lineno}: bad value for {key}: {text!r}")
     ValidationError.check(violations)
+    for key in ("reward_center", "reward_direction"):
+        if key not in raw:  # the built-in defaults are 2D
+            values[key] = values[key][: values["state_dim"]]
     train, train_violations = _build(TrainConfig, values)
     net, net_violations = _build(NetConfig, values)
     ValidationError.check(train_violations + net_violations + _validate(values, raw))
@@ -208,14 +211,13 @@ def make_distribution(cfg: RunConfig):
 
 def make_reward(cfg: RunConfig):
     kind = cfg["reward"]
-    dim = cfg["state_dim"]
     if kind == "quadwell":
-        center = np.asarray(cfg["reward_center"], dtype=np.float64)[:dim]
+        center = np.asarray(cfg["reward_center"], dtype=np.float64)
         return QuadraticWell(center=center, curvature=cfg["reward_curvature"])
     if kind == "tilt":
         return LogDensityTilt(target=make_distribution(cfg))
     if kind == "linear":
         return LinearProbe(
-            direction=np.asarray(cfg["reward_direction"], dtype=np.float64)[:dim]
+            direction=np.asarray(cfg["reward_direction"], dtype=np.float64)
         )
     return ConstantReward()

@@ -17,13 +17,11 @@ sampler steps instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, SingularityError, ValidationError
 from .nnet import VelocityField, accumulate_grads, zero_grads_like
-from .schedules import InterpolantSchedule, step_coeffs
 
 
 EPS_ADJOINT = 1e-12  # adjoint norms below this get a zero control target
@@ -77,36 +75,31 @@ def check_pmp_optimality(reg: RegularizerSpec, a, u) -> float:
 
 # ---------------------------------------------------------------------------
 # Matching losses.  Both consume stacked states (N+1, m, dim) plus the
-# adjoint window (T, m, dim), pair the adjoint at grid time t_k with the
+# window adjoints (T, m, dim), pair the adjoint at grid time t_k with the
 # velocities consumed at the step start t_{k-1}, and return
-# (loss, param_grads) with the mean taken over window x batch.
+# (loss, param_grads) with the mean taken over window x batch.  The
+# stochastic loss reads its per-step (correction, sigma) from the
+# ``step_coeffs`` table the caller built for the run.
 # ---------------------------------------------------------------------------
 
 
-def _matching_loss(v_theta, v_base, times, states, window, adjoints, reg, coeffs,
-                   want_grad):
-    """Mean of |c (v_theta - v_base) - s u*(a)|^2 with (c, s) = coeffs(k)."""
+def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
+    """Mean of |coef_i (v_theta - v_base) - scale_i u*(a_i)|^2 over the window."""
     m = states.shape[1]
     t_count = adjoints.shape[0]
-    grads = zero_grads_like(v_theta) if want_grad else None
+    grads = zero_grads_like(v_theta)
     total = 0.0
     denom = float(t_count * m)
-    first = times.shape[0] - 1 - window.shape[0]  # step start paired with window[0]
+    first = times.shape[0] - 1 - t_count  # step start paired with adjoints[0]
     for i in range(t_count):
-        k = first + i
-        x, t = states[k], times[k]
-        coef, scale = coeffs(k)
-        target = scale * control_from_adjoint(reg, adjoints[i])
+        x, t = states[first + i], times[first + i]
+        target = scale[i] * control_from_adjoint(reg, adjoints[i])
         vb = v_base.forward(x, t)
-        if want_grad:
-            vt, tape = v_theta.forward_tape(x, t)
-        else:
-            vt = v_theta.forward(x, t)
-        resid = coef * (vt - vb) - target
+        vt, tape = v_theta.forward_tape(x, t)
+        resid = coef[i] * (vt - vb) - target
         total += float(np.sum(resid * resid))
-        if want_grad:
-            g, _ = tape.backward(2.0 * coef * resid / denom)
-            accumulate_grads(grads, g)
+        g, _ = tape.backward(2.0 * coef[i] * resid / denom)
+        accumulate_grads(grads, g)
     return total / denom, grads
 
 
@@ -115,42 +108,37 @@ def am_det_loss_and_grad(
     v_base: VelocityField,
     times: np.ndarray,
     states: np.ndarray,
-    window: np.ndarray,
     adjoints: np.ndarray,
     reg: RegularizerSpec,
-    want_grad: bool = True,
 ):
     """Regress the implicit control v_theta - v_base onto u*(a)."""
-    return _matching_loss(v_theta, v_base, times, states, window, adjoints, reg,
-                          lambda k: (1.0, 1.0), want_grad)
+    ones = np.ones(adjoints.shape[0])
+    return _matching_loss(v_theta, v_base, times, states, adjoints, reg, ones, ones)
 
 
 def am_sde_loss_and_grad(
     v_theta: VelocityField,
     v_base: VelocityField,
-    sched: InterpolantSchedule,
-    ns: Callable,
+    coeffs: np.ndarray,
     times: np.ndarray,
     states: np.ndarray,
-    window: np.ndarray,
     adjoints: np.ndarray,
     reg: RegularizerSpec,
-    want_grad: bool = True,
 ):
-    """Match the scaled control against sigma u*(a); quadratic penalty only."""
+    """Match the scaled control against sigma u*(a); quadratic penalty only.
+
+    ``coeffs`` is the ``step_coeffs`` table of the grid; the window reads
+    its last T rows.
+    """
     if reg.p != 2.0:
         raise ConfigError("stochastic adjoint matching supports p = 2 only")
-
-    table = step_coeffs(sched, ns, times.shape[0] - 1)
-
-    def coeffs(k):
-        corr, _, sig = table[k]
-        if sig == 0.0:
-            raise SingularityError(f"sigma({times[k]}) = 0 on the matching window")
-        return (corr + 1.0) / sig, sig
-
-    return _matching_loss(v_theta, v_base, times, states, window, adjoints, reg,
-                          coeffs, want_grad)
+    corr, _, sig = coeffs[-adjoints.shape[0]:].T
+    zero = np.flatnonzero(sig == 0.0)
+    if zero.size:
+        t = times[times.shape[0] - 1 - adjoints.shape[0] + zero[0]]
+        raise SingularityError(f"sigma({t}) = 0 on the matching window")
+    return _matching_loss(v_theta, v_base, times, states, adjoints, reg,
+                          (corr + 1.0) / sig, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +152,12 @@ def draft_loss_and_grad(
     states: np.ndarray,
     reward,
     k: int,
-    want_grad: bool = True,
 ):
     """Reward backprop through the last k Euler steps.
 
     ``states`` is the detached (N+1, m, dim) trajectory batch sampled from
     the current model; the last k steps are re-run differentiably from the
-    prefix state.  Loss is -mean reward(X_1).
+    prefix state.  Returns (loss, param_grads) with loss -mean reward(X_1).
     """
     n = times.shape[0] - 1
     if not 1 <= k <= n:
@@ -180,22 +167,17 @@ def draft_loss_and_grad(
     x = states[n - k].copy()
     tapes = []
     for j in range(n - k, n):
-        if want_grad:
-            v, tape = v_theta.forward_tape(x, times[j])
-            tapes.append(tape)
-        else:
-            v = v_theta.forward(x, times[j])
+        v, tape = v_theta.forward_tape(x, times[j])
+        tapes.append(tape)
         x = x + h * v
     loss = -float(np.mean(reward.value(x)))
-    if not want_grad:
-        return loss, None, x
     grads = zero_grads_like(v_theta)
     w = -reward.grad(x) / m
     for tape in reversed(tapes):
         g, input_grad = tape.backward(h * w)
         accumulate_grads(grads, g)
         w = w + input_grad
-    return loss, grads, x
+    return loss, grads
 
 
 def refl_loss_and_grad(
@@ -205,13 +187,13 @@ def refl_loss_and_grad(
     reward,
     k_window: int,
     rng: np.random.Generator,
-    want_grad: bool = True,
 ):
     """Reward at a one-step extrapolated terminal state.
 
     One step index is drawn uniformly from the last ``k_window`` steps; the
     terminal state is extrapolated as X_1 = X_t + (1 - t) v_theta(X_t, t)
-    and only that single evaluation carries gradient.
+    and only that single evaluation carries gradient.  Returns
+    (loss, param_grads) with loss -mean reward(X_1).
     """
     n = times.shape[0] - 1
     if not 1 <= k_window <= n:
@@ -220,14 +202,9 @@ def refl_loss_and_grad(
     j = n - k_window + int(rng.integers(k_window))
     t = times[j]
     x = states[j]
-    if want_grad:
-        v, tape = v_theta.forward_tape(x, t)
-    else:
-        v = v_theta.forward(x, t)
+    v, tape = v_theta.forward_tape(x, t)
     x1 = x + (1.0 - t) * v
     loss = -float(np.mean(reward.value(x1)))
-    if not want_grad:
-        return loss, None, x1
     w = -reward.grad(x1) / m
     grads, _ = tape.backward((1.0 - t) * w)
-    return loss, grads, x1
+    return loss, grads

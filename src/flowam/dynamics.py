@@ -35,10 +35,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return self.times.shape[0] - 1
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[-1]
-
 
 def sample_seed(base_seed: int, index: int) -> np.random.Generator:
     """Per-sample RNG stream; index 0 is the stream of a lone sample."""

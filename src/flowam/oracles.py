@@ -40,11 +40,15 @@ class GaussianFlowSpec:
         t = np.asarray(t, dtype=np.float64)
         return (1.0 - t) ** 2 * self.sigma**2 + t**2
 
+    def a(self, t):
+        """Velocity slope A(t) = (t - (1 - t) sigma^2) / D(t)."""
+        t = np.asarray(t, dtype=np.float64)
+        return (t - (1.0 - t) * self.sigma**2) / self.d(t)
+
 
 def rf_velocity(spec: GaussianFlowSpec, x, t):
     """Exact conditional-mean velocity A(t) x + B(t) of the Gaussian flow."""
-    t = np.asarray(t, dtype=np.float64)
-    a = (t - (1.0 - t) * spec.sigma**2) / spec.d(t)
+    a = spec.a(t)
     b = -spec.mu - a * spec.m(t)
     return a * np.asarray(x, dtype=np.float64) + b
 
@@ -106,18 +110,6 @@ def toy_control_argmax(spec: ToyDiffusionSpec) -> float:
     return spec.T - 1.0 / (np.sqrt(2.0) * spec.eta)
 
 
-def bimodal_score(mu: float, t, x):
-    """Score of the symmetric bimodal marginal at time t.
-
-    The marginal is the equal mixture of N(+-mu, 1) smoothed by the flow:
-    s(t, x) = (-x + mu tanh(mu x / (1 + t^2))) / (1 + t^2).
-    """
-    t = np.asarray(t, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    denom = 1.0 + t**2
-    return (-x + mu * np.tanh(mu * x / denom)) / denom
-
-
 def tilted_gaussian(c: float, m: float):
     """Mean and variance of N(0,1) tilted by exp(-c (x - m)^2 / 2).
 
@@ -147,9 +139,7 @@ class GaussianFlowField:
 
     def input_vjp(self, x, t, w):
         # dv/dx = A(t), a scalar
-        t = float(t)
-        a = (t - (1.0 - t) * self.spec.sigma**2) / self.spec.d(t)
-        return a * np.asarray(w, dtype=np.float64)
+        return self.spec.a(float(t)) * np.asarray(w, dtype=np.float64)
 
 
 class LinearVelocityField:

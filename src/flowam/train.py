@@ -204,6 +204,8 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
     params = vf.params_flat()
     reg = cfg.regularizer
     stochastic = cfg.method == "sde-am"
+    # one SDE table per run, read by the adjoint and the stochastic loss
+    coeffs = step_coeffs(sched, ns, cfg.n_steps) if stochastic else None
     rows, timings = [], []
     for it in range(cfg.iterations):
         it_seed = _iteration_seed(cfg.seed, it)
@@ -219,28 +221,26 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
             t1 = time.perf_counter()
 
             if cfg.method in ("ode-am", "sde-am"):
-                window, adjoints = lean_adjoint_batch(
-                    base, times, states, -reward.grad(x1), cfg.n_truncate,
-                    sched=sched if stochastic else None,
-                    ns=ns if stochastic else None,
+                _, adjoints = lean_adjoint_batch(
+                    base, times, states, -reward.grad(x1), cfg.n_truncate, coeffs
                 )
             t2 = time.perf_counter()
 
             if cfg.method == "ode-am":
                 loss, grads = am_det_loss_and_grad(
-                    vf, base, times, states, window, adjoints, reg
+                    vf, base, times, states, adjoints, reg
                 )
             elif cfg.method == "sde-am":
                 loss, grads = am_sde_loss_and_grad(
-                    vf, base, sched, ns, times, states, window, adjoints, reg
+                    vf, base, coeffs, times, states, adjoints, reg
                 )
             elif cfg.method == "draft":
-                loss, grads, _ = draft_loss_and_grad(
+                loss, grads = draft_loss_and_grad(
                     vf, times, states, reward, cfg.k_window
                 )
             else:
                 rng = sample_seed(it_seed, cfg.batch)  # off the sample streams
-                loss, grads, _ = refl_loss_and_grad(
+                loss, grads = refl_loss_and_grad(
                     vf, times, states, reward, cfg.k_window, rng
                 )
             params = optimizer_step(

@@ -125,7 +125,8 @@ def test_sde_zero_noise_equals_deterministic():
     lf, traj = linear_traj(n=30)
     det = lean_adjoint(lf, traj, np.array([1.7]), 30)
     _, sde = lean_adjoint_batch(
-        lf, traj.times, traj.states[:, None, :], np.array([[1.7]]), 30, SCHED, ZERO
+        lf, traj.times, traj.states[:, None, :], np.array([[1.7]]), 30,
+        step_coeffs(SCHED, ZERO, 30),
     )
     np.testing.assert_array_equal(det.adjoints, sde[:, 0, :])
 

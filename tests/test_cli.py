@@ -7,6 +7,7 @@ import pytest
 
 from flowam import checkpoint as ckpt_io
 from flowam.cli import main
+from flowam.config import parse_config_text
 
 TINY_PRETRAIN = """\
 data = gauss1d
@@ -105,6 +106,18 @@ def test_end_to_end_pretrain_finetune_eval(tmp_path, capsys):
     assert float(rows[0]["n_samples"]) == 150
     out = capsys.readouterr().out
     assert "reward_mean" in out
+
+
+def test_outdir_override_is_in_the_resolved_hash(tmp_path):
+    cfg = tmp_path / "pre.cfg"
+    cfg.write_text(TINY_PRETRAIN.replace("iterations = 60", "iterations = 2"))
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--config", str(cfg), "--outdir", str(out)]) == 0
+    text = (out / "config.resolved").read_text()
+    header = dict(line[2:].split(" = ") for line in text.splitlines()[:2])
+    again = parse_config_text(text)
+    assert again["outdir"] == str(out)
+    assert again.config_sha256 == header["config_sha256"]
 
 
 def test_finetune_rerun_metrics_byte_identical(tmp_path):

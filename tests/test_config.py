@@ -145,13 +145,28 @@ def test_hash_is_content_stable():
     assert a.config_sha256 != c.config_sha256
 
 
+README_EXAMPLE = """\
+data = gauss1d
+state_dim = 1
+method = sde-am
+noise = memoryless
+reward = quadwell
+reward_center = 2.0
+n_steps = 50
+n_truncate = 50
+iterations = 600
+lr = 3e-4
+"""
+
+
 def test_resolved_text_roundtrips():
-    cfg = parse_config_text("lr = 0.001\nhidden = 32,16\n")
-    text = cfg.resolved_text()
-    again = parse_config_text(text)
-    assert again.values == cfg.values
-    assert again.config_sha256 == cfg.config_sha256
-    assert f"# tool_version = {cfg.tool_version}" in text
+    for source in ("lr = 0.001\nhidden = 32,16\n", README_EXAMPLE):
+        cfg = parse_config_text(source)
+        text = cfg.resolved_text()
+        again = parse_config_text(text)
+        assert again.values == cfg.values
+        assert again.config_sha256 == cfg.config_sha256
+        assert f"# tool_version = {cfg.tool_version}" in text
 
 
 def test_parse_config_reads_file(tmp_path):

@@ -14,7 +14,7 @@ from flowam.control import (
     refl_loss_and_grad,
 )
 from flowam.dynamics import sample_ode
-from flowam.errors import ConfigError, ShapeError
+from flowam.errors import ConfigError, ShapeError, SingularityError
 from flowam.nnet import NetConfig, VelocityField, grads_flat
 from flowam.schedules import NOISE_SCHEDULES, SCHEDULES, step_coeffs
 from flowam.tasks import ConstantReward, LinearProbe, QuadraticWell
@@ -142,9 +142,8 @@ def test_memoryless_coefficient_sqrt2_at_unit_eta():
 
 
 def batch_of_one(traj, trace):
-    """(times, states, window, adjoints) of one trajectory as an m = 1 batch."""
-    return (traj.times, traj.states[:, None, :], trace.window,
-            trace.adjoints[:, None, :])
+    """(times, states, adjoints) of one trajectory as an m = 1 batch."""
+    return traj.times, traj.states[:, None, :], trace.adjoints[:, None, :]
 
 
 def test_det_loss_zero_when_matched_and_zero_adjoint():
@@ -152,10 +151,9 @@ def test_det_loss_zero_when_matched_and_zero_adjoint():
     traj = sample_ode(base, 20, np.array([0.4]))
     trace = lean_adjoint(base, traj, np.array([0.0]), 5)
     reg = RegularizerSpec()
-    loss, grads = am_det_loss_and_grad(
-        theta, base, *batch_of_one(traj, trace), reg, want_grad=False
-    )
-    assert loss == 0.0 and grads is None
+    loss, grads = am_det_loss_and_grad(theta, base, *batch_of_one(traj, trace), reg)
+    assert loss == 0.0
+    assert np.all(grads_flat(grads) == 0.0)
 
 
 def test_det_loss_equals_target_norm_at_base():
@@ -163,9 +161,7 @@ def test_det_loss_equals_target_norm_at_base():
     traj = sample_ode(base, 20, np.array([0.4]))
     trace = lean_adjoint(base, traj, np.array([1.5]), 5)
     reg = RegularizerSpec(p=2.0, lam=1.0)
-    loss, _ = am_det_loss_and_grad(
-        theta, base, *batch_of_one(traj, trace), reg, want_grad=False
-    )
+    loss, _ = am_det_loss_and_grad(theta, base, *batch_of_one(traj, trace), reg)
     expected = float(np.mean(np.sum(trace.adjoints**2, axis=-1)))
     assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -175,12 +171,11 @@ def test_stochastic_loss_reduces_to_sigma_adjoint_at_base():
     traj = sample_ode(base, 20, np.array([0.4]))
     trace = lean_adjoint(base, traj, np.array([0.8]), 5)
     reg = RegularizerSpec(p=2.0, lam=1.0)
-    loss, _ = am_sde_loss_and_grad(
-        theta, base, SCHED, MEMORYLESS, *batch_of_one(traj, trace), reg,
-        want_grad=False,
-    )
     n = traj.n_steps
     table = step_coeffs(SCHED, MEMORYLESS, n)
+    loss, _ = am_sde_loss_and_grad(
+        theta, base, table, *batch_of_one(traj, trace), reg
+    )
     terms = []
     for i in range(5):
         k = n - 5 + 1 + i
@@ -195,8 +190,19 @@ def test_stochastic_loss_requires_quadratic():
     trace = lean_adjoint(base, traj, np.array([1.0]), 3)
     with pytest.raises(ConfigError):
         am_sde_loss_and_grad(
-            theta, base, SCHED, MEMORYLESS, *batch_of_one(traj, trace),
-            RegularizerSpec(p=4.0), want_grad=False,
+            theta, base, step_coeffs(SCHED, MEMORYLESS, 10),
+            *batch_of_one(traj, trace), RegularizerSpec(p=4.0),
+        )
+
+
+def test_stochastic_loss_rejects_zero_sigma_on_window():
+    base, theta = make_fields()
+    traj = sample_ode(base, 10, np.array([0.1]))
+    trace = lean_adjoint(base, traj, np.array([1.0]), 3)
+    with pytest.raises(SingularityError, match="sigma"):
+        am_sde_loss_and_grad(
+            theta, base, step_coeffs(SCHED, NOISE_SCHEDULES["zero"], 10),
+            *batch_of_one(traj, trace), RegularizerSpec(),
         )
 
 
@@ -207,9 +213,7 @@ def test_det_loss_grad_matches_fd():
     reg = RegularizerSpec(p=2.0, lam=0.7)
     states = traj.states[:, None, :]
     adjs = trace.adjoints[:, None, :]
-    loss, grads = am_det_loss_and_grad(
-        theta, base, traj.times, states, trace.window, adjs, reg
-    )
+    loss, grads = am_det_loss_and_grad(theta, base, traj.times, states, adjs, reg)
     flat = theta.params_flat()
     g = grads_flat(grads)
     eps = 1e-6
@@ -218,16 +222,10 @@ def test_det_loss_grad_matches_fd():
         p = flat.copy()
         p[i] += eps
         theta.set_params_flat(p)
-        lp, _ = am_det_loss_and_grad(
-            theta, base, traj.times, states, trace.window, adjs, reg,
-            want_grad=False,
-        )
+        lp, _ = am_det_loss_and_grad(theta, base, traj.times, states, adjs, reg)
         p[i] -= 2 * eps
         theta.set_params_flat(p)
-        lm, _ = am_det_loss_and_grad(
-            theta, base, traj.times, states, trace.window, adjs, reg,
-            want_grad=False,
-        )
+        lm, _ = am_det_loss_and_grad(theta, base, traj.times, states, adjs, reg)
         theta.set_params_flat(flat)
         assert g[i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4, abs=1e-8)
 
@@ -239,8 +237,9 @@ def test_sde_loss_grad_matches_fd():
     reg = RegularizerSpec(p=2.0, lam=1.0)
     states = traj.states[:, None, :]
     adjs = trace.adjoints[:, None, :]
+    table = step_coeffs(SCHED, MEMORYLESS, 12)
     loss, grads = am_sde_loss_and_grad(
-        theta, base, SCHED, MEMORYLESS, traj.times, states, trace.window, adjs, reg
+        theta, base, table, traj.times, states, adjs, reg
     )
     flat = theta.params_flat()
     g = grads_flat(grads)
@@ -250,16 +249,12 @@ def test_sde_loss_grad_matches_fd():
         p = flat.copy()
         p[i] += eps
         theta.set_params_flat(p)
-        lp, _ = am_sde_loss_and_grad(
-            theta, base, SCHED, MEMORYLESS, traj.times, states, trace.window,
-            adjs, reg, want_grad=False,
-        )
+        lp, _ = am_sde_loss_and_grad(theta, base, table, traj.times, states,
+                                     adjs, reg)
         p[i] -= 2 * eps
         theta.set_params_flat(p)
-        lm, _ = am_sde_loss_and_grad(
-            theta, base, SCHED, MEMORYLESS, traj.times, states, trace.window,
-            adjs, reg, want_grad=False,
-        )
+        lm, _ = am_sde_loss_and_grad(theta, base, table, traj.times, states,
+                                     adjs, reg)
         theta.set_params_flat(flat)
         assert g[i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4, abs=1e-8)
 
@@ -270,7 +265,7 @@ def test_sde_loss_grad_matches_fd():
 def test_draft_constant_reward_zero_gradient():
     _, theta = make_fields(seed=1)
     traj = sample_ode(theta, 10, np.array([0.3]))
-    loss, grads, _ = draft_loss_and_grad(
+    loss, grads = draft_loss_and_grad(
         theta, traj.times, traj.states[:, None, :], ConstantReward(2.0), 2
     )
     assert loss == -2.0
@@ -283,7 +278,7 @@ def test_draft_one_step_linear_reward_hand_gradient():
     traj = sample_ode(theta, 10, np.array([0.3]))
     c = 1.7
     reward = LinearProbe(direction=np.array([c]))
-    _, grads, _ = draft_loss_and_grad(
+    _, grads = draft_loss_and_grad(
         theta, traj.times, traj.states[:, None, :], reward, 1
     )
     h = 0.1
@@ -298,7 +293,7 @@ def test_draft_full_horizon_matches_fd():
     traj = sample_ode(theta, 2, np.array([0.5]))
     reward = QuadraticWell(center=np.array([1.0]), curvature=1.0)
     states = traj.states[:, None, :]
-    loss, grads, _ = draft_loss_and_grad(theta, traj.times, states, reward, 2)
+    loss, grads = draft_loss_and_grad(theta, traj.times, states, reward, 2)
     flat = theta.params_flat()
     g = grads_flat(grads)
     eps = 1e-6
@@ -330,11 +325,11 @@ def test_refl_reproducible_and_zero_for_constant_reward():
     _, theta = make_fields(seed=6)
     traj = sample_ode(theta, 10, np.array([0.2]))
     states = traj.states[:, None, :]
-    l1, g1, _ = refl_loss_and_grad(
+    l1, g1 = refl_loss_and_grad(
         theta, traj.times, states, ConstantReward(1.0), 5,
         np.random.default_rng(11),
     )
-    l2, g2, _ = refl_loss_and_grad(
+    l2, g2 = refl_loss_and_grad(
         theta, traj.times, states, ConstantReward(1.0), 5,
         np.random.default_rng(11),
     )
@@ -348,9 +343,38 @@ def test_refl_single_window_is_extrapolated_last_step():
     traj = sample_ode(theta, 10, np.array([0.4]))
     states = traj.states[:, None, :]
     reward = QuadraticWell(center=np.array([0.5]), curvature=1.0)
-    loss, _, x1 = refl_loss_and_grad(
+    loss, _ = refl_loss_and_grad(
         theta, traj.times, states, reward, 1, np.random.default_rng(0)
     )
     t = traj.times[-2]
-    v = theta.forward(states[-2], t)
-    np.testing.assert_allclose(x1, states[-2] + (1.0 - t) * v, rtol=1e-12)
+    x1 = states[-2] + (1.0 - t) * theta.forward(states[-2], t)
+    assert loss == pytest.approx(-float(np.mean(reward.value(x1))), rel=1e-12)
+
+
+def test_refl_grad_matches_fd():
+    # a fresh generator with the same seed draws the same step every call
+    _, theta = make_fields(seed=8)
+    states = np.stack([sample_ode(theta, 10, np.array([x0])).states
+                       for x0 in (0.4, -0.9)], axis=1)
+    times = np.linspace(0.0, 1.0, 11)
+    reward = QuadraticWell(center=np.array([0.5]), curvature=1.0)
+
+    def loss_and_grad():
+        return refl_loss_and_grad(theta, times, states, reward, 4,
+                                  np.random.default_rng(5))
+
+    _, grads = loss_and_grad()
+    flat = theta.params_flat()
+    g = grads_flat(grads)
+    eps = 1e-6
+    rng = np.random.default_rng(4)
+    for i in rng.choice(flat.size, size=10, replace=False):
+        vals = []
+        for s in (eps, -eps):
+            p = flat.copy()
+            p[i] += s
+            theta.set_params_flat(p)
+            vals.append(loss_and_grad()[0])
+        theta.set_params_flat(flat)
+        assert g[i] == pytest.approx((vals[0] - vals[1]) / (2 * eps),
+                                     rel=1e-4, abs=1e-8)

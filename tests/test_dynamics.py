@@ -26,7 +26,7 @@ def test_trajectory_shapes_and_grid():
     assert traj.states.shape == (11, 2)
     assert traj.noises.shape == (0, 2)
     np.testing.assert_allclose(np.diff(traj.times), 0.1, rtol=1e-12)
-    assert traj.n_steps == 10 and traj.dim == 2
+    assert traj.n_steps == 10 and traj.states.shape[-1] == 2
 
 
 def test_ode_rejects_bad_step_count():

@@ -6,7 +6,6 @@ from flowam.oracles import (
     GaussianFlowSpec,
     ToyDiffusionSpec,
     ToyKind,
-    bimodal_score,
     rf_adjoint,
     rf_peak_time,
     rf_relative_strength,
@@ -135,31 +134,6 @@ def test_oracle_inputs_are_checked_and_nan_fails_every_check():
         rf_relative_strength(GaussianFlowSpec(0.0, 1.0), nan, 0.5)
     with pytest.raises(DomainError):
         tilted_gaussian(nan, 0.0)
-
-
-def test_bimodal_score_values():
-    assert bimodal_score(4.0, 0.3, 0.0) == 0.0
-    assert bimodal_score(4.0, 0.0, 1.0) == pytest.approx(-1.0 + 4.0 * np.tanh(4.0))
-    # large-time asymptotic: score is ~ -x / (1 + t^2) < 0
-    s = bimodal_score(4.0, 50.0, 1.0)
-    assert s < 0.0
-    assert s == pytest.approx(-1.0 / (1.0 + 2500.0), rel=2e-2)
-
-
-def test_bimodal_score_matches_fd_of_log_density():
-    # marginal at time t: 0.5 N(mu, 1+t^2) + 0.5 N(-mu, 1+t^2)
-    mu, t = 2.0, 0.7
-    var = 1.0 + t**2
-
-    def logp(x):
-        return np.logaddexp(
-            -((x - mu) ** 2) / (2 * var), -((x + mu) ** 2) / (2 * var)
-        )
-
-    eps = 1e-5
-    for x in (-1.5, 0.3, 2.2):
-        fd = (logp(x + eps) - logp(x - eps)) / (2 * eps)
-        assert bimodal_score(mu, t, x) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 def test_tilted_gaussian_examples():

@@ -143,7 +143,8 @@ def test_script_runs_at_tiny_size(script, tmp_path):
         assert (tmp_path / name).stat().st_size > 0, name
 
 
-@pytest.mark.parametrize("flag, value", [("--sigma", "-1"), ("--horizon", "nan")])
+@pytest.mark.parametrize("flag, value", [("--sigma", "-1"), ("--horizon", "nan"),
+                                         ("--points", "-1")])
 def test_oracle_curves_rejects_bad_input_before_writing(flag, value, tmp_path):
     proc = run_script("oracle_curves.py", tmp_path, "--points", "11", flag, value)
     assert proc.returncode != 0
