@@ -11,6 +11,12 @@ c = sigma^2 / (2 eta), i.e. scales the VJP by (1 + c) and subtracts
 c kappa a, reading (c, kappa) from the ``schedules.step_coeffs`` row of the
 step start.  Traces are plain arrays: nothing downstream differentiates
 through them.
+
+Each VJP also yields the base velocity at its step start.  Given a
+``(T, m, dim)`` array, ``lean_adjoint_batch`` keeps those velocities for the
+matching loss: row i holds v_base at step start N - T + i, the point
+paired with adjoints[i].  Rows 1..T-1 come from the recursion and row 0
+from one extra forward, so the loss runs no base forward of its own.
 """
 
 from __future__ import annotations
@@ -33,12 +39,12 @@ class AdjointTrace:
 
 
 def _vjp(base, x, t, w, row=None):
-    """a^T d(drift)/dx; ``row`` is the step's (correction, kappa, sigma)."""
-    out = base.input_vjp(x, t, w)
+    """(v, a^T d(drift)/dx); ``row`` is the step's (correction, kappa, sigma)."""
+    v, out = base.input_vjp(x, t, w)
     if row is None:
-        return out
+        return v, out
     corr, kappa, _ = row
-    return (1.0 + corr) * out - corr * kappa * w
+    return v, (1.0 + corr) * out - corr * kappa * w
 
 
 def lean_adjoint_batch(
@@ -48,13 +54,16 @@ def lean_adjoint_batch(
     terminal_grads: np.ndarray,
     n_truncate: int,
     coeffs: Optional[np.ndarray] = None,
+    v_base: Optional[np.ndarray] = None,
 ):
     """Backward Euler adjoint for a stacked batch.
 
     states: (N+1, m, dim); terminal_grads: (m, dim).  Returns
     (window_times (T,), adjoints (T, m, dim)) with window_times ascending.
     Passing ``coeffs``, the ``step_coeffs`` table of the grid, differentiates
-    the noise-corrected SDE drift instead of the plain field.
+    the noise-corrected SDE drift instead of the plain field.  Passing a
+    (T, m, dim) ``v_base`` fills it with the base velocity at each window
+    step start, row i at grid index N - T + i.
     """
     n = times.shape[0] - 1
     if not 1 <= n_truncate <= n:
@@ -64,6 +73,8 @@ def lean_adjoint_batch(
         raise ShapeError(f"terminal grads {tg.shape} != states {states.shape[1:]}")
     if not np.all(np.isfinite(tg)):
         raise NonFiniteError("non-finite terminal gradient")
+    if v_base is not None and v_base.shape != (n_truncate,) + tg.shape:
+        raise ShapeError(f"v_base {v_base.shape} != {(n_truncate,) + tg.shape}")
     h = times[1] - times[0]
     adjoints = np.empty((n_truncate,) + tg.shape)
     adjoints[-1] = tg
@@ -74,10 +85,16 @@ def lean_adjoint_batch(
         # gradient of the discrete flow map
         k = n - j
         row = coeffs[k] if coeffs is not None else None
-        a = a + h * _vjp(base, states[k], times[k], a, row)
+        v, vjp = _vjp(base, states[k], times[k], a, row)
+        a = a + h * vjp
         if np.max(np.abs(a)) > BLOWUP_NORM:
             raise NonFiniteError(f"adjoint blow-up at grid index {k - 1}")
         adjoints[n_truncate - 1 - j] = a
+        if v_base is not None:
+            v_base[n_truncate - j] = v
+    if v_base is not None:
+        k = n - n_truncate
+        v_base[0] = base.forward(states[k], times[k])
     return times[n - n_truncate + 1 :], adjoints
 
 

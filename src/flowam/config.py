@@ -157,7 +157,19 @@ def _validate(values: dict, raw: dict) -> list:
             v.append(f"{key} must be >= 1, got {values[key]}")
     if values["eval_seed"] < 0:
         v.append(f"eval_seed must be >= 0, got {values['eval_seed']}")
+    if not _reparses("outdir", values["outdir"]):
+        # config.resolved records the outdir; it must read back unchanged
+        v.append(f"outdir must hold no '#', line break or surrounding whitespace, "
+                 f"got {values['outdir']!r}")
     return v
+
+
+def _reparses(key: str, text: str) -> bool:
+    """Whether the line ``key = text`` parses back to exactly ``text``."""
+    try:
+        return parse_kv_text(f"{key} = {text}\n") == {key: (1, text)}
+    except ParseError:
+        return False
 
 
 def resolve(raw: dict) -> RunConfig:

@@ -6,7 +6,9 @@ first-order stationarity condition inverts to the closed-form target
     u*(a) = -lambda^{1/(p-1)} ||a||^{(2-p)/(p-1)} a,
 
 which the deterministic matching loss regresses the implicit control
-v_theta - v_base onto.  The stochastic (quadratic-penalty) loss matches
+v_theta - v_base onto.  v_base is not recomputed here: the matching losses
+read the base velocities that ``adjoint.lean_adjoint_batch`` kept at the
+window's step starts.  The stochastic (quadratic-penalty) loss matches
 (sigma^2 + 2 eta) / (2 sigma eta) * (v_theta - v_base) against -sigma u*(a);
 with c = sigma^2 / (2 eta) from the ``schedules.step_coeffs`` row of the
 step start, that coefficient is (c + 1) / sigma.
@@ -77,7 +79,9 @@ def check_pmp_optimality(reg: RegularizerSpec, a, u) -> float:
 # Matching losses.  Both consume stacked states (N+1, m, dim) plus the
 # window adjoints (T, m, dim), pair the adjoint at grid time t_k with the
 # velocities consumed at the step start t_{k-1}, and return
-# (loss, param_grads) with the mean taken over window x batch.  The
+# (loss, param_grads) with the mean taken over window x batch.  The base
+# velocities at those step starts arrive as the (T, m, dim) array that
+# ``lean_adjoint_batch`` filled, so the losses run no base forward.  The
 # stochastic loss reads its per-step (correction, sigma) from the
 # ``step_coeffs`` table the caller built for the run.
 # ---------------------------------------------------------------------------
@@ -87,6 +91,8 @@ def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
     """Mean of |coef_i (v_theta - v_base) - scale_i u*(a_i)|^2 over the window."""
     m = states.shape[1]
     t_count = adjoints.shape[0]
+    if v_base.shape != adjoints.shape:
+        raise ShapeError(f"base velocities {v_base.shape} != adjoints {adjoints.shape}")
     grads = zero_grads_like(v_theta)
     total = 0.0
     denom = float(t_count * m)
@@ -94,9 +100,8 @@ def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
     for i in range(t_count):
         x, t = states[first + i], times[first + i]
         target = scale[i] * control_from_adjoint(reg, adjoints[i])
-        vb = v_base.forward(x, t)
         vt, tape = v_theta.forward_tape(x, t)
-        resid = coef[i] * (vt - vb) - target
+        resid = coef[i] * (vt - v_base[i]) - target
         total += float(np.sum(resid * resid))
         g, _ = tape.backward(2.0 * coef[i] * resid / denom)
         accumulate_grads(grads, g)
@@ -105,7 +110,7 @@ def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
 
 def am_det_loss_and_grad(
     v_theta: VelocityField,
-    v_base: VelocityField,
+    v_base: np.ndarray,
     times: np.ndarray,
     states: np.ndarray,
     adjoints: np.ndarray,
@@ -118,7 +123,7 @@ def am_det_loss_and_grad(
 
 def am_sde_loss_and_grad(
     v_theta: VelocityField,
-    v_base: VelocityField,
+    v_base: np.ndarray,
     coeffs: np.ndarray,
     times: np.ndarray,
     states: np.ndarray,

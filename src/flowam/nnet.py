@@ -4,10 +4,18 @@ The network maps (state, time) to a velocity of the same dimension as the
 state; every entry point takes a stacked (m, dim) batch, and a single (dim,)
 state is treated as a batch of one.  Two derivative primitives are exposed:
 
-* ``input_vjp`` -- w^T (dv/dx), the contraction the lean adjoint recursion
-  consumes at every backward step;
+* ``input_vjp`` -- (v, w^T (dv/dx)), the velocity and the contraction the
+  lean adjoint recursion consumes at every backward step; the adjoint keeps
+  the velocity for the matching loss, so the loss runs no base forward;
 * ``GradientTape.backward`` -- cotangent propagation to parameter gradients
   for loss minimization.
+
+``forward_tape`` computes each hidden layer's activation derivative in the
+forward pass, from the same intermediates as the activation (the sigmoid
+for SiLU, tanh itself for tanh), and stores it on the tape, so ``backward``
+only multiplies.  Plain ``forward`` computes no derivative.  Time features
+are computed once per distinct time: a scalar t is embedded as one row and
+broadcast to the batch.
 
 Everything is float64 numpy.  No general-purpose autodiff: the architecture
 is a fixed MLP over [state, sinusoidal time features].
@@ -27,16 +35,21 @@ def _silu(z):
     return z * s
 
 
-def _silu_prime(z):
+def _silu_with_prime(z):
     s = 1.0 / (1.0 + np.exp(-z))
-    return s * (1.0 + z * (1.0 - s))
+    return z * s, s * (1.0 + z * (1.0 - s))
 
 
-# name -> (activation, derivative)
+def _tanh_with_prime(z):
+    h = np.tanh(z)
+    return h, 1.0 - h ** 2
+
+
+# name -> (activation, activation with its derivative)
 ACTIVATIONS = {
-    "silu": (_silu, _silu_prime),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "identity": (lambda z: z, np.ones_like),
+    "silu": (_silu, _silu_with_prime),
+    "tanh": (np.tanh, _tanh_with_prime),
+    "identity": (lambda z: z, lambda z: (z, np.ones_like(z))),
 }
 
 
@@ -91,25 +104,27 @@ class NetConfig:
 
 
 def time_embedding(t: np.ndarray, n_features: int) -> np.ndarray:
-    """Sinusoidal features: sin/cos pairs at frequencies pi * 2^k."""
+    """Sinusoidal features: sin/cos pairs at frequencies pi * 2^k.
+
+    Column 2k is sin(pi 2^k t) and column 2k + 1 is cos(pi 2^k t); one
+    ``np.sin`` and one ``np.cos`` call cover all the (n, ceil(F / 2)) phases.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    freqs = np.pi * 2.0 ** np.arange((n_features + 1) // 2)
+    phases = t[:, None] * freqs
     feats = np.empty((t.shape[0], n_features), dtype=np.float64)
-    for j in range(n_features):
-        freq = np.pi * (2.0 ** (j // 2))
-        if j % 2 == 0:
-            feats[:, j] = np.sin(freq * t)
-        else:
-            feats[:, j] = np.cos(freq * t)
+    feats[:, 0::2] = np.sin(phases)
+    feats[:, 1::2] = np.cos(phases[:, : n_features // 2])
     return feats
 
 
 class GradientTape:
     """Recorded activations for one forward pass; backward() may run once."""
 
-    def __init__(self, vf: "VelocityField", layer_inputs, preacts):
+    def __init__(self, vf: "VelocityField", layer_inputs, derivs):
         self._vf = vf
         self._layer_inputs = layer_inputs  # input to each linear layer, (n, in_l)
-        self._preacts = preacts  # pre-activation of each hidden layer
+        self._derivs = derivs  # activation derivative of each hidden layer
         self._used = False
 
     def backward(self, cotangent: np.ndarray):
@@ -128,14 +143,13 @@ class GradientTape:
             raise ShapeError(
                 f"cotangent dim {g.shape[1]} != state_dim {vf.cfg.state_dim}"
             )
-        act_prime = ACTIVATIONS[vf.cfg.activation][1]
         grads = [None] * len(vf.weights)
         for l in range(len(vf.weights) - 1, -1, -1):
             h = self._layer_inputs[l]
             grads[l] = (g.T @ h, g.sum(axis=0))
             g = g @ vf.weights[l]
             if l > 0:
-                g = g * act_prime(self._preacts[l - 1])
+                g = g * self._derivs[l - 1]
         input_grad = g[:, : vf.cfg.state_dim]
         return grads, input_grad
 
@@ -212,45 +226,50 @@ class VelocityField:
         n = x2.shape[0]
         parts = [x2]
         if self.cfg.time_features > 0:
-            tt = np.broadcast_to(
-                np.atleast_1d(np.asarray(t, dtype=np.float64)), (n,)
-            )
-            parts.append(time_embedding(tt, self.cfg.time_features))
+            # a time shared by the batch is embedded as one row and broadcast
+            emb = time_embedding(t, self.cfg.time_features)
+            parts.append(np.broadcast_to(emb, (n, emb.shape[1])))
         return np.concatenate(parts, axis=1), squeeze
 
-    def _run(self, feats):
-        act = ACTIVATIONS[self.cfg.activation][0]
-        layer_inputs, preacts = [], []
+    def _run(self, feats, taped):
+        """Output, layer inputs and, if taped, activation derivatives."""
+        act, act_with_prime = ACTIVATIONS[self.cfg.activation]
+        layer_inputs, derivs = [], []
         h = feats
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             layer_inputs.append(h)
             z = h @ w.T + b
-            if l < last:
-                preacts.append(z)
-                h = act(z)
-            else:
+            if l == last:
                 h = z
-        return h, layer_inputs, preacts
+            elif taped:
+                h, d = act_with_prime(z)
+                derivs.append(d)
+            else:
+                h = act(z)
+        return h, layer_inputs, derivs
 
     def forward(self, x, t) -> np.ndarray:
         feats, squeeze = self._features(x, t)
-        out, _, _ = self._run(feats)
+        out, _, _ = self._run(feats, taped=False)
         return out[0] if squeeze else out
 
     def forward_tape(self, x, t):
         feats, squeeze = self._features(x, t)
-        out, layer_inputs, preacts = self._run(feats)
-        tape = GradientTape(self, layer_inputs, preacts)
+        out, layer_inputs, derivs = self._run(feats, taped=True)
+        tape = GradientTape(self, layer_inputs, derivs)
         return (out[0] if squeeze else out), tape
 
-    def input_vjp(self, x, t, w) -> np.ndarray:
-        """w^T (dv/dx) at (x, t); batched over leading axis."""
+    def input_vjp(self, x, t, w):
+        """(v, w^T (dv/dx)) at (x, t); batched over leading axis.
+
+        ``v`` has the bits of ``forward(x, t)``.
+        """
         w = np.asarray(w, dtype=np.float64)
         squeeze = w.ndim == 1
-        _, tape = self.forward_tape(x, t)
+        v, tape = self.forward_tape(x, t)
         _, input_grad = tape.backward(np.atleast_2d(w))
-        return input_grad[0] if squeeze else input_grad
+        return v, (input_grad[0] if squeeze else input_grad)
 
 
 def grads_flat(grads) -> np.ndarray:

@@ -122,7 +122,8 @@ def tilted_gaussian(c: float, m: float):
 
 # ---------------------------------------------------------------------------
 # Analytic fields usable wherever a network field is expected (forward +
-# input_vjp), so the adjoint recursion can be cross-checked exactly.
+# input_vjp, which returns (v, w^T dv/dx)), so the adjoint recursion can be
+# cross-checked exactly.
 # ---------------------------------------------------------------------------
 
 
@@ -139,7 +140,8 @@ class GaussianFlowField:
 
     def input_vjp(self, x, t, w):
         # dv/dx = A(t), a scalar
-        return self.spec.a(float(t)) * np.asarray(w, dtype=np.float64)
+        w = np.asarray(w, dtype=np.float64)
+        return self.forward(x, t), self.spec.a(float(t)) * w
 
 
 class LinearVelocityField:
@@ -158,4 +160,4 @@ class LinearVelocityField:
         return np.asarray(x, dtype=np.float64) @ self.matrix.T + self.bias
 
     def input_vjp(self, x, t, w):
-        return np.asarray(w, dtype=np.float64) @ self.matrix
+        return self.forward(x, t), np.asarray(w, dtype=np.float64) @ self.matrix

@@ -206,6 +206,8 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
     stochastic = cfg.method == "sde-am"
     # one SDE table per run, read by the adjoint and the stochastic loss
     coeffs = step_coeffs(sched, ns, cfg.n_steps) if stochastic else None
+    # base velocities on the window, filled by the adjoint, read by the loss
+    v_base = np.empty((cfg.n_truncate, cfg.batch, base.state_dim))
     rows, timings = [], []
     for it in range(cfg.iterations):
         it_seed = _iteration_seed(cfg.seed, it)
@@ -222,17 +224,18 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
 
             if cfg.method in ("ode-am", "sde-am"):
                 _, adjoints = lean_adjoint_batch(
-                    base, times, states, -reward.grad(x1), cfg.n_truncate, coeffs
+                    base, times, states, -reward.grad(x1), cfg.n_truncate, coeffs,
+                    v_base,
                 )
             t2 = time.perf_counter()
 
             if cfg.method == "ode-am":
                 loss, grads = am_det_loss_and_grad(
-                    vf, base, times, states, adjoints, reg
+                    vf, v_base, times, states, adjoints, reg
                 )
             elif cfg.method == "sde-am":
                 loss, grads = am_sde_loss_and_grad(
-                    vf, base, coeffs, times, states, adjoints, reg
+                    vf, v_base, coeffs, times, states, adjoints, reg
                 )
             elif cfg.method == "draft":
                 loss, grads = draft_loss_and_grad(

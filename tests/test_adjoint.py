@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowam.adjoint import (
     BLOWUP_NORM,
@@ -7,8 +9,9 @@ from flowam.adjoint import (
     lean_adjoint_batch,
     verify_adjoint_fd,
 )
-from flowam.dynamics import sample_ode
+from flowam.dynamics import _integrate, sample_ode
 from flowam.errors import NonFiniteError, ShapeError
+from flowam.nnet import ACTIVATIONS, NetConfig, VelocityField
 from flowam.oracles import (
     GaussianFlowField,
     GaussianFlowSpec,
@@ -115,7 +118,8 @@ def test_blowup_guard():
             return np.zeros_like(np.atleast_2d(x))
 
         def input_vjp(self, x, t, w):
-            return 1e3 * np.asarray(w) / traj.times[1]  # enormous Jacobian
+            # enormous Jacobian
+            return self.forward(x, t), 1e3 * np.asarray(w) / traj.times[1]
 
     with pytest.raises(NonFiniteError):
         lean_adjoint(Amplifier(), traj, huge, 10)
@@ -150,8 +154,9 @@ def test_sde_corrected_jacobian_matches_fd():
 
         x = 0.8
         fd = (drift(x + eps) - drift(x - eps)) / (2 * eps)
-        vjp = _vjp(lf, np.array([x]), t, np.array([1.0]), table[k])
+        v, vjp = _vjp(lf, np.array([x]), t, np.array([1.0]), table[k])
         assert vjp[0] == pytest.approx(fd, rel=1e-5)
+        assert v[0] == a * x
 
 
 def test_verify_adjoint_fd_on_analytic_field():
@@ -184,3 +189,62 @@ def test_batch_adjoint_matches_per_trajectory():
     a2 = lean_adjoint(lf, t2, tg[1], 10)
     np.testing.assert_array_equal(adj[:, 0, :], a1.adjoints)
     np.testing.assert_array_equal(adj[:, 1, :], a2.adjoints)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    activation=st.sampled_from(sorted(ACTIVATIONS)),
+    dim=st.integers(1, 3),
+    hidden=st.lists(st.integers(2, 8), min_size=1, max_size=2),
+    n=st.integers(1, 12),
+    m=st.integers(1, 3),
+    noise=st.sampled_from([None, "memoryless", "sin2", "one_minus_t"]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_lean_adjoint_is_the_gradient_of_the_discrete_flow_map(
+    seed, activation, dim, hidden, n, m, noise, data
+):
+    # random small MLPs, ODE and SDE: with the noise held fixed, adjoints[i]
+    # is d(w . X_N)/dX at grid index N - T + 1 + i, and the base velocities
+    # kept for the loss are the base forwards at the window step starts
+    t_count = data.draw(st.integers(1, n), label="n_truncate")
+    cfg = NetConfig(state_dim=dim, hidden=tuple(hidden), activation=activation,
+                    time_features=4)
+    vf = VelocityField.init(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    coeffs = noises = None
+    if noise is not None:
+        coeffs = step_coeffs(SCHED, NOISE_SCHEDULES[noise], n)
+        noises = rng.standard_normal((n, m, dim))
+    times, states = _integrate(vf, rng.standard_normal((m, dim)), n, coeffs, noises)
+    w = rng.standard_normal((m, dim))
+    v_base = np.empty((t_count, m, dim))
+    window, adj = lean_adjoint_batch(vf, times, states, w, t_count, coeffs, v_base)
+    np.testing.assert_array_equal(window, times[n - t_count + 1:])
+    eps = 1e-6
+    # the differences cancel digits in proportion to the terminal cost
+    atol = 1e-8 * (1.0 + np.max(np.sum(np.abs(w * states[-1]), axis=1)))
+    for i in range(t_count):
+        start = n - t_count + i
+        np.testing.assert_array_equal(v_base[i],
+                                      vf.forward(states[start], times[start]))
+        k = start + 1
+        fd = np.empty((m, dim))
+        # a step relative to each row's size keeps rounding small against it
+        step = eps * (1.0 + np.max(np.abs(states[k]), axis=1, keepdims=True))
+        for j in range(dim):
+            e = step * np.eye(dim)[j]
+            xu, xd = states[k] + e, states[k] - e
+            _, up = _integrate(vf, xu, n, coeffs, noises, start=k)
+            _, down = _integrate(vf, xd, n, coeffs, noises, start=k)
+            # divide by the step actually taken, which rounds at large |x|
+            fd[:, j] = np.sum(w * (up[-1] - down[-1]), axis=1) / (xu - xd)[:, j]
+        np.testing.assert_allclose(adj[i], fd, rtol=1e-6, atol=atol)
+
+
+def test_base_velocities_need_the_window_shape():
+    lf, traj = linear_traj(n=10)
+    with pytest.raises(ShapeError, match="v_base"):
+        lean_adjoint_batch(lf, traj.times, traj.states[:, None, :], np.array([[1.0]]),
+                           4, v_base=np.empty((3, 1, 1)))

@@ -306,6 +306,10 @@ ERROR_CASES = {
                            "grad_clip"),
     "warmup-negative": (TINY_FINETUNE.replace("warmup = 2", "warmup = -4"),
                         finetune_argv, "warmup"),
+    "outdir-hash": (TINY_PRETRAIN, lambda base, tmp: ["pretrain", "--outdir",
+                                                     str(tmp / "o#x")], "outdir"),
+    "outdir-line-break": (TINY_PRETRAIN, lambda base, tmp: ["pretrain", "--outdir",
+                                                           str(tmp / "o\nx")], "outdir"),
     "params-trailing-bytes": (
         None,
         lambda base, tmp: plot_argv(_edit_header(

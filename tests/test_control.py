@@ -146,12 +146,20 @@ def batch_of_one(traj, trace):
     return traj.times, traj.states[:, None, :], trace.adjoints[:, None, :]
 
 
+def base_window(base, traj, t_count):
+    """(T, 1, dim) base velocities at the window's step starts."""
+    n = traj.n_steps
+    return np.stack([base.forward(traj.states[k][None, :], traj.times[k])
+                     for k in range(n - t_count, n)])
+
+
 def test_det_loss_zero_when_matched_and_zero_adjoint():
     base, theta = make_fields()
     traj = sample_ode(base, 20, np.array([0.4]))
     trace = lean_adjoint(base, traj, np.array([0.0]), 5)
     reg = RegularizerSpec()
-    loss, grads = am_det_loss_and_grad(theta, base, *batch_of_one(traj, trace), reg)
+    loss, grads = am_det_loss_and_grad(theta, base_window(base, traj, 5),
+                                       *batch_of_one(traj, trace), reg)
     assert loss == 0.0
     assert np.all(grads_flat(grads) == 0.0)
 
@@ -161,7 +169,8 @@ def test_det_loss_equals_target_norm_at_base():
     traj = sample_ode(base, 20, np.array([0.4]))
     trace = lean_adjoint(base, traj, np.array([1.5]), 5)
     reg = RegularizerSpec(p=2.0, lam=1.0)
-    loss, _ = am_det_loss_and_grad(theta, base, *batch_of_one(traj, trace), reg)
+    loss, _ = am_det_loss_and_grad(theta, base_window(base, traj, 5),
+                                   *batch_of_one(traj, trace), reg)
     expected = float(np.mean(np.sum(trace.adjoints**2, axis=-1)))
     assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -174,7 +183,7 @@ def test_stochastic_loss_reduces_to_sigma_adjoint_at_base():
     n = traj.n_steps
     table = step_coeffs(SCHED, MEMORYLESS, n)
     loss, _ = am_sde_loss_and_grad(
-        theta, base, table, *batch_of_one(traj, trace), reg
+        theta, base_window(base, traj, 5), table, *batch_of_one(traj, trace), reg
     )
     terms = []
     for i in range(5):
@@ -190,7 +199,7 @@ def test_stochastic_loss_requires_quadratic():
     trace = lean_adjoint(base, traj, np.array([1.0]), 3)
     with pytest.raises(ConfigError):
         am_sde_loss_and_grad(
-            theta, base, step_coeffs(SCHED, MEMORYLESS, 10),
+            theta, base_window(base, traj, 3), step_coeffs(SCHED, MEMORYLESS, 10),
             *batch_of_one(traj, trace), RegularizerSpec(p=4.0),
         )
 
@@ -201,9 +210,19 @@ def test_stochastic_loss_rejects_zero_sigma_on_window():
     trace = lean_adjoint(base, traj, np.array([1.0]), 3)
     with pytest.raises(SingularityError, match="sigma"):
         am_sde_loss_and_grad(
-            theta, base, step_coeffs(SCHED, NOISE_SCHEDULES["zero"], 10),
+            theta, base_window(base, traj, 3),
+            step_coeffs(SCHED, NOISE_SCHEDULES["zero"], 10),
             *batch_of_one(traj, trace), RegularizerSpec(),
         )
+
+
+def test_matching_loss_rejects_base_velocities_off_the_window():
+    base, theta = make_fields()
+    traj = sample_ode(base, 10, np.array([0.1]))
+    trace = lean_adjoint(base, traj, np.array([1.0]), 3)
+    with pytest.raises(ShapeError, match="base velocities"):
+        am_det_loss_and_grad(theta, base_window(base, traj, 4),
+                             *batch_of_one(traj, trace), RegularizerSpec())
 
 
 def test_det_loss_grad_matches_fd():
@@ -213,7 +232,8 @@ def test_det_loss_grad_matches_fd():
     reg = RegularizerSpec(p=2.0, lam=0.7)
     states = traj.states[:, None, :]
     adjs = trace.adjoints[:, None, :]
-    loss, grads = am_det_loss_and_grad(theta, base, traj.times, states, adjs, reg)
+    vb = base_window(base, traj, 4)
+    loss, grads = am_det_loss_and_grad(theta, vb, traj.times, states, adjs, reg)
     flat = theta.params_flat()
     g = grads_flat(grads)
     eps = 1e-6
@@ -222,10 +242,10 @@ def test_det_loss_grad_matches_fd():
         p = flat.copy()
         p[i] += eps
         theta.set_params_flat(p)
-        lp, _ = am_det_loss_and_grad(theta, base, traj.times, states, adjs, reg)
+        lp, _ = am_det_loss_and_grad(theta, vb, traj.times, states, adjs, reg)
         p[i] -= 2 * eps
         theta.set_params_flat(p)
-        lm, _ = am_det_loss_and_grad(theta, base, traj.times, states, adjs, reg)
+        lm, _ = am_det_loss_and_grad(theta, vb, traj.times, states, adjs, reg)
         theta.set_params_flat(flat)
         assert g[i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4, abs=1e-8)
 
@@ -238,8 +258,9 @@ def test_sde_loss_grad_matches_fd():
     states = traj.states[:, None, :]
     adjs = trace.adjoints[:, None, :]
     table = step_coeffs(SCHED, MEMORYLESS, 12)
+    vb = base_window(base, traj, 4)
     loss, grads = am_sde_loss_and_grad(
-        theta, base, table, traj.times, states, adjs, reg
+        theta, vb, table, traj.times, states, adjs, reg
     )
     flat = theta.params_flat()
     g = grads_flat(grads)
@@ -249,11 +270,11 @@ def test_sde_loss_grad_matches_fd():
         p = flat.copy()
         p[i] += eps
         theta.set_params_flat(p)
-        lp, _ = am_sde_loss_and_grad(theta, base, table, traj.times, states,
+        lp, _ = am_sde_loss_and_grad(theta, vb, table, traj.times, states,
                                      adjs, reg)
         p[i] -= 2 * eps
         theta.set_params_flat(p)
-        lm, _ = am_sde_loss_and_grad(theta, base, table, traj.times, states,
+        lm, _ = am_sde_loss_and_grad(theta, vb, table, traj.times, states,
                                      adjs, reg)
         theta.set_params_flat(flat)
         assert g[i] == pytest.approx((lp - lm) / (2 * eps), rel=1e-4, abs=1e-8)

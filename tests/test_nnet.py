@@ -3,6 +3,7 @@ import pytest
 
 from flowam.errors import NonFiniteError, ShapeError, ValidationError
 from flowam.nnet import (
+    ACTIVATIONS,
     NetConfig,
     VelocityField,
     accumulate_grads,
@@ -27,6 +28,76 @@ def test_time_embedding_values():
         np.sin(2 * np.pi * 0.25), np.cos(2 * np.pi * 0.25),
     ]
     np.testing.assert_allclose(emb[0], expected, rtol=1e-12)
+
+
+def _per_column_embedding(t, n_features):
+    """The embedding one column at a time, as np.sin(freq * t) / np.cos(freq * t)."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    feats = np.empty((t.shape[0], n_features))
+    for j in range(n_features):
+        freq = np.pi * (2.0 ** (j // 2))
+        feats[:, j] = np.sin(freq * t) if j % 2 == 0 else np.cos(freq * t)
+    return feats
+
+
+# every grid time of the samplers at N = 1..400 and 1000, and random times
+GRID_TIMES = np.concatenate([np.linspace(0.0, 1.0, n + 1)
+                             for n in [*range(1, 401), 1000]])
+RANDOM_TIMES = np.random.default_rng(0).uniform(0.0, 1.0, 200_000)
+
+
+@pytest.mark.parametrize("n_features", [1, 7, 8, 16])
+def test_time_embedding_equals_per_column_reference_bitwise(n_features):
+    # one np.sin and one np.cos call over all phases give the bits of the
+    # per-column calls
+    for t in (GRID_TIMES, RANDOM_TIMES):
+        np.testing.assert_array_equal(time_embedding(t, n_features),
+                                      _per_column_embedding(t, n_features))
+
+
+def test_one_embedded_row_equals_the_m_row_embedding_bitwise():
+    # a scalar time is embedded as one row and broadcast to the batch; that
+    # row has the bits of the embedding computed over m copies of t
+    for t in np.unique(GRID_TIMES):
+        np.testing.assert_array_equal(
+            np.broadcast_to(time_embedding(t, 8), (64, 8)),
+            _per_column_embedding(np.full(64, t), 8))
+
+
+def test_features_broadcast_one_row_to_the_batch():
+    vf = small_field()
+    x = np.random.default_rng(3).standard_normal((64, 2))
+    for t in (0.0, 0.37, np.float64(0.98), np.array([0.5])):
+        feats, _ = vf._features(x, t)
+        expected = np.concatenate([x, _per_column_embedding(np.full(64, t), 4)], axis=1)
+        np.testing.assert_array_equal(feats, expected)
+
+
+def _silu_prime(z):
+    s = 1.0 / (1.0 + np.exp(-z))
+    return s * (1.0 + z * (1.0 - s))
+
+
+@pytest.mark.parametrize("name,reference", [
+    ("silu", _silu_prime),
+    ("tanh", lambda z: 1.0 - np.tanh(z) ** 2),
+    ("identity", np.ones_like),
+])
+def test_taped_activation_derivative_equals_recomputed_formula_bitwise(name, reference):
+    act, act_with_prime = ACTIVATIONS[name]
+    z = np.random.default_rng(1).standard_normal((257, 64)) * 4.0
+    h, prime = act_with_prime(z)
+    np.testing.assert_array_equal(h, act(z))
+    np.testing.assert_array_equal(prime, reference(z))
+
+
+def test_plain_and_taped_forward_share_their_bits():
+    for activation in ACTIVATIONS:
+        cfg = NetConfig(state_dim=2, hidden=(16, 16), activation=activation)
+        vf = VelocityField.init(cfg, seed=4)
+        x = np.random.default_rng(2).standard_normal((64, 2))
+        out, _ = vf.forward_tape(x, 0.3)
+        np.testing.assert_array_equal(out, vf.forward(x, 0.3))
 
 
 def test_net_config_lists_every_violation():
@@ -119,7 +190,9 @@ def test_input_vjp_matches_finite_differences():
         fd[j] = (
             w @ vf.forward(x + e, t) - w @ vf.forward(x - e, t)
         ) / (2 * eps)
-    np.testing.assert_allclose(vf.input_vjp(x, t, w), fd, rtol=1e-6, atol=1e-9)
+    v, vjp = vf.input_vjp(x, t, w)
+    np.testing.assert_allclose(vjp, fd, rtol=1e-6, atol=1e-9)
+    np.testing.assert_array_equal(v, vf.forward(x, t))
 
 
 def test_tape_single_use():

@@ -88,20 +88,28 @@ def test_finetune_iteration_samples_and_adjoints_once_through_module_bindings():
             return wrapper
         return make
 
-    undo = patch_everywhere(dynamics, "sample_batch", recorder("sample_batch"))
-    undo += patch_everywhere(adjoint, "lean_adjoint_batch",
-                             recorder("lean_adjoint_batch"))
-    cfg = train.TrainConfig(method="ode-am", n_steps=6, n_truncate=3, batch=4,
-                            iterations=1, lr=1e-3)
-    try:
-        train.finetune(cfg, small_base(),
-                       tasks.QuadraticWell(center=np.array([1.0, 0.0])))
-    finally:
-        restore(undo)
-    assert [len(v) for v in seen.values()] == [1, 1]
-    assert len(seen["sample_batch"][0]) == 4
-    _, adj = seen["lean_adjoint_batch"][0]
-    assert adj.shape == (3, 4, 2)
+    # both matching methods keep the returns perfbench reads
+    for method, noise_rows in (("ode-am", 0), ("sde-am", 6)):
+        for calls in seen.values():
+            calls.clear()
+        undo = patch_everywhere(dynamics, "sample_batch", recorder("sample_batch"))
+        undo += patch_everywhere(adjoint, "lean_adjoint_batch",
+                                 recorder("lean_adjoint_batch"))
+        cfg = train.TrainConfig(method=method, n_steps=6, n_truncate=3, batch=4,
+                                iterations=1, lr=1e-3)
+        try:
+            train.finetune(cfg, small_base(),
+                           tasks.QuadraticWell(center=np.array([1.0, 0.0])))
+        finally:
+            restore(undo)
+        assert [len(v) for v in seen.values()] == [1, 1], method
+        trajs = seen["sample_batch"][0]
+        assert len(trajs) == 4
+        assert all(isinstance(tr, dynamics.Trajectory) for tr in trajs)
+        assert all(tr.noises.shape == (noise_rows, 2) for tr in trajs)
+        window, adj = seen["lean_adjoint_batch"][0]
+        assert window.shape == (3,)
+        assert adj.shape == (3, 4, 2)
 
 
 def test_eval_columns_are_the_report_row():

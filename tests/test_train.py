@@ -4,7 +4,7 @@ import pytest
 from flowam.checkpoint import Checkpoint
 from flowam.control import RegularizerSpec
 from flowam.errors import ConfigError, NonFiniteError, ValidationError
-from flowam.nnet import NetConfig, VelocityField
+from flowam.nnet import GradientTape, NetConfig, VelocityField
 from flowam.oracles import GaussianFlowSpec, rf_velocity
 from flowam.tasks import ConstantReward, Gaussian1D, QuadraticWell
 from flowam.train import (
@@ -256,6 +256,44 @@ def test_all_methods_run_one_iteration():
         ckpt, rows, timings = finetune(cfg, base, reward)
         assert len(rows) == 2 and len(timings) == 2
         assert np.all(np.isfinite(ckpt.vf.params_flat()))
+
+
+# -- work per iteration ------------------------------------------------------------
+
+N_WORK = 50
+WORK_CASES = (
+    # (method, setting, (plain forwards, taped forwards, backwards))
+    [(m, dict(n_truncate=t), (N_WORK + 1, 2 * t - 1, 2 * t - 1))
+     for m in ("ode-am", "sde-am") for t in (1, 10, 50)]
+    + [("draft", dict(k_window=k), (N_WORK, k, k)) for k in (1, 5)]
+    + [("refl", dict(k_window=k), (N_WORK, 1, 1)) for k in (1, 5)]
+)
+
+
+@pytest.mark.parametrize("method,setting,expected", WORK_CASES)
+def test_one_iteration_makes_exactly_the_counted_network_passes(
+    monkeypatch, method, setting, expected
+):
+    # the sampler runs N plain forwards; the matching methods add T - 1
+    # adjoint VJPs, one base forward at the window's first step start and T
+    # taped theta forwards, and the loss reuses the adjoint's base velocities
+    counts = {"forward": 0, "forward_tape": 0, "backward": 0}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(VelocityField, "forward")
+    count(VelocityField, "forward_tape")
+    count(GradientTape, "backward")
+    cfg = small_cfg(method=method, n_steps=N_WORK, batch=4, iterations=1, **setting)
+    finetune(cfg, make_base(seed=9), QuadraticWell(center=np.array([1.0])))
+    assert (counts["forward"], counts["forward_tape"], counts["backward"]) == expected
 
 
 def test_write_csv_deterministic(tmp_path):
