@@ -97,9 +97,10 @@ def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
     total = 0.0
     denom = float(t_count * m)
     first = times.shape[0] - 1 - t_count  # step start paired with adjoints[0]
+    controls = control_from_adjoint(reg, adjoints)
     for i in range(t_count):
         x, t = states[first + i], times[first + i]
-        target = scale[i] * control_from_adjoint(reg, adjoints[i])
+        target = scale[i] * controls[i]
         vt, tape = v_theta.forward_tape(x, t)
         resid = coef[i] * (vt - v_base[i]) - target
         total += float(np.sum(resid * resid))

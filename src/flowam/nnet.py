@@ -6,16 +6,20 @@ state is treated as a batch of one.  Two derivative primitives are exposed:
 
 * ``input_vjp`` -- (v, w^T (dv/dx)), the velocity and the contraction the
   lean adjoint recursion consumes at every backward step; the adjoint keeps
-  the velocity for the matching loss, so the loss runs no base forward;
+  the velocity for the matching loss, so the loss runs no base forward.
+  It pulls the cotangent back through the layers only, forming no
+  parameter gradient, with the bits of ``backward``'s input gradient;
 * ``GradientTape.backward`` -- cotangent propagation to parameter gradients
   for loss minimization.
 
 ``forward_tape`` computes each hidden layer's activation derivative in the
 forward pass, from the same intermediates as the activation (the sigmoid
 for SiLU, tanh itself for tanh), and stores it on the tape, so ``backward``
-only multiplies.  Plain ``forward`` computes no derivative.  Time features
-are computed once per distinct time: a scalar t is embedded as one row and
-broadcast to the batch.
+only multiplies.  Plain ``forward`` computes no derivative.  The
+activations, the bias add and the backward multiply work in place on arrays
+they have just allocated, never on an argument.  Time features are computed
+once per distinct time: a scalar t is embedded as one row and broadcast to
+the batch.
 
 Everything is float64 numpy.  No general-purpose autodiff: the architecture
 is a fixed MLP over [state, sinusoidal time features].
@@ -30,19 +34,39 @@ import numpy as np
 from .errors import ConfigError, NonFiniteError, ShapeError, ValidationError
 
 
+# The kernels below allocate their outputs once and finish them in place;
+# each element sees the same IEEE operations as z * s with
+# s = 1 / (1 + exp(-z)), s * (1 + z * (1 - s)) and 1 - h ** 2, with only
+# the operands of some + and * swapped.  They never write to z.
+
+
+def _sigmoid(z):
+    s = np.negative(z)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def _silu(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return z * s
+    s = _sigmoid(z)
+    s *= z
+    return s
 
 
 def _silu_with_prime(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return z * s, s * (1.0 + z * (1.0 - s))
+    s = _sigmoid(z)
+    d = np.subtract(1.0, s)
+    d *= z
+    d += 1.0
+    d *= s
+    s *= z
+    return s, d
 
 
 def _tanh_with_prime(z):
     h = np.tanh(z)
-    return h, 1.0 - h ** 2
+    d = np.square(h)
+    return h, np.subtract(1.0, d, out=d)
 
 
 # name -> (activation, activation with its derivative)
@@ -119,7 +143,7 @@ def time_embedding(t: np.ndarray, n_features: int) -> np.ndarray:
 
 
 class GradientTape:
-    """Recorded activations for one forward pass; backward() may run once."""
+    """Recorded activations for one forward pass; it may be pulled back once."""
 
     def __init__(self, vf: "VelocityField", layer_inputs, derivs):
         self._vf = vf
@@ -134,8 +158,17 @@ class GradientTape:
         ascending sample order; ``input_grad`` is w^T dv/dx per sample,
         restricted to the state slice of the input.
         """
+        grads = [None] * len(self._vf.weights)
+        return grads, self._pull(cotangent, grads)
+
+    def input_grad(self, cotangent: np.ndarray) -> np.ndarray:
+        """``backward``'s input_grad alone: no parameter gradient is formed."""
+        return self._pull(cotangent, None)
+
+    def _pull(self, cotangent, grads):
+        """Input gradient of the cotangent; fills ``grads`` unless it is None."""
         if self._used:
-            raise RuntimeError("GradientTape.backward called twice")
+            raise RuntimeError("GradientTape pulled back twice")
         self._used = True
         vf = self._vf
         g = np.atleast_2d(np.asarray(cotangent, dtype=np.float64))
@@ -143,15 +176,15 @@ class GradientTape:
             raise ShapeError(
                 f"cotangent dim {g.shape[1]} != state_dim {vf.cfg.state_dim}"
             )
-        grads = [None] * len(vf.weights)
         for l in range(len(vf.weights) - 1, -1, -1):
-            h = self._layer_inputs[l]
-            grads[l] = (g.T @ h, g.sum(axis=0))
+            if grads is not None:
+                grads[l] = (g.T @ self._layer_inputs[l], g.sum(axis=0))
+            # layer 0 multiplies by all of W_0 and slices afterwards: the
+            # product with W_0's state columns alone has other bits
             g = g @ vf.weights[l]
             if l > 0:
-                g = g * self._derivs[l - 1]
-        input_grad = g[:, : vf.cfg.state_dim]
-        return grads, input_grad
+                g *= self._derivs[l - 1]
+        return g[:, : vf.cfg.state_dim]
 
 
 class VelocityField:
@@ -239,7 +272,8 @@ class VelocityField:
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             layer_inputs.append(h)
-            z = h @ w.T + b
+            z = h @ w.T
+            z += b
             if l == last:
                 h = z
             elif taped:
@@ -268,7 +302,7 @@ class VelocityField:
         w = np.asarray(w, dtype=np.float64)
         squeeze = w.ndim == 1
         v, tape = self.forward_tape(x, t)
-        _, input_grad = tape.backward(np.atleast_2d(w))
+        input_grad = tape.input_grad(np.atleast_2d(w))
         return v, (input_grad[0] if squeeze else input_grad)
 
 

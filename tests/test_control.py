@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from flowam.adjoint import lean_adjoint
 from flowam.control import (
+    EPS_ADJOINT,
     RegularizerSpec,
     am_det_loss_and_grad,
     am_sde_loss_and_grad,
@@ -113,6 +114,26 @@ def test_control_antiparallel_and_norm_law(a_list, p, lam):
     assert np.linalg.norm(u) == pytest.approx(
         (lam * np.linalg.norm(a)) ** (1.0 / (p - 1.0)), rel=1e-9
     )
+
+
+@given(
+    # nearer p = 1, lam ** (1 / (p - 1)) overflows a Python float
+    st.one_of(st.sampled_from([2.0, 4.0, 6.0, 8.0]), st.floats(1.05, 8.0)),
+    st.floats(min_value=0.1, max_value=10.0),
+    st.tuples(st.integers(1, 12), st.integers(1, 70), st.integers(1, 3)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_window_control_equals_per_slice_calls_bitwise(p, lam, shape, seed):
+    # _matching_loss maps the whole (T, m, dim) window in one call
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-15.0, 2.0, shape[:2] + (1,))
+    a[rng.random(shape[:2]) < 0.1] = 0.0
+    a[0, 0] *= 0.5 * EPS_ADJOINT / max(np.linalg.norm(a[0, 0]), EPS_ADJOINT)
+    reg = RegularizerSpec(p=p, lam=lam)
+    whole = control_from_adjoint(reg, a)
+    for i in range(shape[0]):
+        assert whole[i].tobytes() == control_from_adjoint(reg, a[i]).tobytes()
 
 
 def test_scale_covariance_general_p():

@@ -3,15 +3,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowam.checkpoint import Checkpoint
+from flowam.dynamics import sample_batch
 from flowam.errors import DomainError, EmptyInput, TooFewSamples
 from flowam.evaluation import (
+    PAIR_BLOCK_ROWS,
+    _knn_radii,
+    _pair_dists,
     diversity_mpd,
     energy_distance,
     evaluate,
     knn_coverage_recall,
     wasserstein1_1d,
 )
-from flowam.tasks import ConstantReward
+from flowam.nnet import NetConfig, VelocityField
+from flowam.tasks import ConstantReward, QuadraticWell
+
+
+# -- distance kernels ------------------------------------------------------------
+
+
+def _gram_dists(x, y):
+    """The one-expression Gram form whose bits _pair_dists keeps."""
+    d2 = (
+        np.sum(x**2, axis=1)[:, None]
+        + np.sum(y**2, axis=1)[None, :]
+        - 2.0 * x @ y.T
+    )
+    return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+
+
+@pytest.mark.parametrize("n,m", [
+    (1, 1), (5, 7), (PAIR_BLOCK_ROWS, 3), (PAIR_BLOCK_ROWS + 1, 40),
+    (2 * PAIR_BLOCK_ROWS, 2 * PAIR_BLOCK_ROWS), (300, 300), (1999, 37),
+])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_dists_equal_the_gram_expression_bitwise(n, m, d):
+    rng = np.random.default_rng(100 * n + d)
+    x = rng.standard_normal((n, d)) * 3.0
+    y = rng.standard_normal((m, d)) * 3.0
+    y[: min(n, m) // 2] = x[: min(n, m) // 2]  # equal rows hit the clamp at 0
+    for a, b in ((x, y), (y, x), (x, x)):
+        np.testing.assert_array_equal(_pair_dists(a, b), _gram_dists(a, b))
+
+
+def test_pair_dists_leave_their_arguments_unchanged():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((PAIR_BLOCK_ROWS + 9, 2))
+    y = rng.standard_normal((17, 2))
+    before = (x.tobytes(), y.tobytes())
+    _pair_dists(x, y)
+    _pair_dists(x, x)
+    assert (x.tobytes(), y.tobytes()) == before
+
+
+@pytest.mark.parametrize("n", [6, 40, 300])
+@pytest.mark.parametrize("which_k", ["1", "5", "n-1"])
+@pytest.mark.parametrize("lattice", [True, False])
+def test_knn_radii_equal_the_sorted_column_bitwise(n, which_k, lattice):
+    k = {"1": 1, "5": 5, "n-1": n - 1}[which_k]
+    rng = np.random.default_rng(n)
+    if lattice:  # integer points: many tied distances
+        x = rng.integers(-2, 3, size=(n, 2)).astype(np.float64)
+    else:
+        x = rng.standard_normal((n, 2))
+    d = _pair_dists(x, x)
+    np.fill_diagonal(d, np.inf)
+    expected = np.sort(d, axis=1)[:, k - 1]
+    np.testing.assert_array_equal(_knn_radii(d.copy(), k), expected)
 
 
 # -- diversity -------------------------------------------------------------------
@@ -196,3 +255,58 @@ def test_evaluate_deterministic(tiny1d_ckpt):
     a = evaluate(tiny1d_ckpt, tiny1d_ckpt, ConstantReward(), 200, 20, seed=3)
     b = evaluate(tiny1d_ckpt, tiny1d_ckpt, ConstantReward(), 200, 20, seed=3)
     assert a == b
+
+
+def _eval_setup(dim):
+    cfg = NetConfig(state_dim=dim, hidden=(16, 16))
+    tuned = Checkpoint(VelocityField.init(cfg, seed=dim), seed=0, iteration=0)
+    base = Checkpoint(VelocityField.init(cfg, seed=10 + dim), seed=0, iteration=0)
+    return tuned, base, QuadraticWell(center=np.ones(dim))
+
+
+# Rows as the one-pass evaluation's predecessor printed them (numpy 2.4.6 and
+# OpenBLAS 0.3.31 on x86_64 with AVX-512, one BLAS thread or several); the
+# 2D case spans two row blocks of the distance kernel.
+EVAL_ROWS = [
+    (1, 200, 5, "EvalReport(reward_mean=-0.919015706309803, "
+     "reward_std=1.0531306285128184, diversity_mpd=1.103396143420705, "
+     "distance=0.07315370342078487, coverage=0.925, recall=1.0, "
+     "n_samples=200, seed=5)"),
+    (2, 301, 5, "EvalReport(reward_mean=-1.71219563401815, "
+     "reward_std=1.40091926219312, diversity_mpd=1.5147555146727303, "
+     "distance=0.025789869016109357, coverage=0.9667774086378738, "
+     "recall=0.9867109634551495, n_samples=301, seed=5)"),
+    (3, 260, 7, "EvalReport(reward_mean=-3.243558323935087, "
+     "reward_std=2.2815168627924636, diversity_mpd=2.3737994277456567, "
+     "distance=0.02350073427792898, coverage=0.9923076923076923, "
+     "recall=0.9576923076923077, n_samples=260, seed=5)"),
+]
+
+
+@pytest.mark.parametrize("dim,n,k,row", EVAL_ROWS)
+def test_evaluate_rows_are_pinned(dim, n, k, row):
+    tuned, base, reward = _eval_setup(dim)
+    report = evaluate(tuned, base, reward, n_samples=n, n_steps=10, seed=5, k=k)
+    assert repr(report) == row
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_evaluate_matches_the_standalone_metrics_bitwise(dim):
+    # evaluate shares each self-distance matrix between the energy distance
+    # and the kNN radii; the standalone functions compute their own
+    tuned, base, reward = _eval_setup(dim)
+    report = evaluate(tuned, base, reward, n_samples=270, n_steps=10, seed=9, k=4)
+    gen, ref = (
+        np.stack([t.states[-1] for t in sample_batch(ckpt.vf, 10, 270, seed)])
+        for ckpt, seed in ((tuned, 9), (base, 10))
+    )
+    assert report.distance == energy_distance(gen, ref)
+    assert (report.coverage, report.recall) == knn_coverage_recall(gen, ref, 4)
+
+
+def test_evaluate_rejects_too_few_samples_for_k():
+    tuned, base, reward = _eval_setup(2)
+    with pytest.raises(TooFewSamples):
+        evaluate(tuned, base, reward, n_samples=5, n_steps=3, k=5)
+    with pytest.raises(DomainError):
+        evaluate(tuned, base, reward, n_samples=5, n_steps=3, k=0)

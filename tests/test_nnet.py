@@ -4,8 +4,12 @@ import pytest
 from flowam.errors import NonFiniteError, ShapeError, ValidationError
 from flowam.nnet import (
     ACTIVATIONS,
+    GradientTape,
     NetConfig,
     VelocityField,
+    _silu,
+    _silu_with_prime,
+    _tanh_with_prime,
     accumulate_grads,
     grads_flat,
     time_embedding,
@@ -89,6 +93,44 @@ def test_taped_activation_derivative_equals_recomputed_formula_bitwise(name, ref
     h, prime = act_with_prime(z)
     np.testing.assert_array_equal(h, act(z))
     np.testing.assert_array_equal(prime, reference(z))
+
+
+# the expressions the in-place kernels replace, kept as references
+def _silu_reference(z):
+    s = 1.0 / (1.0 + np.exp(-z))
+    return z * s
+
+
+def _silu_with_prime_reference(z):
+    s = 1.0 / (1.0 + np.exp(-z))
+    return z * s, s * (1.0 + z * (1.0 - s))
+
+
+def _tanh_with_prime_reference(z):
+    h = np.tanh(z)
+    return h, 1.0 - h ** 2
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kernel,reference", [
+    (_silu, _silu_reference),
+    (_silu_with_prime, _silu_with_prime_reference),
+    (_tanh_with_prime, _tanh_with_prime_reference),
+])
+def test_in_place_activation_kernels_equal_the_expressions_bitwise(kernel, reference):
+    edges = np.array([1e-300, 40.0, 745.0, np.inf])
+    z = np.concatenate([
+        np.random.default_rng(5).standard_normal(64 * 96) * 6.0, edges, -edges,
+    ]).reshape(-1, 8)
+    z_bytes = z.tobytes()
+    with np.errstate(all="ignore"):
+        # a (value, derivative) pair stacks into one array
+        got, want = np.asarray(kernel(z)), np.asarray(reference(z))
+    assert _same_bits(got, want)
+    assert z.tobytes() == z_bytes
 
 
 def test_plain_and_taped_forward_share_their_bits():
@@ -195,12 +237,46 @@ def test_input_vjp_matches_finite_differences():
     np.testing.assert_array_equal(v, vf.forward(x, t))
 
 
+@pytest.mark.parametrize("activation", list(ACTIVATIONS))
+@pytest.mark.parametrize("m", [1, 3, 64])
+def test_input_vjp_has_the_bits_of_the_full_backward(activation, m):
+    cfg = NetConfig(state_dim=3, hidden=(16, 8, 16), activation=activation)
+    vf = VelocityField.init(cfg, seed=m)
+    rng = np.random.default_rng(m)
+    x, w = rng.standard_normal((m, 3)), rng.standard_normal((m, 3))
+    v, vjp = vf.input_vjp(x, 0.4, w)
+    out, tape = vf.forward_tape(x, 0.4)
+    _, input_grad = tape.backward(w)
+    assert _same_bits(v, out) and _same_bits(vjp, input_grad)
+
+
+@pytest.mark.parametrize("activation", list(ACTIVATIONS))
+def test_network_entry_points_leave_their_arguments_unchanged(activation):
+    cfg = NetConfig(state_dim=2, hidden=(8, 8), activation=activation)
+    vf = VelocityField.init(cfg, seed=3)
+    vf.biases = [b + 0.1 for b in vf.biases]
+    rng = np.random.default_rng(8)
+    x, w = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+    t = rng.random(5)
+    args = (x, t, w, *vf.weights, *vf.biases)
+    before = [a.tobytes() for a in args]
+    vf.forward(x, t)
+    vf.forward(x[0], 0.5)
+    _, tape = vf.forward_tape(x, t)
+    tape.backward(w)
+    vf.input_vjp(x, t, w)
+    vf.input_vjp(x[0], 0.5, w[0])
+    assert [a.tobytes() for a in args] == before
+
+
 def test_tape_single_use():
     vf = small_field()
     _, tape = vf.forward_tape(np.zeros((3, 2)), 0.5)
     tape.backward(np.zeros((3, 2)))
     with pytest.raises(RuntimeError):
         tape.backward(np.zeros((3, 2)))
+    with pytest.raises(RuntimeError):
+        tape.input_grad(np.zeros((3, 2)))
 
 
 def test_param_grad_batch_order_deterministic():

@@ -262,11 +262,12 @@ def test_all_methods_run_one_iteration():
 
 N_WORK = 50
 WORK_CASES = (
-    # (method, setting, (plain forwards, taped forwards, backwards))
-    [(m, dict(n_truncate=t), (N_WORK + 1, 2 * t - 1, 2 * t - 1))
+    # (method, setting,
+    #  (plain forwards, taped forwards, backwards, input-only pullbacks))
+    [(m, dict(n_truncate=t), (N_WORK + 1, 2 * t - 1, t, t - 1))
      for m in ("ode-am", "sde-am") for t in (1, 10, 50)]
-    + [("draft", dict(k_window=k), (N_WORK, k, k)) for k in (1, 5)]
-    + [("refl", dict(k_window=k), (N_WORK, 1, 1)) for k in (1, 5)]
+    + [("draft", dict(k_window=k), (N_WORK, k, k, 0)) for k in (1, 5)]
+    + [("refl", dict(k_window=k), (N_WORK, 1, 1, 0)) for k in (1, 5)]
 )
 
 
@@ -275,9 +276,11 @@ def test_one_iteration_makes_exactly_the_counted_network_passes(
     monkeypatch, method, setting, expected
 ):
     # the sampler runs N plain forwards; the matching methods add T - 1
-    # adjoint VJPs, one base forward at the window's first step start and T
-    # taped theta forwards, and the loss reuses the adjoint's base velocities
-    counts = {"forward": 0, "forward_tape": 0, "backward": 0}
+    # adjoint VJPs (a taped forward and an input-only pullback each), one
+    # base forward at the window's first step start and T taped theta
+    # forwards with their backwards, and the loss reuses the adjoint's base
+    # velocities
+    counts = {"forward": 0, "forward_tape": 0, "backward": 0, "input_grad": 0}
 
     def count(owner, name):
         fn = getattr(owner, name)
@@ -291,9 +294,10 @@ def test_one_iteration_makes_exactly_the_counted_network_passes(
     count(VelocityField, "forward")
     count(VelocityField, "forward_tape")
     count(GradientTape, "backward")
+    count(GradientTape, "input_grad")
     cfg = small_cfg(method=method, n_steps=N_WORK, batch=4, iterations=1, **setting)
     finetune(cfg, make_base(seed=9), QuadraticWell(center=np.array([1.0])))
-    assert (counts["forward"], counts["forward_tape"], counts["backward"]) == expected
+    assert tuple(counts.values()) == expected
 
 
 def test_write_csv_deterministic(tmp_path):
