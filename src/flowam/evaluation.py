@@ -4,11 +4,11 @@ Metrics: reward statistics, mean pairwise distance (diversity), exact 1D
 Wasserstein-1 via sorted samples, energy distance in 2D and up, and kNN-ball
 coverage/recall against a reference sample set (k = 5 by default).
 
-kNN radii read the k-th order statistic with a partition, not a sort.  For
-state_dim >= 2, ``evaluate`` builds each self-distance matrix once and takes
-both the energy distance's self term and the kNN radii from it: four n x n
-products per call instead of six, with the bits of ``energy_distance`` and
-``knn_coverage_recall``.
+kNN radii read the k-th order statistic with a partition, not a sort.  The
+kNN metrics build each self-distance matrix once and also return its mean,
+so ``evaluate`` takes the energy distance's self terms from them: four n x n
+products per call in 2D and up instead of six, with the bits of
+``energy_distance`` and ``knn_coverage_recall``.
 """
 
 from __future__ import annotations
@@ -145,20 +145,28 @@ def _knn_radii(d: np.ndarray, k: int) -> np.ndarray:
     return d[:, k - 1].copy()
 
 
-def _knn_points(gen, ref, k: int):
+def _knn_terms(gen, ref, k: int):
+    """(coverage, recall, mean gen-gen distance, mean ref-ref distance).
+
+    Each self-distance matrix is built once: its mean is read before the kNN
+    radii consume it, and only one n x n matrix is alive at a time.
+    """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     g, r = _as_points(gen), _as_points(ref)
     if g.shape[0] < k + 1 or r.shape[0] < k + 1:
         raise TooFewSamples(f"need >= {k + 1} points per set")
-    return g, r
-
-
-def _coverage_recall(cross: np.ndarray, gen_radii, ref_radii):
-    """(coverage, recall) from the (n_ref, n_gen) distances and both radii."""
+    means, radii = [], []
+    for x in (g, r):
+        d = _pair_dists(x, x)
+        means.append(float(np.mean(d)))
+        radii.append(_knn_radii(d, k))
+        del d
+    gen_radii, ref_radii = radii
+    cross = _pair_dists(r, g)  # (n_ref, n_gen)
     recall = float(np.mean(np.any(cross <= gen_radii[None, :], axis=1)))
     coverage = float(np.mean(np.min(cross, axis=1) <= ref_radii))
-    return coverage, recall
+    return coverage, recall, means[0], means[1]
 
 
 def knn_coverage_recall(gen, ref, k: int = 5):
@@ -169,17 +177,7 @@ def knn_coverage_recall(gen, ref, k: int = 5):
     coverage: fraction of reference points whose own k-NN ball (radii
     measured within the reference set) contains a generated point.
     """
-    g, r = _knn_points(gen, ref, k)
-    gen_radii = _knn_radii(_pair_dists(g, g), k)
-    ref_radii = _knn_radii(_pair_dists(r, r), k)
-    return _coverage_recall(_pair_dists(r, g), gen_radii, ref_radii)
-
-
-def _self_terms(x: np.ndarray, k: int):
-    """Mean of x's self-distance matrix and x's k-NN radii, from one matrix."""
-    d = _pair_dists(x, x)
-    mean = float(np.mean(d))
-    return mean, _knn_radii(d, k)
+    return _knn_terms(gen, ref, k)[:2]
 
 
 def evaluate(
@@ -202,19 +200,14 @@ def evaluate(
         [t.states[-1] for t in sample_batch(base, n_steps, n_samples, seed + 1)]
     )
     rewards = reward.value(gen)
+    # k + 1 >= 2 points per set also covers the energy distance's check
+    coverage, recall, mean_gg, mean_rr = _knn_terms(gen, ref, k)
     if gen.shape[1] == 1:
         dist = wasserstein1_1d(gen, ref)
-        coverage, recall = knn_coverage_recall(gen, ref, k)
     else:
-        # energy_distance and knn_coverage_recall in one pass: each self
-        # matrix serves both (k + 1 >= 2 points also covers the energy
-        # distance's check).  The cross matrices stay two products, since
-        # D(x, y) is not always bitwise D(y, x).T
-        _knn_points(gen, ref, k)
-        mean_gg, gen_radii = _self_terms(gen, k)
-        mean_rr, ref_radii = _self_terms(ref, k)
+        # the cross term is its own product: D(x, y) is not always bitwise
+        # D(y, x).T, so the kNN cross matrix cannot stand in for it
         dist = _energy(float(np.mean(_pair_dists(gen, ref))), mean_gg, mean_rr)
-        coverage, recall = _coverage_recall(_pair_dists(ref, gen), gen_radii, ref_radii)
     return EvalReport(
         reward_mean=float(np.mean(rewards)),
         reward_std=float(np.std(rewards)),

@@ -7,6 +7,7 @@ from flowam.checkpoint import Checkpoint
 from flowam.dynamics import sample_batch
 from flowam.errors import DomainError, EmptyInput, TooFewSamples
 from flowam.evaluation import (
+    EvalReport,
     PAIR_BLOCK_ROWS,
     _knn_radii,
     _pair_dists,
@@ -264,36 +265,51 @@ def _eval_setup(dim):
     return tuned, base, QuadraticWell(center=np.ones(dim))
 
 
-# Rows as the one-pass evaluation's predecessor printed them (numpy 2.4.6 and
-# OpenBLAS 0.3.31 on x86_64 with AVX-512, one BLAS thread or several); the
-# 2D case spans two row blocks of the distance kernel.
-EVAL_ROWS = [
-    (1, 200, 5, "EvalReport(reward_mean=-0.919015706309803, "
-     "reward_std=1.0531306285128184, diversity_mpd=1.103396143420705, "
-     "distance=0.07315370342078487, coverage=0.925, recall=1.0, "
-     "n_samples=200, seed=5)"),
-    (2, 301, 5, "EvalReport(reward_mean=-1.71219563401815, "
-     "reward_std=1.40091926219312, diversity_mpd=1.5147555146727303, "
-     "distance=0.025789869016109357, coverage=0.9667774086378738, "
-     "recall=0.9867109634551495, n_samples=301, seed=5)"),
-    (3, 260, 7, "EvalReport(reward_mean=-3.243558323935087, "
-     "reward_std=2.2815168627924636, diversity_mpd=2.3737994277456567, "
-     "distance=0.02350073427792898, coverage=0.9923076923076923, "
-     "recall=0.9576923076923077, n_samples=260, seed=5)"),
-]
+def _reference_evaluate(ckpt, base_ckpt, reward, n, n_steps, seed, k):
+    """evaluate as composed before the one-pass kNN/energy terms: one full
+    product per distance matrix, the kNN radii read from a full sort."""
+    gen, ref = (
+        np.stack([t.states[-1] for t in sample_batch(c.vf, n_steps, n, s)])
+        for c, s in ((ckpt, seed), (base_ckpt, seed + 1))
+    )
+
+    def mean_dist(x, y):
+        return float(np.mean(_gram_dists(x, y)))
+
+    def radii(x):
+        d = _gram_dists(x, x)
+        np.fill_diagonal(d, np.inf)
+        return np.sort(d, axis=1)[:, k - 1]
+
+    if gen.shape[1] == 1:
+        dist = wasserstein1_1d(gen, ref)
+    else:
+        dist = max(
+            2.0 * mean_dist(gen, ref) - mean_dist(gen, gen) - mean_dist(ref, ref), 0.0
+        )
+    cross = _gram_dists(ref, gen)
+    recall = float(np.mean(np.any(cross <= radii(gen)[None, :], axis=1)))
+    coverage = float(np.mean(np.min(cross, axis=1) <= radii(ref)))
+    rewards = reward.value(gen)
+    return EvalReport(
+        float(np.mean(rewards)), float(np.std(rewards)), diversity_mpd(gen),
+        dist, coverage, recall, n, seed,
+    )
 
 
-@pytest.mark.parametrize("dim,n,k,row", EVAL_ROWS)
-def test_evaluate_rows_are_pinned(dim, n, k, row):
+# the 2D case spans two row blocks of the distance kernel
+@pytest.mark.parametrize("dim,n,k", [(1, 200, 5), (2, PAIR_BLOCK_ROWS + 45, 5), (3, 260, 7)])
+def test_evaluate_equals_the_reference_composition_bitwise(dim, n, k):
     tuned, base, reward = _eval_setup(dim)
     report = evaluate(tuned, base, reward, n_samples=n, n_steps=10, seed=5, k=k)
-    assert repr(report) == row
+    expected = _reference_evaluate(tuned, base, reward, n, 10, 5, k)
+    assert repr(report) == repr(expected)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_evaluate_matches_the_standalone_metrics_bitwise(dim):
-    # evaluate shares each self-distance matrix between the energy distance
-    # and the kNN radii; the standalone functions compute their own
+    # evaluate takes the energy distance's self terms from the kNN pass; the
+    # standalone functions compute their own
     tuned, base, reward = _eval_setup(dim)
     report = evaluate(tuned, base, reward, n_samples=270, n_steps=10, seed=9, k=4)
     gen, ref = (
