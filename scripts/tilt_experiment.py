@@ -17,17 +17,14 @@ from flowam.dynamics import sample_batch
 from flowam.evaluation import wasserstein1_1d
 from flowam.nnet import NetConfig
 from flowam.oracles import tilted_gaussian
-from flowam.schedules import NOISE_SCHEDULES, SCHEDULES
+from flowam.schedules import NOISE_SCHEDULES, step_coeffs
 from flowam.tasks import Gaussian1D, QuadraticWell
 from flowam.train import METRICS_COLUMNS, TrainConfig, finetune, pretrain, write_csv
 
 
 def terminal(vf, n, n_steps, seed, stochastic=False):
-    trajs = sample_batch(
-        vf, n_steps, n, seed,
-        sched=SCHEDULES["linear"] if stochastic else None,
-        ns=NOISE_SCHEDULES["memoryless"] if stochastic else None,
-    )
+    coeffs = step_coeffs(NOISE_SCHEDULES["memoryless"], n_steps) if stochastic else None
+    trajs = sample_batch(vf, n_steps, n, seed, coeffs=coeffs)
     return np.stack([t.states[-1] for t in trajs])
 
 

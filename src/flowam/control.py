@@ -18,6 +18,7 @@ sampler steps instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,18 @@ class RegularizerSpec:
             v.append(f"p must be > 1, got {self.p}")
         if not self.lam > 0.0:
             v.append(f"lam must be > 0, got {self.lam}")
+        elif self.p > 1.0 and not math.isfinite(self.lam_power):
+            v.append(f"lam ** (1 / (p - 1)) must be finite, got p = {self.p}, "
+                     f"lam = {self.lam}")
         ValidationError.check(v)
+
+    @property
+    def lam_power(self) -> float:
+        """lambda^{1/(p-1)}, the scale of the control target; inf on overflow."""
+        try:
+            return float(self.lam) ** (1.0 / (float(self.p) - 1.0))
+        except OverflowError:
+            return math.inf
 
     def fprime(self, r):
         """f'(r) = r^{p-1} / lambda."""
@@ -55,9 +67,7 @@ def control_from_adjoint(reg: RegularizerSpec, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     norm = np.linalg.norm(a, axis=-1, keepdims=True)
     safe = np.maximum(norm, EPS_ADJOINT)
-    factor = reg.lam ** (1.0 / (reg.p - 1.0)) * safe ** (
-        (2.0 - reg.p) / (reg.p - 1.0)
-    )
+    factor = reg.lam_power * safe ** ((2.0 - reg.p) / (reg.p - 1.0))
     u = -factor * a
     return np.where(norm < EPS_ADJOINT, 0.0, u)
 

@@ -3,7 +3,8 @@
 Trajectories are recorded on a uniform grid t_0=0 < ... < t_N=1.  SDE steps
 add the score-derived drift correction (sigma^2 / (2 eta)) (v - kappa x) and
 sqrt(h) sigma noise, with (correction, kappa, sigma) read from the row of
-``schedules.step_coeffs`` that belongs to the step start.
+the run's ``schedules.step_coeffs`` table that belongs to the step start;
+the caller builds that table once and passes it in.
 
 ``sample_batch`` is the one sampler of the fine-tuning loop and of
 evaluation: sample i draws its initial state and then its (N, dim) noise
@@ -17,12 +18,11 @@ alone only to rounding; a rerun at the same batch size repeats bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, ShapeError
-from .schedules import InterpolantSchedule, step_coeffs
 
 
 @dataclass
@@ -80,15 +80,14 @@ def sample_batch(
     n_steps: int,
     m: int,
     base_seed: int,
-    sched: Optional[InterpolantSchedule] = None,
-    ns: Optional[Callable] = None,
+    coeffs: Optional[np.ndarray] = None,
 ) -> list[Trajectory]:
     """m independent trajectories with per-sample derived seeds.
 
     x0 ~ N(0, I) and the noise block are drawn from each sample's own stream,
-    then the batch is integrated jointly (vectorized over samples).  ``ns``
-    is a value of ``NOISE_SCHEDULES``; without it, or where sigma is 0 at
-    every step, this is the Euler flow of the ODE.
+    then the batch is integrated jointly (vectorized over samples).
+    ``coeffs`` is the run's ``step_coeffs`` table, shape (n_steps, 3); without
+    it, or where sigma is 0 at every step, this is the Euler flow of the ODE.
     """
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
@@ -96,8 +95,10 @@ def sample_batch(
         raise ShapeError("batch size must be >= 1")
     if base_seed < 0:
         raise DomainError(f"seed must be >= 0, got {base_seed}")
+    if coeffs is not None and np.shape(coeffs) != (n_steps, 3):
+        raise ShapeError(f"coefficient table must have shape ({n_steps}, 3), "
+                         f"got {np.shape(coeffs)}")
     dim = field.state_dim
-    coeffs = step_coeffs(sched, ns, n_steps) if ns is not None else None
     stochastic = coeffs is not None and bool(np.any(coeffs[:, 2]))
     x0 = np.empty((m, dim))
     noises = np.empty((n_steps, m, dim)) if stochastic else None

@@ -1,10 +1,10 @@
 """Pretraining and fine-tuning loops with Adam, warmup, and clipping.
 
-Pretraining regresses the network onto the interpolant slope
-beta'(t) X_0 + alpha'(t) X_1 at random times.  Fine-tuning runs the
-sample / backward-adjoint / loss / update cycle against a frozen copy of
-the base field; trajectory states and adjoints are plain detached arrays,
-so no gradient ever flows into simulation.
+Pretraining regresses the network onto the linear interpolant's slope
+X_1 - X_0 at random times.  Fine-tuning runs the sample / backward-adjoint /
+loss / update cycle against a frozen copy of the base field; trajectory
+states and adjoints are plain detached arrays, so no gradient ever flows
+into simulation.
 
 Metrics rows are deterministic given (config, seed); per-phase wall-clock
 durations are tracked separately so metrics files stay byte-reproducible.
@@ -29,7 +29,7 @@ from .control import (
 from .dynamics import sample_batch, sample_seed
 from .errors import ConfigError, NonFiniteError, ValidationError
 from .nnet import NetConfig, VelocityField, grads_flat
-from .schedules import NOISE_SCHEDULES, SCHEDULES, step_coeffs
+from .schedules import NOISE_SCHEDULES, step_coeffs
 
 METHODS = ("ode-am", "sde-am", "draft", "refl")
 
@@ -52,10 +52,8 @@ class TrainConfig:
     reg_p: float = 2.0
     reg_lam: float = 1.0
     noise: str = "memoryless"
-    schedule: str = "linear"
     seed: int = 0
     k_window: int = 1
-    workers: int = 1  # accepted so that existing configs run; sampling is serial
 
     def __post_init__(self):
         v = []
@@ -81,17 +79,13 @@ class TrainConfig:
         for key in ("iterations", "warmup", "grad_clip", "seed"):
             if not getattr(self, key) >= 0:
                 v.append(f"{key} must be >= 0, got {getattr(self, key)}")
-        if self.schedule not in SCHEDULES:
-            v.append(f"schedule must be one of {tuple(SCHEDULES)}, "
-                     f"got {self.schedule!r}")
         if self.noise not in NOISE_SCHEDULES:
             v.append(f"noise must be one of {tuple(NOISE_SCHEDULES)}, "
                      f"got {self.noise!r}")
-        elif self.method == "sde-am" and window_ok and self.schedule in SCHEDULES:
+        elif self.method == "sde-am" and window_ok:
             # sigma > 0 at the step starts of the last n_truncate steps
-            sig = step_coeffs(SCHEDULES[self.schedule], NOISE_SCHEDULES[self.noise],
-                              self.n_steps)[-self.n_truncate:, 2]
-            if np.any(sig <= 0.0):
+            table = step_coeffs(NOISE_SCHEDULES[self.noise], self.n_steps)
+            if np.any(table[-self.n_truncate:, 2] <= 0.0):
                 v.append(f"noise schedule {self.noise!r} vanishes on the matching "
                          f"window; sde-am needs sigma > 0 there")
         ValidationError.check(v)
@@ -157,9 +151,8 @@ def pretrain(cfg: TrainConfig, dist, net_cfg: NetConfig):
     """Flow-matching pretraining; returns (Checkpoint, metrics rows).
 
     Each iteration draws (X_0 ~ N(0, I), X_1 ~ data, t ~ U[0, 1]) and
-    regresses v(xbar_t, t) onto beta'(t) X_0 + alpha'(t) X_1.
+    regresses v(xbar_t, t) onto X_1 - X_0, with xbar_t = (1 - t) X_0 + t X_1.
     """
-    sched = SCHEDULES[cfg.schedule]
     vf = VelocityField.init(net_cfg, seed=cfg.seed)
     opt = OptimizerState.init(vf.n_params)
     params = vf.params_flat()
@@ -169,10 +162,8 @@ def pretrain(cfg: TrainConfig, dist, net_cfg: NetConfig):
         x0 = rng.standard_normal((cfg.batch, net_cfg.state_dim))
         x1 = dist.sample(cfg.batch, rng)
         t = rng.uniform(0.0, 1.0, size=cfg.batch)
-        a = sched.alpha(t)[:, None]
-        b = sched.beta(t)[:, None]
-        xbar = b * x0 + a * x1
-        target = sched.beta_dot(t)[:, None] * x0 + sched.alpha_dot(t)[:, None] * x1
+        xbar = (1.0 - t)[:, None] * x0 + t[:, None] * x1
+        target = x1 - x0
         try:
             out, tape = vf.forward_tape(xbar, t)
             resid = out - target
@@ -196,16 +187,15 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
     the method: the stochastic matcher simulates the noise-corrected SDE,
     everything else the deterministic flow.
     """
-    sched = SCHEDULES[cfg.schedule]
-    ns = NOISE_SCHEDULES[cfg.noise]
     base = base_ckpt.vf
     vf = base.copy()
     opt = OptimizerState.init(vf.n_params)
     params = vf.params_flat()
     reg = cfg.regularizer
-    stochastic = cfg.method == "sde-am"
-    # one SDE table per run, read by the adjoint and the stochastic loss
-    coeffs = step_coeffs(sched, ns, cfg.n_steps) if stochastic else None
+    # one SDE table per run, read by the sampler, the adjoint and the loss
+    coeffs = None
+    if cfg.method == "sde-am":
+        coeffs = step_coeffs(NOISE_SCHEDULES[cfg.noise], cfg.n_steps)
     # base velocities on the window, filled by the adjoint, read by the loss
     v_base = np.empty((cfg.n_truncate, cfg.batch, base.state_dim))
     rows, timings = [], []
@@ -213,9 +203,7 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
         it_seed = _iteration_seed(cfg.seed, it)
         try:
             t0 = time.perf_counter()
-            trajs = sample_batch(vf, cfg.n_steps, cfg.batch, it_seed,
-                                 sched=sched if stochastic else None,
-                                 ns=ns if stochastic else None)
+            trajs = sample_batch(vf, cfg.n_steps, cfg.batch, it_seed, coeffs)
             times = trajs[0].times
             states = np.stack([tr.states for tr in trajs], axis=1)  # (N+1, m, dim)
             x1 = states[-1]

@@ -37,8 +37,8 @@ def _check(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _terminal_samples(vf, n, n_steps, seed, sched=None, ns=None):
-    trajs = sample_batch(vf, n_steps, n, seed, sched=sched, ns=ns)
+def _terminal_samples(vf, n, n_steps, seed, coeffs=None):
+    trajs = sample_batch(vf, n_steps, n, seed, coeffs=coeffs)
     return np.stack([t.states[-1] for t in trajs])
 
 
@@ -135,7 +135,7 @@ def test_acceptance_pmp_stationarity():
 
 
 def test_acceptance_tilted_distribution(base1d_ckpt):
-    from flowam.schedules import NOISE_SCHEDULES, SCHEDULES
+    from flowam.schedules import NOISE_SCHEDULES, step_coeffs
 
     ref_rng = np.random.default_rng(123)
     base_samples = _terminal_samples(base1d_ckpt.vf, 100000, 50, 90)
@@ -151,7 +151,7 @@ def test_acceptance_tilted_distribution(base1d_ckpt):
 
     gen = _terminal_samples(
         tuned.vf, 100000, 50, 91,
-        sched=SCHEDULES["linear"], ns=NOISE_SCHEDULES["memoryless"],
+        coeffs=step_coeffs(NOISE_SCHEDULES["memoryless"], 50),
     )
     # exponential tilt of N(0,1) by the quadratic reward: N(1, 0.5)
     target = 1.0 + np.sqrt(0.5) * ref_rng.standard_normal(100000)
@@ -255,7 +255,7 @@ def test_acceptance_reproducibility(base2d_ckpt, tmp_path):
     reward = QuadraticWell(center=np.array([2.0, 0.0]), curvature=1.0)
     cfg = TrainConfig(
         method="ode-am", n_steps=50, n_truncate=10, batch=64, iterations=40,
-        lr=3e-4, warmup=10, grad_clip=1.0, seed=0, workers=1,
+        lr=3e-4, warmup=10, grad_clip=1.0, seed=0,
     )
     blobs = []
     for tag in ("a", "b"):

@@ -18,10 +18,9 @@ from flowam.oracles import (
     LinearVelocityField,
     rf_adjoint,
 )
-from flowam.schedules import NOISE_SCHEDULES, SCHEDULES, step_coeffs
+from flowam.schedules import NOISE_SCHEDULES, step_coeffs
 from flowam.tasks import QuadraticWell
 
-SCHED = SCHEDULES["linear"]
 MEMORYLESS = NOISE_SCHEDULES["memoryless"]
 ZERO = NOISE_SCHEDULES["zero"]
 
@@ -130,7 +129,7 @@ def test_sde_zero_noise_equals_deterministic():
     det = lean_adjoint(lf, traj, np.array([1.7]), 30)
     _, sde = lean_adjoint_batch(
         lf, traj.times, traj.states[:, None, :], np.array([[1.7]]), 30,
-        step_coeffs(SCHED, ZERO, 30),
+        step_coeffs(ZERO, 30),
     )
     np.testing.assert_array_equal(det.adjoints, sde[:, 0, :])
 
@@ -143,7 +142,7 @@ def test_sde_corrected_jacobian_matches_fd():
     from flowam.adjoint import _vjp
 
     eps = 1e-6
-    table = step_coeffs(SCHED, MEMORYLESS, 10)
+    table = step_coeffs(MEMORYLESS, 10)
     for k in (3, 6, 9):
         t = k / 10
         corr, kappa, _ = table[k]
@@ -215,7 +214,7 @@ def test_lean_adjoint_is_the_gradient_of_the_discrete_flow_map(
     rng = np.random.default_rng(seed)
     coeffs = noises = None
     if noise is not None:
-        coeffs = step_coeffs(SCHED, NOISE_SCHEDULES[noise], n)
+        coeffs = step_coeffs(NOISE_SCHEDULES[noise], n)
         noises = rng.standard_normal((n, m, dim))
     times, states = _integrate(vf, rng.standard_normal((m, dim)), n, coeffs, noises)
     w = rng.standard_normal((m, dim))

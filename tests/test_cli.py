@@ -299,6 +299,12 @@ ERROR_CASES = {
                        "for data_sigma:"),
     "p-nan": (TINY_FINETUNE + "p = nan\n", finetune_argv, "for p:"),
     "lam-nan": (TINY_FINETUNE + "lam = nan\n", finetune_argv, "for lam:"),
+    "lam-power-overflow": (TINY_FINETUNE + "p = 1.0000000000000002\nlam = 2\n",
+                           finetune_argv, "lam ** (1 / (p - 1)) must be finite"),
+    "schedule-key-removed": (TINY_FINETUNE + "schedule = linear\n", finetune_argv,
+                             "unknown key 'schedule'"),
+    "workers-key-removed": (TINY_FINETUNE + "workers = 1\n", finetune_argv,
+                            "unknown key 'workers'"),
     "reward-center-inf": (TINY_FINETUNE.replace("reward_center = 1.0",
                                                 "reward_center = inf"),
                           finetune_argv, "for reward_center:"),

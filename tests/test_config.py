@@ -26,7 +26,7 @@ def test_empty_config_yields_defaults():
 def test_default_config_hash_is_pinned():
     # the hash of every default value; it moves only if a key or default does
     assert parse_config_text("").config_sha256 == (
-        "e7f09b83295263f6497d225ec2b7dd6e5648a7dc0819b8be07f82127cd6c0c0c"
+        "1d2f234d9fb7fcb2c9f1b652e6f0fb10a0e2e36d282ff10930e676d079ad2361"
     )
 
 
@@ -34,8 +34,8 @@ def test_schema_takes_training_and_network_keys_from_the_dataclasses():
     cfg = parse_config_text("")
     assert cfg.train == TrainConfig()
     assert cfg.net == NetConfig(state_dim=2)
-    assert {"p", "lam", "workers"} <= set(SCHEMA)
-    assert "reg_p" not in SCHEMA
+    assert {"p", "lam"} <= set(SCHEMA)
+    assert not {"reg_p", "schedule", "workers"} & set(SCHEMA)
 
 
 def test_parse_comments_and_blank_lines():
@@ -121,6 +121,17 @@ def test_non_finite_floats_rejected_by_key():
         parse_config_text(text)
     keys = [v.split("bad value for ")[1].split(":")[0] for v in exc.value.violations]
     assert keys == ["lr", "data_sigma", "p", "lam", "reward_center"]
+
+
+def test_penalty_scale_must_be_finite():
+    # lam ** (1 / (p - 1)) scales every control target; just above p = 1 it
+    # overflows a float for lam > 1, and the run must be refused up front
+    with pytest.raises(ValidationError) as exc:
+        parse_config_text("p = 1.0000000000000002\nlam = 2\n")
+    assert [v.split()[0] for v in exc.value.violations] == ["lam"]
+    assert "must be finite" in exc.value.violations[0]
+    parse_config_text("p = 1.0000000000000002\nlam = 0.5\n")  # underflows to 0
+    parse_config_text("p = 1.05\nlam = 2\n")
 
 
 def test_data_dimension_consistency():

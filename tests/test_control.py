@@ -17,10 +17,9 @@ from flowam.control import (
 from flowam.dynamics import sample_ode
 from flowam.errors import ConfigError, ShapeError, SingularityError
 from flowam.nnet import NetConfig, VelocityField, grads_flat
-from flowam.schedules import NOISE_SCHEDULES, SCHEDULES, step_coeffs
+from flowam.schedules import NOISE_SCHEDULES, step_coeffs
 from flowam.tasks import ConstantReward, LinearProbe, QuadraticWell
 
-SCHED = SCHEDULES["linear"]
 MEMORYLESS = NOISE_SCHEDULES["memoryless"]
 
 
@@ -158,7 +157,7 @@ def make_fields(dim=1, seed=0):
 def test_memoryless_coefficient_sqrt2_at_unit_eta():
     # eta = 1 at t = 0.5 on the linear schedule; the loss coefficient
     # (sigma^2 + 2 eta) / (2 sigma eta) is (corr + 1) / sigma
-    corr, _, sig = step_coeffs(SCHED, MEMORYLESS, 4)[2]
+    corr, _, sig = step_coeffs(MEMORYLESS, 4)[2]
     assert (corr + 1.0) / sig == pytest.approx(np.sqrt(2.0))
 
 
@@ -202,7 +201,7 @@ def test_stochastic_loss_reduces_to_sigma_adjoint_at_base():
     trace = lean_adjoint(base, traj, np.array([0.8]), 5)
     reg = RegularizerSpec(p=2.0, lam=1.0)
     n = traj.n_steps
-    table = step_coeffs(SCHED, MEMORYLESS, n)
+    table = step_coeffs(MEMORYLESS, n)
     loss, _ = am_sde_loss_and_grad(
         theta, base_window(base, traj, 5), table, *batch_of_one(traj, trace), reg
     )
@@ -220,7 +219,7 @@ def test_stochastic_loss_requires_quadratic():
     trace = lean_adjoint(base, traj, np.array([1.0]), 3)
     with pytest.raises(ConfigError):
         am_sde_loss_and_grad(
-            theta, base_window(base, traj, 3), step_coeffs(SCHED, MEMORYLESS, 10),
+            theta, base_window(base, traj, 3), step_coeffs(MEMORYLESS, 10),
             *batch_of_one(traj, trace), RegularizerSpec(p=4.0),
         )
 
@@ -232,7 +231,7 @@ def test_stochastic_loss_rejects_zero_sigma_on_window():
     with pytest.raises(SingularityError, match="sigma"):
         am_sde_loss_and_grad(
             theta, base_window(base, traj, 3),
-            step_coeffs(SCHED, NOISE_SCHEDULES["zero"], 10),
+            step_coeffs(NOISE_SCHEDULES["zero"], 10),
             *batch_of_one(traj, trace), RegularizerSpec(),
         )
 
@@ -278,7 +277,7 @@ def test_sde_loss_grad_matches_fd():
     reg = RegularizerSpec(p=2.0, lam=1.0)
     states = traj.states[:, None, :]
     adjs = trace.adjoints[:, None, :]
-    table = step_coeffs(SCHED, MEMORYLESS, 12)
+    table = step_coeffs(MEMORYLESS, 12)
     vb = base_window(base, traj, 4)
     loss, grads = am_sde_loss_and_grad(
         theta, vb, table, traj.times, states, adjs, reg

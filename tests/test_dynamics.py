@@ -5,9 +5,8 @@ from flowam.dynamics import sample_batch, sample_ode, sample_seed
 from flowam.errors import DomainError, NonFiniteError, ShapeError
 from flowam.nnet import NetConfig, VelocityField
 from flowam.oracles import LinearVelocityField
-from flowam.schedules import NOISE_SCHEDULES, SCHEDULES, T_FLOOR, step_coeffs
+from flowam.schedules import NOISE_SCHEDULES, T_FLOOR, step_coeffs
 
-SCHED = SCHEDULES["linear"]
 MEMORYLESS = NOISE_SCHEDULES["memoryless"]
 ZERO = NOISE_SCHEDULES["zero"]
 
@@ -37,7 +36,7 @@ def test_ode_rejects_bad_step_count():
 
 def test_sde_step_coeffs_clipping_and_memoryless_correction():
     # memoryless: sigma^2 = 2 eta so the correction factor is exactly 1
-    table = step_coeffs(SCHED, MEMORYLESS, 2000)
+    table = step_coeffs(MEMORYLESS, 2000)
     corr, kappa, sig = table[1000]  # t = 0.5
     assert corr == pytest.approx(1.0)
     assert kappa == pytest.approx(2.0)
@@ -50,7 +49,7 @@ def test_sde_step_coeffs_clipping_and_memoryless_correction():
 
 def test_zero_noise_sde_equals_ode():
     lf = LinearVelocityField([[0.4]])
-    sde = sample_batch(lf, 50, 3, 9, sched=SCHED, ns=ZERO)
+    sde = sample_batch(lf, 50, 3, 9, coeffs=step_coeffs(ZERO, 50))
     for traj in sde:
         ode = sample_ode(lf, 50, traj.states[0])
         np.testing.assert_array_equal(traj.states, ode.states)
@@ -58,9 +57,10 @@ def test_zero_noise_sde_equals_ode():
 
 def test_sde_seed_determinism():
     lf = LinearVelocityField([[-0.5]])
-    a = sample_batch(lf, 30, 4, 7, sched=SCHED, ns=MEMORYLESS)
-    b = sample_batch(lf, 30, 4, 7, sched=SCHED, ns=MEMORYLESS)
-    c = sample_batch(lf, 30, 4, 8, sched=SCHED, ns=MEMORYLESS)
+    table = step_coeffs(MEMORYLESS, 30)
+    a = sample_batch(lf, 30, 4, 7, coeffs=table)
+    b = sample_batch(lf, 30, 4, 7, coeffs=table)
+    c = sample_batch(lf, 30, 4, 8, coeffs=table)
     for ta, tb, tc in zip(a, b, c):
         np.testing.assert_array_equal(ta.states, tb.states)
         assert not np.array_equal(ta.states, tc.states)
@@ -76,14 +76,22 @@ def test_sample_batch_rejects_bad_sizes():
         sample_batch(lf, 10, 4, -1)
 
 
+@pytest.mark.parametrize("shape", [(9, 3), (11, 3), (10, 2), (10,), (3, 10)])
+def test_sample_batch_rejects_a_table_of_the_wrong_shape(shape):
+    # the table must have one (correction, kappa, sigma) row per step
+    lf = LinearVelocityField([[0.0]])
+    with pytest.raises(ShapeError, match="coefficient table"):
+        sample_batch(lf, 10, 4, 0, coeffs=np.ones(shape))
+
+
 def test_sample_batch_matches_single_sample_streams():
     # row i of a batch must equal a hand-written Euler-Maruyama loop over
     # the stream sample_seed(seed, i)
     lf = LinearVelocityField([[0.1]])
     n = 15
-    batch = sample_batch(lf, n, 4, 7, sched=SCHED, ns=MEMORYLESS)
+    table = step_coeffs(MEMORYLESS, n)
+    batch = sample_batch(lf, n, 4, 7, coeffs=table)
     h = 1.0 / n
-    table = step_coeffs(SCHED, MEMORYLESS, n)
     for i in (0, 3):
         rng = sample_seed(7, i)
         x = rng.standard_normal((1, 1))

@@ -5,23 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowam.schedules import NOISE_SCHEDULES, SCHEDULES, T_FLOOR, step_coeffs
+from flowam.schedules import NOISE_SCHEDULES, T_FLOOR, step_coeffs
 
-SCHED = SCHEDULES["linear"]
 MEMORYLESS = NOISE_SCHEDULES["memoryless"]
-
-
-def test_linear_schedule_endpoints():
-    assert float(SCHED.alpha(0.0)) == 0.0
-    assert float(SCHED.alpha(1.0)) == 1.0
-    assert float(SCHED.beta(0.0)) == 1.0
-    assert float(SCHED.beta(1.0)) == 0.0
 
 
 def test_drift_coefficients_linear_identities():
     # kappa = 1/t and eta = (1-t)/t for the linear schedule; memoryless noise
     # has sigma^2 = 2 eta, so eta is read off the sigma column
-    table = step_coeffs(SCHED, MEMORYLESS, 20)
+    table = step_coeffs(MEMORYLESS, 20)
     for k in (2, 5, 10, 18):
         t = k / 20
         _, kappa, sig = table[k]
@@ -35,24 +27,24 @@ def test_drift_coefficients_linear_identities():
 def test_drift_coefficients_clamped_near_zero():
     # t is clipped to [T_FLOOR, 1 - T_FLOOR]: the first step start of any
     # grid and the last one of a grid finer than 1/T_FLOOR
-    assert step_coeffs(SCHED, MEMORYLESS, 50)[0, 1] == 1.0 / T_FLOOR
-    last = step_coeffs(SCHED, NOISE_SCHEDULES["one_minus_t"], 4000)[-1]
+    assert step_coeffs(MEMORYLESS, 50)[0, 1] == 1.0 / T_FLOOR
+    last = step_coeffs(NOISE_SCHEDULES["one_minus_t"], 4000)[-1]
     assert last[1] == 1.0 / (1.0 - T_FLOOR)
     assert last[2] == 1.0 - (1.0 - T_FLOOR)
 
 
 def test_memoryless_sigma_squared_is_twice_eta():
     # sigma^2 = 2 eta makes the drift correction sigma^2 / (2 eta) exactly 1
-    corr = step_coeffs(SCHED, MEMORYLESS, 50)[:, 0]
+    corr = step_coeffs(MEMORYLESS, 50)[:, 0]
     np.testing.assert_allclose(corr, 1.0, rtol=1e-12)
 
 
 def test_noise_schedule_kinds():
     def sigma(name, t):
-        return step_coeffs(SCHED, NOISE_SCHEDULES[name], 4)[int(t * 4), 2]
+        return step_coeffs(NOISE_SCHEDULES[name], 4)[int(t * 4), 2]
 
     # zero noise: no correction and no sigma
-    assert np.all(step_coeffs(SCHED, NOISE_SCHEDULES["zero"], 4)[:, [0, 2]] == 0.0)
+    assert np.all(step_coeffs(NOISE_SCHEDULES["zero"], 4)[:, [0, 2]] == 0.0)
     assert sigma("sin2", 0.5) == pytest.approx(1.0)
     assert sigma("one_minus_t", 0.25) == pytest.approx(0.75)
     assert sigma("sigma_t", 0.25) == pytest.approx(0.75)
@@ -79,13 +71,13 @@ def test_step_coeffs_bitwise_equal_scalar_reference(name, n):
     # the scalar formulas bit for bit; np.sin would miss on some grid times
     starts = np.linspace(0.0, 1.0, n + 1)[:-1].tolist()
     ref = np.array([_reference_row(name, t) for t in starts])
-    assert step_coeffs(SCHED, NOISE_SCHEDULES[name], n).tobytes() == ref.tobytes()
+    assert step_coeffs(NOISE_SCHEDULES[name], n).tobytes() == ref.tobytes()
 
 
 @given(st.integers(min_value=1, max_value=3000), st.sampled_from(sorted(NOISE_SCHEDULES)))
 @settings(max_examples=100)
 def test_eta_nonnegative_on_unit_interval(n, name):
-    corr, kappa, sig = step_coeffs(SCHED, NOISE_SCHEDULES[name], n).T
+    corr, kappa, sig = step_coeffs(NOISE_SCHEDULES[name], n).T
     assert np.all(np.isfinite(corr)) and np.all(np.isfinite(kappa))
     assert np.all(kappa > 0.0) and np.all(sig >= 0.0)
     # corr = sigma^2 / (2 eta) >= 0 needs eta > 0 wherever sigma != 0

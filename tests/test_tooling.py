@@ -18,8 +18,8 @@ import sys
 import numpy as np
 import pytest
 
-from flowam import adjoint, checkpoint, dynamics, evaluation, nnet, tasks, train
-from flowam.schedules import NOISE_SCHEDULES, SCHEDULES
+from flowam import adjoint, checkpoint, dynamics, evaluation, nnet, schedules, tasks, train
+from flowam.schedules import NOISE_SCHEDULES, step_coeffs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
@@ -61,8 +61,7 @@ def small_base():
 
 def test_sample_batch_returns_one_trajectory_per_sample():
     vf = small_base().vf
-    sched = SCHEDULES["linear"]
-    runs = [({}, 0)] + [(dict(sched=sched, ns=ns), 0 if name == "zero" else 7)
+    runs = [({}, 0)] + [(dict(coeffs=step_coeffs(ns, 7)), 0 if name == "zero" else 7)
                         for name, ns in NOISE_SCHEDULES.items()]
     for kw, noise_rows in runs:
         trajs = dynamics.sample_batch(vf, 7, 5, 3, **kw)
@@ -110,6 +109,31 @@ def test_finetune_iteration_samples_and_adjoints_once_through_module_bindings():
         window, adj = seen["lean_adjoint_batch"][0]
         assert window.shape == (3,)
         assert adj.shape == (3, 4, 2)
+
+
+@pytest.mark.parametrize("method, builds", [("sde-am", 1), ("ode-am", 0),
+                                             ("draft", 0), ("refl", 0)])
+def test_finetune_builds_the_sde_table_once_per_run(method, builds):
+    # the sampler, the adjoint and the loss all read the one table finetune built
+    patch_everywhere, restore = (getattr(load_tracer_module(), name)
+                                 for name in ("patch_everywhere", "restore"))
+    cfg = train.TrainConfig(method=method, n_steps=6, n_truncate=3, batch=4,
+                            iterations=4, lr=1e-3, k_window=2)
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    undo = patch_everywhere(schedules, "step_coeffs", counting)
+    try:
+        train.finetune(cfg, small_base(),
+                       tasks.QuadraticWell(center=np.array([1.0, 0.0])))
+    finally:
+        restore(undo)
+    assert len(calls) == builds, method
 
 
 def test_eval_columns_are_the_report_row():

@@ -67,7 +67,6 @@ def test_train_config_rejects_nan_in_every_float_check():
     "kw, fragment",
     [
         (dict(noise="bogus"), "noise"),
-        (dict(schedule="cosine"), "schedule"),
         (dict(method="draft", k_window=99), "k_window"),
         (dict(method="refl", k_window=0), "k_window"),
         (dict(method="sde-am", noise="zero"), "sigma > 0"),
@@ -76,7 +75,7 @@ def test_train_config_rejects_nan_in_every_float_check():
         (dict(grad_clip=-1.0), "grad_clip"),
         (dict(warmup=-4), "warmup"),
     ],
-    ids=["noise", "schedule", "draft-k", "refl-k", "sde-zero-noise", "iterations",
+    ids=["noise", "draft-k", "refl-k", "sde-zero-noise", "iterations",
          "seed", "grad-clip", "warmup"],
 )
 def test_train_config_rejects_bad_run_at_construction(kw, fragment):
