@@ -2,7 +2,7 @@
 
 Layout: one JSON header line (format_version, architecture, seed, iteration,
 parameter count) terminated by a newline, followed by the flat parameter
-array as little-endian float64 in layer order.
+array as little-endian float64 in the ``nnet.layer_views`` order.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def save(ckpt: Checkpoint, path: str) -> None:
         "n_params": int(ckpt.vf.n_params),
     }
     head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    atomic_write(path, head + ckpt.vf.params_flat().astype("<f8").tobytes())
+    atomic_write(path, head + ckpt.vf.params.astype("<f8").tobytes())
 
 
 def load(path: str) -> Checkpoint:
@@ -85,9 +85,8 @@ def load(path: str) -> Checkpoint:
         )
     if not np.all(np.isfinite(params)):
         raise NonFiniteError(f"checkpoint {path} contains non-finite parameters")
-    vf = VelocityField.init(cfg, seed=0)
-    if header["n_params"] != vf.n_params:
+    if header["n_params"] != cfg.n_params:
         raise ParseError(f"checkpoint {path}: header n_params {header['n_params']} "
-                         f"!= {vf.n_params}, the count its architecture implies")
-    vf.set_params_flat(params)
-    return Checkpoint(vf=vf, seed=header["seed"], iteration=header["iteration"])
+                         f"!= {cfg.n_params}, the count its architecture implies")
+    return Checkpoint(vf=VelocityField(cfg, params), seed=header["seed"],
+                      iteration=header["iteration"])

@@ -17,7 +17,7 @@ from .config import (
     RunConfig,
     make_distribution,
     make_reward,
-    parse_kv_text,
+    read_kv_file,
     resolve,
 )
 from .dynamics import sample_batch
@@ -42,11 +42,12 @@ def _load_checkpoints(cfg: RunConfig, *paths):
 
 def _load_run(args) -> RunConfig:
     """The run's config, with ``--outdir`` applied before the hash is taken."""
-    with open(args.config, "r") as f:
-        raw = parse_kv_text(f.read())
+    raw = read_kv_file(args.config)
     if args.outdir:
         raw["outdir"] = (0, args.outdir)
-    return resolve(raw)
+    cfg = resolve(raw)
+    os.makedirs(cfg["outdir"], exist_ok=True)  # fail before the run, not after
+    return cfg
 
 
 def _emit_run_files(cfg: RunConfig, rows, timings=None) -> None:
@@ -157,7 +158,7 @@ def main(argv=None) -> int:
         for violation in e.violations:
             print(f"error: {violation}", file=sys.stderr)
         return 1
-    except (ParseError, FileNotFoundError) as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NonFiniteError as e:

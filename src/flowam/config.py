@@ -201,9 +201,19 @@ def resolve(raw: dict) -> RunConfig:
     )
 
 
+def read_kv_file(path: str) -> dict:
+    """``parse_kv_text`` of a file; bytes that are not UTF-8 are a ParseError."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"config {path} is not UTF-8 text: {e}") from e
+    return parse_kv_text(text)
+
+
 def parse_config(path: str) -> RunConfig:
-    with open(path, "r") as f:
-        return parse_config_text(f.read())
+    return resolve(read_kv_file(path))
 
 
 def parse_config_text(text: str) -> RunConfig:

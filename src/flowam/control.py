@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, SingularityError, ValidationError
-from .nnet import VelocityField, accumulate_grads, zero_grads_like
+from .nnet import VelocityField
 
 
 EPS_ADJOINT = 1e-12  # adjoint norms below this get a zero control target
@@ -89,7 +89,7 @@ def check_pmp_optimality(reg: RegularizerSpec, a, u) -> float:
 # Matching losses.  Both consume stacked states (N+1, m, dim) plus the
 # window adjoints (T, m, dim), pair the adjoint at grid time t_k with the
 # velocities consumed at the step start t_{k-1}, and return
-# (loss, param_grads) with the mean taken over window x batch.  The base
+# (loss, param_grad) with the mean taken over window x batch.  The base
 # velocities at those step starts arrive as the (T, m, dim) array that
 # ``lean_adjoint_batch`` filled, so the losses run no base forward.  The
 # stochastic loss reads its per-step (correction, sigma) from the
@@ -103,7 +103,7 @@ def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
     t_count = adjoints.shape[0]
     if v_base.shape != adjoints.shape:
         raise ShapeError(f"base velocities {v_base.shape} != adjoints {adjoints.shape}")
-    grads = zero_grads_like(v_theta)
+    grads = np.zeros(v_theta.n_params)
     total = 0.0
     denom = float(t_count * m)
     first = times.shape[0] - 1 - t_count  # step start paired with adjoints[0]
@@ -115,7 +115,7 @@ def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
         resid = coef[i] * (vt - v_base[i]) - target
         total += float(np.sum(resid * resid))
         g, _ = tape.backward(2.0 * coef[i] * resid / denom)
-        accumulate_grads(grads, g)
+        grads += g
     return total / denom, grads
 
 
@@ -173,7 +173,7 @@ def draft_loss_and_grad(
 
     ``states`` is the detached (N+1, m, dim) trajectory batch sampled from
     the current model; the last k steps are re-run differentiably from the
-    prefix state.  Returns (loss, param_grads) with loss -mean reward(X_1).
+    prefix state.  Returns (loss, param_grad) with loss -mean reward(X_1).
     """
     n = times.shape[0] - 1
     if not 1 <= k <= n:
@@ -187,11 +187,11 @@ def draft_loss_and_grad(
         tapes.append(tape)
         x = x + h * v
     loss = -float(np.mean(reward.value(x)))
-    grads = zero_grads_like(v_theta)
+    grads = np.zeros(v_theta.n_params)
     w = -reward.grad(x) / m
     for tape in reversed(tapes):
         g, input_grad = tape.backward(h * w)
-        accumulate_grads(grads, g)
+        grads += g
         w = w + input_grad
     return loss, grads
 
@@ -209,7 +209,7 @@ def refl_loss_and_grad(
     One step index is drawn uniformly from the last ``k_window`` steps; the
     terminal state is extrapolated as X_1 = X_t + (1 - t) v_theta(X_t, t)
     and only that single evaluation carries gradient.  Returns
-    (loss, param_grads) with loss -mean reward(X_1).
+    (loss, param_grad) with loss -mean reward(X_1).
     """
     n = times.shape[0] - 1
     if not 1 <= k_window <= n:

@@ -13,7 +13,7 @@ products per call in 2D and up instead of six, with the bits of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,22 +33,12 @@ class EvalReport:
     seed: int
 
     def as_row(self) -> dict:
-        return {
-            "reward_mean": self.reward_mean,
-            "reward_std": self.reward_std,
-            "diversity_mpd": self.diversity_mpd,
-            "distance": self.distance,
-            "coverage": self.coverage,
-            "recall": self.recall,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        """Field name -> value, in ``EVAL_COLUMNS`` order."""
+        return {c: getattr(self, c) for c in EVAL_COLUMNS}
 
 
-EVAL_COLUMNS = (
-    "reward_mean", "reward_std", "diversity_mpd", "distance",
-    "coverage", "recall", "n_samples", "seed",
-)
+# eval.csv's columns: the report's fields in declaration order
+EVAL_COLUMNS = tuple(f.name for f in fields(EvalReport))
 
 
 def _as_points(x) -> np.ndarray:

@@ -9,8 +9,8 @@ state is treated as a batch of one.  Two derivative primitives are exposed:
   the velocity for the matching loss, so the loss runs no base forward.
   It pulls the cotangent back through the layers only, forming no
   parameter gradient, with the bits of ``backward``'s input gradient;
-* ``GradientTape.backward`` -- cotangent propagation to parameter gradients
-  for loss minimization.
+* ``GradientTape.backward`` -- cotangent propagation to one flat parameter
+  gradient, in the layout of the parameter vector, for loss minimization.
 
 ``forward_tape`` computes each hidden layer's activation derivative in the
 forward pass, from the same intermediates as the activation (the sigmoid
@@ -103,6 +103,16 @@ class NetConfig:
     def input_dim(self) -> int:
         return self.state_dim + self.time_features
 
+    @property
+    def widths(self) -> tuple:
+        """Layer widths, from the input features to the velocity."""
+        return (self.input_dim, *self.hidden, self.state_dim)
+
+    @property
+    def n_params(self) -> int:
+        w = self.widths
+        return sum((din + 1) * dout for din, dout in zip(w[:-1], w[1:]))
+
     def to_dict(self) -> dict:
         # "n_cond": 0 keeps the version-1 header layout, so files stay
         # byte-identical and readable by tools that still expect the key
@@ -142,6 +152,23 @@ def time_embedding(t: np.ndarray, n_features: int) -> np.ndarray:
     return feats
 
 
+def layer_views(cfg: NetConfig, flat: np.ndarray):
+    """(weights, biases): each layer's W_l and b_l as views into ``flat``.
+
+    The one statement of the parameter layout: W_l (out x in) row-major,
+    then b_l, layer by layer, the order the checkpoint stores.  ``flat``
+    holds ``cfg.n_params`` entries.
+    """
+    weights, biases, off = [], [], 0
+    w = cfg.widths
+    for din, dout in zip(w[:-1], w[1:]):
+        weights.append(flat[off : off + dout * din].reshape(dout, din))
+        off += dout * din
+        biases.append(flat[off : off + dout])
+        off += dout
+    return weights, biases
+
+
 class GradientTape:
     """Recorded activations for one forward pass; it may be pulled back once."""
 
@@ -152,21 +179,22 @@ class GradientTape:
         self._used = False
 
     def backward(self, cotangent: np.ndarray):
-        """Propagate an output cotangent; returns (param_grads, input_grad).
+        """Propagate an output cotangent; returns (param_grad, input_grad).
 
-        ``param_grads`` is a list of (dW, db) summed over the batch in
-        ascending sample order; ``input_grad`` is w^T dv/dx per sample,
-        restricted to the state slice of the input.
+        ``param_grad`` is one flat vector in the layout of the network's
+        ``params``, each layer's (dW, db) summed over the batch in ascending
+        sample order; ``input_grad`` is w^T dv/dx per sample, restricted to
+        the state slice of the input.
         """
-        grads = [None] * len(self._vf.weights)
-        return grads, self._pull(cotangent, grads)
+        grad = np.empty(self._vf.n_params)
+        return grad, self._pull(cotangent, layer_views(self._vf.cfg, grad))
 
     def input_grad(self, cotangent: np.ndarray) -> np.ndarray:
         """``backward``'s input_grad alone: no parameter gradient is formed."""
         return self._pull(cotangent, None)
 
     def _pull(self, cotangent, grads):
-        """Input gradient of the cotangent; fills ``grads`` unless it is None."""
+        """Input gradient of the cotangent; fills the views ``grads`` unless None."""
         if self._used:
             raise RuntimeError("GradientTape pulled back twice")
         self._used = True
@@ -178,7 +206,9 @@ class GradientTape:
             )
         for l in range(len(vf.weights) - 1, -1, -1):
             if grads is not None:
-                grads[l] = (g.T @ self._layer_inputs[l], g.sum(axis=0))
+                # copied in: matmul and sum with out= into the views run slower
+                grads[0][l][...] = g.T @ self._layer_inputs[l]
+                grads[1][l][...] = g.sum(axis=0)
             # layer 0 multiplies by all of W_0 and slices afterwards: the
             # product with W_0's state columns alone has other bits
             g = g @ vf.weights[l]
@@ -188,50 +218,44 @@ class GradientTape:
 
 
 class VelocityField:
-    """MLP velocity field v(x, t) with weights in float64."""
+    """MLP velocity field v(x, t) over one float64 parameter vector.
 
-    def __init__(self, cfg: NetConfig, weights, biases):
+    ``params`` holds every parameter in the ``layer_views`` layout, and
+    ``weights[l]`` and ``biases[l]`` are read-only views into it.
+    """
+
+    def __init__(self, cfg: NetConfig, params):
         self.cfg = cfg
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        self.assert_finite()
+        self.set_params_flat(params)
 
     @classmethod
     def init(cls, cfg: NetConfig, seed: int = 0) -> "VelocityField":
         rng = np.random.default_rng(seed)
-        dims = [cfg.input_dim, *cfg.hidden, cfg.state_dim]
-        weights, biases = [], []
-        for din, dout in zip(dims[:-1], dims[1:]):
-            weights.append(rng.normal(0.0, np.sqrt(1.0 / din), size=(dout, din)))
-            biases.append(np.zeros(dout))
-        return cls(cfg, weights, biases)
+        params = np.zeros(cfg.n_params)  # biases start at zero
+        for w in layer_views(cfg, params)[0]:
+            w[...] = rng.normal(0.0, np.sqrt(1.0 / w.shape[1]), size=w.shape)
+        return cls(cfg, params)
 
     # -- parameter plumbing ------------------------------------------------
 
     def copy(self) -> "VelocityField":
-        return VelocityField(
-            self.cfg, [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
+        return VelocityField(self.cfg, self.params.copy())
 
     def params_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        """A copy of ``params``."""
+        return self.params.copy()
 
     def set_params_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ShapeError(f"expected {self.n_params} params, got {flat.shape}")
+        """Adopt ``flat`` as ``params``; a contiguous float64 array is not copied."""
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
+        if flat.shape != (self.cfg.n_params,):
+            raise ShapeError(f"expected {self.cfg.n_params} params, got {flat.shape}")
         if not np.all(np.isfinite(flat)):
             raise NonFiniteError("non-finite parameter values")
-        off = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = flat[off : off + w.size].reshape(w.shape)
-            off += w.size
-            self.biases[i] = flat[off : off + b.size].reshape(b.shape)
-            off += b.size
+        self.params = flat
+        frozen = flat.view()
+        frozen.flags.writeable = False
+        self.weights, self.biases = layer_views(self.cfg, frozen)
 
     @property
     def state_dim(self) -> int:
@@ -239,12 +263,7 @@ class VelocityField:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    def assert_finite(self) -> None:
-        for w, b in zip(self.weights, self.biases):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise NonFiniteError("non-finite network parameters")
+        return self.params.size
 
     # -- forward / derivatives ----------------------------------------------
 
@@ -304,25 +323,3 @@ class VelocityField:
         v, tape = self.forward_tape(x, t)
         input_grad = tape.input_grad(np.atleast_2d(w))
         return v, (input_grad[0] if squeeze else input_grad)
-
-
-def grads_flat(grads) -> np.ndarray:
-    parts = []
-    for dw, db in grads:
-        parts.append(dw.ravel())
-        parts.append(db.ravel())
-    return np.concatenate(parts)
-
-
-def zero_grads_like(vf: VelocityField):
-    return [
-        (np.zeros_like(w), np.zeros_like(b))
-        for w, b in zip(vf.weights, vf.biases)
-    ]
-
-
-def accumulate_grads(total, grads):
-    for (tw, tb), (dw, db) in zip(total, grads):
-        tw += dw
-        tb += db
-    return total

@@ -45,15 +45,10 @@ def _sin2(t, eta):
     return np.array([math.sin(math.pi * s) ** 2 for s in t.tolist()])
 
 
-def _one_minus_t(t, eta):
-    return 1.0 - t
-
-
 # name -> sigma(t, eta) >= 0 over the clipped step-start times
 NOISE_SCHEDULES = {
     "memoryless": lambda t, eta: np.sqrt(np.maximum(2.0 * eta, 0.0)),
     "sin2": _sin2,
-    "one_minus_t": _one_minus_t,
-    "sigma_t": _one_minus_t,  # beta(t) = 1 - t as the noise level
+    "one_minus_t": lambda t, eta: 1.0 - t,
     "zero": lambda t, eta: np.zeros_like(t),
 }

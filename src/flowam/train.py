@@ -28,7 +28,7 @@ from .control import (
 )
 from .dynamics import sample_batch, sample_seed
 from .errors import ConfigError, NonFiniteError, ValidationError
-from .nnet import NetConfig, VelocityField, grads_flat
+from .nnet import NetConfig, VelocityField
 from .schedules import NOISE_SCHEDULES, step_coeffs
 
 METHODS = ("ode-am", "sde-am", "draft", "refl")
@@ -95,14 +95,17 @@ class TrainConfig:
         return RegularizerSpec(p=self.reg_p, lam=self.reg_lam)
 
 
+# Adam's moment decay rates and the floor of its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.99
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, n_params: int) -> "OptimizerState":
@@ -133,11 +136,11 @@ def optimizer_step(
     if clip > 0.0 and norm > clip:
         grads = grads * (clip / norm)
     opt.step += 1
-    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grads
-    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grads * grads
-    mhat = opt.m / (1.0 - opt.beta1**opt.step)
-    vhat = opt.v / (1.0 - opt.beta2**opt.step)
-    out = params - lr * mhat / (np.sqrt(vhat) + opt.eps)
+    opt.m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grads
+    opt.v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grads * grads
+    mhat = opt.m / (1.0 - ADAM_BETA1**opt.step)
+    vhat = opt.v / (1.0 - ADAM_BETA2**opt.step)
+    out = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("non-finite parameters after update")
     return out
@@ -170,7 +173,7 @@ def pretrain(cfg: TrainConfig, dist, net_cfg: NetConfig):
             loss = float(np.mean(np.sum(resid * resid, axis=1)))
             grads, _ = tape.backward(2.0 * resid / cfg.batch)
             params = optimizer_step(
-                opt, params, grads_flat(grads), cfg.grad_clip,
+                opt, params, grads, cfg.grad_clip,
                 warmup_lr(cfg.lr, cfg.warmup, it),
             )
             vf.set_params_flat(params)
@@ -235,7 +238,7 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
                     vf, times, states, reward, cfg.k_window, rng
                 )
             params = optimizer_step(
-                opt, params, grads_flat(grads), cfg.grad_clip,
+                opt, params, grads, cfg.grad_clip,
                 warmup_lr(cfg.lr, cfg.warmup, it),
             )
             vf.set_params_flat(params)

@@ -6,7 +6,7 @@ import pytest
 
 import flowam.checkpoint as cio
 from flowam.errors import NonFiniteError, ParseError
-from flowam.nnet import NetConfig, VelocityField
+from flowam.nnet import ACTIVATIONS, NetConfig, VelocityField
 
 
 def make_ckpt(seed=0):
@@ -23,6 +23,19 @@ def test_roundtrip_bit_exact(tmp_path):
     assert loaded.seed == 3
     assert loaded.iteration == 17
     assert loaded.vf.cfg == ck.vf.cfg
+
+
+@pytest.mark.parametrize("activation", list(ACTIVATIONS))
+def test_loaded_network_has_the_forward_bits_of_the_saved_one(activation, tmp_path):
+    cfg = NetConfig(state_dim=2, hidden=(16, 8), activation=activation)
+    vf = VelocityField.init(cfg, seed=4)
+    vf.set_params_flat(np.random.default_rng(4).standard_normal(cfg.n_params))
+    path = str(tmp_path / "ck.bin")
+    cio.save(cio.Checkpoint(vf=vf, seed=4, iteration=0), path)
+    loaded = cio.load(path).vf
+    x = np.random.default_rng(5).standard_normal((64, 2))
+    for t in (0.3, np.linspace(0.0, 1.0, 64)):
+        assert loaded.forward(x, t).tobytes() == vf.forward(x, t).tobytes()
 
 
 def test_save_is_atomic_no_leftover_tmp(tmp_path):

@@ -218,6 +218,12 @@ def eval_argv(base, tmp):
     return ["eval", "--ckpt", base, "--base", base, "--outdir", str(tmp)]
 
 
+def write_file(path, data=b""):
+    """Write ``data`` to ``path``; returns the path as a string."""
+    path.write_bytes(data)
+    return str(path)
+
+
 # name -> (config text or None, argv after the config, stderr fragment)
 ERROR_CASES = {
     "finetune-dim-mismatch": (GM2_CONFIG, finetune_argv, "state_dim"),
@@ -316,6 +322,23 @@ ERROR_CASES = {
                                                      str(tmp / "o#x")], "outdir"),
     "outdir-line-break": (TINY_PRETRAIN, lambda base, tmp: ["pretrain", "--outdir",
                                                            str(tmp / "o\nx")], "outdir"),
+    "noise-sigma-t-removed": (TINY_FINETUNE + "noise = sigma_t\n", finetune_argv,
+                              "noise must be one of"),
+    "config-is-a-directory": (None, lambda base, tmp: ["pretrain", "--config", str(tmp)],
+                              "Is a directory"),
+    "config-not-utf8": (
+        None,
+        lambda base, tmp: ["pretrain", "--config", write_file(
+            tmp / "latin1.cfg", b"data = gauss1d\n# caf\xe9\n")],
+        "not UTF-8",
+    ),
+    "outdir-under-a-file": (TINY_PRETRAIN, lambda base, tmp: [
+        "pretrain", "--outdir", write_file(tmp / "f") + "/out"], "Not a directory"),
+    "plot-out-under-a-file": (None, lambda base, tmp: [
+        "plot-data", "--ckpt", base, "--out", write_file(tmp / "f") + "/s.csv"],
+        "File exists"),
+    "ckpt-is-a-directory": (None, lambda base, tmp: plot_argv(str(tmp), tmp),
+                            "Is a directory"),
     "params-trailing-bytes": (
         None,
         lambda base, tmp: plot_argv(_edit_header(

@@ -89,8 +89,8 @@ def test_sde_am_rejects_non_quadratic_penalty():
 def test_sde_am_rejects_vanishing_noise():
     with pytest.raises(ValidationError, match="sigma > 0"):
         parse_config_text("method = sde-am\nnoise = zero\n")
-    # sigma_t = beta(t) vanishes only at t = 1, never at a step start
-    parse_config_text("method = sde-am\nnoise = sigma_t\n")
+    # one_minus_t = beta(t) vanishes only at t = 1, never at a step start
+    parse_config_text("method = sde-am\nnoise = one_minus_t\n")
 
 
 def test_validation_error_is_a_config_error():

@@ -16,7 +16,7 @@ from flowam.control import (
 )
 from flowam.dynamics import sample_ode
 from flowam.errors import ConfigError, ShapeError, SingularityError
-from flowam.nnet import NetConfig, VelocityField, grads_flat
+from flowam.nnet import NetConfig, VelocityField
 from flowam.schedules import NOISE_SCHEDULES, step_coeffs
 from flowam.tasks import ConstantReward, LinearProbe, QuadraticWell
 
@@ -181,7 +181,7 @@ def test_det_loss_zero_when_matched_and_zero_adjoint():
     loss, grads = am_det_loss_and_grad(theta, base_window(base, traj, 5),
                                        *batch_of_one(traj, trace), reg)
     assert loss == 0.0
-    assert np.all(grads_flat(grads) == 0.0)
+    assert np.all(grads == 0.0)
 
 
 def test_det_loss_equals_target_norm_at_base():
@@ -253,9 +253,8 @@ def test_det_loss_grad_matches_fd():
     states = traj.states[:, None, :]
     adjs = trace.adjoints[:, None, :]
     vb = base_window(base, traj, 4)
-    loss, grads = am_det_loss_and_grad(theta, vb, traj.times, states, adjs, reg)
+    loss, g = am_det_loss_and_grad(theta, vb, traj.times, states, adjs, reg)
     flat = theta.params_flat()
-    g = grads_flat(grads)
     eps = 1e-6
     rng = np.random.default_rng(0)
     for i in rng.choice(flat.size, size=8, replace=False):
@@ -279,11 +278,10 @@ def test_sde_loss_grad_matches_fd():
     adjs = trace.adjoints[:, None, :]
     table = step_coeffs(MEMORYLESS, 12)
     vb = base_window(base, traj, 4)
-    loss, grads = am_sde_loss_and_grad(
+    loss, g = am_sde_loss_and_grad(
         theta, vb, table, traj.times, states, adjs, reg
     )
     flat = theta.params_flat()
-    g = grads_flat(grads)
     eps = 1e-6
     rng = np.random.default_rng(2)
     for i in rng.choice(flat.size, size=8, replace=False):
@@ -310,7 +308,7 @@ def test_draft_constant_reward_zero_gradient():
         theta, traj.times, traj.states[:, None, :], ConstantReward(2.0), 2
     )
     assert loss == -2.0
-    assert np.all(grads_flat(grads) == 0.0)
+    assert np.all(grads == 0.0)
 
 
 def test_draft_one_step_linear_reward_hand_gradient():
@@ -325,7 +323,7 @@ def test_draft_one_step_linear_reward_hand_gradient():
     h = 0.1
     out, tape = theta.forward_tape(traj.states[-2][None, :], traj.times[-2])
     expected, _ = tape.backward(np.array([[-h * c]]))
-    np.testing.assert_allclose(grads_flat(grads), grads_flat(expected), rtol=1e-12)
+    np.testing.assert_allclose(grads, expected, rtol=1e-12)
 
 
 def test_draft_full_horizon_matches_fd():
@@ -334,9 +332,8 @@ def test_draft_full_horizon_matches_fd():
     traj = sample_ode(theta, 2, np.array([0.5]))
     reward = QuadraticWell(center=np.array([1.0]), curvature=1.0)
     states = traj.states[:, None, :]
-    loss, grads = draft_loss_and_grad(theta, traj.times, states, reward, 2)
+    loss, g = draft_loss_and_grad(theta, traj.times, states, reward, 2)
     flat = theta.params_flat()
-    g = grads_flat(grads)
     eps = 1e-6
     rng = np.random.default_rng(3)
     for i in rng.choice(flat.size, size=10, replace=False):
@@ -375,8 +372,8 @@ def test_refl_reproducible_and_zero_for_constant_reward():
         np.random.default_rng(11),
     )
     assert l1 == l2 == -1.0
-    np.testing.assert_array_equal(grads_flat(g1), grads_flat(g2))
-    assert np.all(grads_flat(g1) == 0.0)
+    np.testing.assert_array_equal(g1, g2)
+    assert np.all(g1 == 0.0)
 
 
 def test_refl_single_window_is_extrapolated_last_step():
@@ -404,9 +401,8 @@ def test_refl_grad_matches_fd():
         return refl_loss_and_grad(theta, times, states, reward, 4,
                                   np.random.default_rng(5))
 
-    _, grads = loss_and_grad()
+    _, g = loss_and_grad()
     flat = theta.params_flat()
-    g = grads_flat(grads)
     eps = 1e-6
     rng = np.random.default_rng(4)
     for i in rng.choice(flat.size, size=10, replace=False):

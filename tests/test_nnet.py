@@ -10,10 +10,8 @@ from flowam.nnet import (
     _silu,
     _silu_with_prime,
     _tanh_with_prime,
-    accumulate_grads,
-    grads_flat,
+    layer_views,
     time_embedding,
-    zero_grads_like,
 )
 from flowam.train import OptimizerState, optimizer_step
 
@@ -190,8 +188,67 @@ def test_set_params_rejects_nonfinite_and_wrong_size():
 def test_copy_is_independent():
     vf = small_field()
     cp = vf.copy()
-    cp.weights[0][0, 0] += 1.0
-    assert vf.weights[0][0, 0] != cp.weights[0][0, 0]
+    np.testing.assert_array_equal(cp.params, vf.params)
+    assert not np.shares_memory(cp.params, vf.params)
+
+
+def test_weights_and_biases_are_read_only_views_of_params():
+    vf = small_field()
+    flat = vf.params_flat()
+    vf.set_params_flat(flat)
+    assert vf.params is flat  # no copy
+    for a in (*vf.weights, *vf.biases):
+        assert np.shares_memory(a, flat) and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("activation", list(ACTIVATIONS))
+def test_params_flat_is_the_concatenation_of_every_layer(activation):
+    # the pre-flat layout, built here: per layer W_l drawn N(0, 1/in) from
+    # one generator and zero b_l, concatenated as W_l.ravel() then b_l
+    cfg = NetConfig(state_dim=3, hidden=(16, 8, 16), activation=activation)
+    rng = np.random.default_rng(6)
+    dims = [cfg.input_dim, *cfg.hidden, cfg.state_dim]
+    weights = [rng.normal(0.0, np.sqrt(1.0 / din), size=(dout, din))
+               for din, dout in zip(dims[:-1], dims[1:])]
+    biases = [rng.standard_normal(dout) for dout in dims[1:]]
+    vf = VelocityField.init(cfg, seed=6)
+    np.testing.assert_array_equal(
+        vf.params_flat(),
+        np.concatenate([np.concatenate([w.ravel(), np.zeros(w.shape[0])])
+                        for w in weights]))
+    flat = np.concatenate([np.concatenate([w.ravel(), b])
+                           for w, b in zip(weights, biases)])
+    vf.set_params_flat(flat)
+    assert vf.n_params == flat.size == cfg.n_params
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        assert _same_bits(vf.weights[l], w) and _same_bits(vf.biases[l], b)
+
+
+def _reference_param_grad(vf, tape, cotangent):
+    """Concatenated per-layer g.T @ h and g.sum(0), with fresh weight arrays."""
+    g, parts = np.atleast_2d(cotangent), []
+    for l in range(len(vf.weights) - 1, -1, -1):
+        parts[:0] = [(g.T @ tape._layer_inputs[l]).ravel(), g.sum(axis=0)]
+        g = g @ vf.weights[l].copy()
+        if l > 0:
+            g = g * tape._derivs[l - 1]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("activation", list(ACTIVATIONS))
+@pytest.mark.parametrize("m", [1, 3, 64])
+def test_flat_param_grad_equals_the_per_layer_products_bitwise(activation, m):
+    cfg = NetConfig(state_dim=3, hidden=(16, 8, 16), activation=activation)
+    vf = VelocityField.init(cfg, seed=m)
+    vf.set_params_flat(np.random.default_rng(m).standard_normal(cfg.n_params))
+    rng = np.random.default_rng(m + 1)
+    x, w = rng.standard_normal((m, 3)), rng.standard_normal((m, 3))
+    _, tape = vf.forward_tape(x, rng.random(m))
+    expected = _reference_param_grad(vf, tape, w)
+    grad, _ = tape.backward(w)
+    assert _same_bits(grad, expected)
 
 
 def _fd_param_grad(vf, x, t, loss_of_out, eps=1e-6):
@@ -216,7 +273,7 @@ def test_param_grad_matches_finite_differences():
     out, tape = vf.forward_tape(x, t)
     grads, _ = tape.backward(2.0 * out)  # d/dout of sum(out^2)
     fd = _fd_param_grad(vf, x, t, lambda out: float(np.sum(out**2)))
-    np.testing.assert_allclose(grads_flat(grads), fd, rtol=1e-5, atol=1e-7)
+    np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_input_vjp_matches_finite_differences():
@@ -254,7 +311,10 @@ def test_input_vjp_has_the_bits_of_the_full_backward(activation, m):
 def test_network_entry_points_leave_their_arguments_unchanged(activation):
     cfg = NetConfig(state_dim=2, hidden=(8, 8), activation=activation)
     vf = VelocityField.init(cfg, seed=3)
-    vf.biases = [b + 0.1 for b in vf.biases]
+    params = vf.params_flat()
+    for b in layer_views(cfg, params)[1]:
+        b += 0.1
+    vf.set_params_flat(params)
     rng = np.random.default_rng(8)
     x, w = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
     t = rng.random(5)
@@ -287,7 +347,7 @@ def test_param_grad_batch_order_deterministic():
     for _ in range(2):
         out, tape = vf.forward_tape(x, 0.2)
         grads, _ = tape.backward(np.ones_like(out))  # d/dout of sum(out)
-        flats.append(grads_flat(grads))
+        flats.append(grads)
     np.testing.assert_array_equal(flats[0], flats[1])
 
 
@@ -299,15 +359,23 @@ def test_param_grad_rejects_nonfinite_loss():
     grads, _ = tape.backward(np.full_like(out, np.nan))
     opt = OptimizerState.init(vf.n_params)
     with pytest.raises(NonFiniteError):
-        optimizer_step(opt, vf.params_flat(), grads_flat(grads), clip=1.0, lr=0.1)
+        optimizer_step(opt, vf.params_flat(), grads, clip=1.0, lr=0.1)
 
 
-def test_grad_accumulation_helpers():
+def test_flat_grads_accumulate_blockwise():
+    # the losses sum tape gradients into np.zeros(n_params) with +=; each
+    # layer's block of the sum is the sum of that layer's blocks
     vf = small_field()
-    z = zero_grads_like(vf)
-    assert all(np.all(dw == 0) and np.all(db == 0) for dw, db in z)
-    g = [(np.ones_like(w), np.ones_like(b)) for w, b in zip(vf.weights, vf.biases)]
-    accumulate_grads(z, g)
-    accumulate_grads(z, g)
-    assert all(np.all(dw == 2.0) for dw, _ in z)
-    assert grads_flat(z).size == vf.n_params
+    x = np.random.default_rng(2).standard_normal((4, 2))
+    total = np.zeros(vf.n_params)
+    blocks = []
+    for t in (0.2, 0.7):
+        _, tape = vf.forward_tape(x, t)
+        g, _ = tape.backward(np.ones((4, 2)))
+        assert g.shape == (vf.n_params,)
+        total += g
+        blocks.append(layer_views(vf.cfg, g))
+    tw, tb = layer_views(vf.cfg, total)
+    for l in range(len(vf.weights)):
+        assert _same_bits(tw[l], blocks[0][0][l] + blocks[1][0][l])
+        assert _same_bits(tb[l], blocks[0][1][l] + blocks[1][1][l])

@@ -47,7 +47,6 @@ def test_noise_schedule_kinds():
     assert np.all(step_coeffs(NOISE_SCHEDULES["zero"], 4)[:, [0, 2]] == 0.0)
     assert sigma("sin2", 0.5) == pytest.approx(1.0)
     assert sigma("one_minus_t", 0.25) == pytest.approx(0.75)
-    assert sigma("sigma_t", 0.25) == pytest.approx(0.75)
 
 
 def _reference_row(name, t):
@@ -59,7 +58,6 @@ def _reference_row(name, t):
     sig = {"memoryless": math.sqrt(max(2.0 * eta, 0.0)),
            "sin2": math.sin(math.pi * tc) ** 2,
            "one_minus_t": 1.0 - tc,
-           "sigma_t": 1.0 - tc,
            "zero": 0.0}[name]
     return sig * sig / (2.0 * eta), kappa, sig
 

@@ -8,6 +8,8 @@ from flowam.nnet import GradientTape, NetConfig, VelocityField
 from flowam.oracles import GaussianFlowSpec, rf_velocity
 from flowam.tasks import ConstantReward, Gaussian1D, QuadraticWell
 from flowam.train import (
+    ADAM_BETA1,
+    ADAM_EPS,
     OptimizerState,
     TrainConfig,
     finetune,
@@ -104,7 +106,7 @@ def test_adam_first_step_hand_value():
     params = np.array([0.0])
     out = optimizer_step(opt, params, np.array([1.0]), clip=0.0, lr=0.1)
     # bias-corrected first step: -lr * g / (|g| + eps)
-    assert out[0] == pytest.approx(-0.1 / (1.0 + opt.eps), rel=1e-12)
+    assert out[0] == pytest.approx(-0.1 / (1.0 + ADAM_EPS), rel=1e-12)
 
 
 def test_global_norm_clipping():
@@ -112,7 +114,7 @@ def test_global_norm_clipping():
     g = np.array([60.0, 80.0])  # norm 100
     optimizer_step(opt, np.zeros(2), g, clip=1.0, lr=0.1)
     # after clipping, the accumulated first moment reflects unit-norm grads
-    assert np.linalg.norm(opt.m / (1.0 - opt.beta1)) == pytest.approx(1.0)
+    assert np.linalg.norm(opt.m / (1.0 - ADAM_BETA1)) == pytest.approx(1.0)
 
 
 def test_optimizer_rejects_nonfinite():
