@@ -14,6 +14,7 @@ import numpy as np
 
 from flowam import checkpoint as ckpt_io
 from flowam.dynamics import sample_batch
+from flowam.errors import FlowError
 from flowam.evaluation import wasserstein1_1d
 from flowam.nnet import NetConfig
 from flowam.oracles import tilted_gaussian
@@ -36,12 +37,22 @@ def main():
     ap.add_argument("--n-samples", type=int, default=100000)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    if args.n_samples < 1:
+        ap.error(f"--n-samples must be >= 1, got {args.n_samples}")
 
-    pre_cfg = TrainConfig(
-        method="ode-am", n_steps=50, n_truncate=1, batch=512,
-        iterations=args.pretrain_iters, lr=3e-4, warmup=200, grad_clip=10.0,
-        seed=args.seed,
-    )
+    try:  # both runs are checked before the pretraining starts
+        pre_cfg = TrainConfig(
+            method="ode-am", n_steps=50, n_truncate=1, batch=512,
+            iterations=args.pretrain_iters, lr=3e-4, warmup=200, grad_clip=10.0,
+            seed=args.seed,
+        )
+        ft_cfg = TrainConfig(
+            method="sde-am", n_steps=50, n_truncate=50, batch=128,
+            iterations=args.finetune_iters, lr=3e-4, warmup=10, grad_clip=1.0,
+            reg_p=2.0, reg_lam=1.0, noise="memoryless", seed=0,
+        )
+    except FlowError as e:
+        ap.error(str(e))
     net = NetConfig(state_dim=1, hidden=(64, 64, 64))
     base, _ = pretrain(pre_cfg, Gaussian1D(0.0, 1.0), net)
     ckpt_io.save(base, os.path.join(args.outdir, "base.bin"))
@@ -50,11 +61,6 @@ def main():
     w1_base = wasserstein1_1d(terminal(base.vf, args.n_samples, 50, 90), ref)
     print(f"pretrained base: W1 to N(0,1) = {w1_base:.4f}")
 
-    ft_cfg = TrainConfig(
-        method="sde-am", n_steps=50, n_truncate=50, batch=128,
-        iterations=args.finetune_iters, lr=3e-4, warmup=10, grad_clip=1.0,
-        reg_p=2.0, reg_lam=1.0, noise="memoryless", seed=0,
-    )
     reward = QuadraticWell(center=np.array([2.0]), curvature=1.0)
     tuned, rows, _ = finetune(ft_cfg, base, reward)
     ckpt_io.save(tuned, os.path.join(args.outdir, "tuned.bin"))

@@ -13,8 +13,8 @@ import os
 import numpy as np
 
 from flowam import checkpoint as ckpt_io
-from flowam.dynamics import sample_batch
-from flowam.evaluation import diversity_mpd, knn_coverage_recall
+from flowam.errors import FlowError
+from flowam.evaluation import evaluate
 from flowam.nnet import NetConfig
 from flowam.tasks import GaussianMixture2D, QuadraticWell
 from flowam.train import TrainConfig, finetune, pretrain, write_csv
@@ -26,12 +26,7 @@ VARIANTS = (
     ("draft-1", "draft", 2.0, 1.0),
     ("refl-1", "refl", 2.0, 1.0),
 )
-
-
-def terminal(vf, n, seed):
-    return np.stack(
-        [t.states[-1] for t in sample_batch(vf, 50, n, seed)]
-    )
+KNN_K = 5  # coverage counts the reference points within k-NN balls
 
 
 def main():
@@ -42,42 +37,50 @@ def main():
     ap.add_argument("--pretrain-iters", type=int, default=20000)
     ap.add_argument("--n-eval", type=int, default=1000)
     args = ap.parse_args()
+    if args.n_eval < KNN_K + 1:
+        ap.error(f"--n-eval must be > {KNN_K}, got {args.n_eval}")
 
-    pre_cfg = TrainConfig(
-        method="ode-am", n_steps=50, n_truncate=1, batch=512,
-        iterations=args.pretrain_iters, lr=3e-4, warmup=200, grad_clip=10.0,
-        seed=1,
-    )
+    try:  # every run is checked before the pretraining starts
+        pre_cfg = TrainConfig(
+            method="ode-am", n_steps=50, n_truncate=1, batch=512,
+            iterations=args.pretrain_iters, lr=3e-4, warmup=200, grad_clip=10.0,
+            seed=1,
+        )
+        runs = [
+            (name, [TrainConfig(
+                method=method, n_steps=50, n_truncate=10, batch=64,
+                iterations=args.iterations, lr=3e-4, warmup=10, grad_clip=1.0,
+                reg_p=p, reg_lam=lam, noise="memoryless", seed=seed, k_window=1,
+            ) for seed in args.seeds])
+            for name, method, p, lam in VARIANTS
+        ]
+    except FlowError as e:
+        ap.error(str(e))
     net = NetConfig(state_dim=2, hidden=(64, 64, 64))
     base, _ = pretrain(pre_cfg, GaussianMixture2D.two_modes(), net)
     ckpt_io.save(base, os.path.join(args.outdir, "base.bin"))
 
     reward = QuadraticWell(center=np.array([2.0, 0.0]), curvature=1.0)
-    ref = terminal(base.vf, args.n_eval, 778)
-    base_gen = terminal(base.vf, args.n_eval, 777)
-    base_reward = float(np.mean(reward.value(base_gen)))
-    print(f"base: reward {base_reward:.3f}, mpd {diversity_mpd(base_gen):.3f}")
+
+    def report(ckpt):
+        # the model at seed 777 against the base at seed 778
+        return evaluate(ckpt, base, reward, n_samples=args.n_eval, n_steps=50,
+                        seed=777, k=KNN_K)
+
+    base_report = report(base)
+    print(f"base: reward {base_report.reward_mean:.3f}, "
+          f"mpd {base_report.diversity_mpd:.3f}")
 
     rows = []
-    for name, method, p, lam in VARIANTS:
-        rewards, covs, mpds = [], [], []
-        for seed in args.seeds:
-            cfg = TrainConfig(
-                method=method, n_steps=50, n_truncate=10, batch=64,
-                iterations=args.iterations, lr=3e-4, warmup=10, grad_clip=1.0,
-                reg_p=p, reg_lam=lam, noise="memoryless", seed=seed, k_window=1,
-            )
-            tuned, _, _ = finetune(cfg, base, reward)
-            gen = terminal(tuned.vf, args.n_eval, 777)
-            rewards.append(float(np.mean(reward.value(gen))))
-            covs.append(knn_coverage_recall(gen, ref, k=5)[0])
-            mpds.append(diversity_mpd(gen))
+    for name, cfgs in runs:
+        reports = [report(finetune(cfg, base, reward)[0]) for cfg in cfgs]
+        rewards = [r.reward_mean for r in reports]
         row = {
             "variant": name,
             "reward_mean": float(np.mean(rewards)),
             "reward_sem": float(np.std(rewards) / np.sqrt(len(rewards))),
-            "coverage": float(np.mean(covs)),
-            "diversity_mpd": float(np.mean(mpds)),
+            "coverage": float(np.mean([r.coverage for r in reports])),
+            "diversity_mpd": float(np.mean([r.diversity_mpd for r in reports])),
         }
         rows.append(row)
         print(f"{name}: reward {row['reward_mean']:.3f} "

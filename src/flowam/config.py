@@ -155,6 +155,8 @@ def _validate(values: dict, raw: dict) -> list:
     for key in ("eval_steps", "knn_k"):
         if values[key] < 1:
             v.append(f"{key} must be >= 1, got {values[key]}")
+    if values["n_eval"] < values["knn_k"] + 1:
+        v.append(f"n_eval must be > knn_k = {values['knn_k']}, got {values['n_eval']}")
     if values["eval_seed"] < 0:
         v.append(f"eval_seed must be >= 0, got {values['eval_seed']}")
     if not _reparses("outdir", values["outdir"]):

@@ -4,11 +4,12 @@ Metrics: reward statistics, mean pairwise distance (diversity), exact 1D
 Wasserstein-1 via sorted samples, energy distance in 2D and up, and kNN-ball
 coverage/recall against a reference sample set (k = 5 by default).
 
-kNN radii read the k-th order statistic with a partition, not a sort.  The
-kNN metrics build each self-distance matrix once and also return its mean,
-so ``evaluate`` takes the energy distance's self terms from them: four n x n
-products per call in 2D and up instead of six, with the bits of
-``energy_distance`` and ``knn_coverage_recall``.
+``evaluate`` builds three n x n distance matrices, gen-gen, ref-ref and
+ref-gen, in one kNN pass that also returns their means; every metric reads
+them.  Diversity is the gen-gen mean times n / (n - 1), and the energy
+distance's cross term is the ref-gen mean, D(b, a) in ``energy_distance``'s
+terms, so the standalone functions have the bits of ``evaluate``.  kNN radii
+read the k-th order statistic with a partition, not a sort.
 """
 
 from __future__ import annotations
@@ -73,22 +74,18 @@ def _pair_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def diversity_mpd(samples, chunk: int = 512) -> float:
-    """Mean Euclidean distance over unordered pairs; chunked, O(n^2) memory-free."""
+def _mpd(self_mean: float, n: int) -> float:
+    """Mean over unordered pairs from the mean of the n x n self matrix."""
+    return self_mean * n / (n - 1)
+
+
+def diversity_mpd(samples) -> float:
+    """Mean Euclidean distance over unordered pairs of distinct samples."""
     x = _as_points(samples)
     n = x.shape[0]
     if n < 2:
         raise TooFewSamples(f"need >= 2 samples, got {n}")
-    total = 0.0
-    for i in range(0, n, chunk):
-        xi = x[i : i + chunk]
-        for j in range(i, n, chunk):
-            d = _pair_dists(xi, x[j : j + chunk])
-            if i == j:
-                total += float(np.sum(np.triu(d, k=1)))
-            else:
-                total += float(np.sum(d))
-    return total / (n * (n - 1) / 2.0)
+    return _mpd(float(np.mean(_pair_dists(x, x))), n)
 
 
 def wasserstein1_1d(a, b, resample_seed: int = 0) -> float:
@@ -112,16 +109,17 @@ def _energy(mean_ab: float, mean_aa: float, mean_bb: float) -> float:
 
 
 def energy_distance(a, b) -> float:
-    """Energy distance 2 E|A-B| - E|A-A'| - E|B-B'| (nonnegative)."""
+    """Energy distance 2 E|A-B| - E|A-A'| - E|B-B'| (nonnegative).
+
+    The cross term is the mean of D(b, a), the orientation of the kNN cross
+    matrix.
+    """
     a = _as_points(a)
     b = _as_points(b)
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise TooFewSamples("need >= 2 samples per set")
-
-    def mean_cross(x, y):
-        return float(np.mean(_pair_dists(x, y)))
-
-    return _energy(mean_cross(a, b), mean_cross(a, a), mean_cross(b, b))
+    means = [float(np.mean(_pair_dists(x, y))) for x, y in ((b, a), (a, a), (b, b))]
+    return _energy(*means)
 
 
 def _knn_radii(d: np.ndarray, k: int) -> np.ndarray:
@@ -136,10 +134,11 @@ def _knn_radii(d: np.ndarray, k: int) -> np.ndarray:
 
 
 def _knn_terms(gen, ref, k: int):
-    """(coverage, recall, mean gen-gen distance, mean ref-ref distance).
+    """(coverage, recall, mean gen-gen, mean ref-ref, mean ref-gen distance).
 
-    Each self-distance matrix is built once: its mean is read before the kNN
-    radii consume it, and only one n x n matrix is alive at a time.
+    The one pass over the three distance matrices: each self matrix's mean
+    is read before the kNN radii consume it, and only one self matrix is
+    alive at a time.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -156,7 +155,7 @@ def _knn_terms(gen, ref, k: int):
     cross = _pair_dists(r, g)  # (n_ref, n_gen)
     recall = float(np.mean(np.any(cross <= gen_radii[None, :], axis=1)))
     coverage = float(np.mean(np.min(cross, axis=1) <= ref_radii))
-    return coverage, recall, means[0], means[1]
+    return coverage, recall, means[0], means[1], float(np.mean(cross))
 
 
 def knn_coverage_recall(gen, ref, k: int = 5):
@@ -190,18 +189,16 @@ def evaluate(
         [t.states[-1] for t in sample_batch(base, n_steps, n_samples, seed + 1)]
     )
     rewards = reward.value(gen)
-    # k + 1 >= 2 points per set also covers the energy distance's check
-    coverage, recall, mean_gg, mean_rr = _knn_terms(gen, ref, k)
+    # k + 1 >= 2 points per set also covers the diversity and energy checks
+    coverage, recall, mean_gg, mean_rr, mean_rg = _knn_terms(gen, ref, k)
     if gen.shape[1] == 1:
         dist = wasserstein1_1d(gen, ref)
     else:
-        # the cross term is its own product: D(x, y) is not always bitwise
-        # D(y, x).T, so the kNN cross matrix cannot stand in for it
-        dist = _energy(float(np.mean(_pair_dists(gen, ref))), mean_gg, mean_rr)
+        dist = _energy(mean_rg, mean_gg, mean_rr)
     return EvalReport(
         reward_mean=float(np.mean(rewards)),
         reward_std=float(np.std(rewards)),
-        diversity_mpd=diversity_mpd(gen),
+        diversity_mpd=_mpd(mean_gg, gen.shape[0]),
         distance=dist,
         coverage=coverage,
         recall=recall,

@@ -247,6 +247,10 @@ ERROR_CASES = {
     "eval-steps-zero": (TINY_FINETUNE + "eval_steps = 0\n", eval_argv, "eval_steps"),
     "knn-k-zero": (TINY_FINETUNE + "knn_k = 0\n", eval_argv, "knn_k"),
     "knn-k-negative": (TINY_FINETUNE + "knn_k = -2\n", eval_argv, "knn_k"),
+    "n-eval-zero": (TINY_FINETUNE.replace("n_eval = 150", "n_eval = 0"), eval_argv,
+                    "n_eval must be > knn_k = 5, got 0"),
+    "n-eval-not-above-knn-k": (TINY_FINETUNE.replace("n_eval = 150", "n_eval = 5"),
+                               eval_argv, "n_eval must be > knn_k = 5, got 5"),
     "plot-steps-zero": (None, lambda base, tmp: plot_argv(base, tmp, "--steps", "0"),
                         "n_steps"),
     "header-unknown-activation": (

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowam import evaluation
 from flowam.checkpoint import Checkpoint
 from flowam.dynamics import sample_batch
 from flowam.errors import DomainError, EmptyInput, TooFewSamples
@@ -90,13 +91,6 @@ def test_mpd_standard_normal_expectation(rng):
     # E|X - Y| = 2 / sqrt(pi) for X, Y iid N(0, 1)
     x = rng.standard_normal((4000, 1))
     assert diversity_mpd(x) == pytest.approx(2.0 / np.sqrt(np.pi), rel=0.02)
-
-
-def test_mpd_chunking_invariance(rng):
-    x = rng.standard_normal((300, 2))
-    assert diversity_mpd(x, chunk=7) == pytest.approx(
-        diversity_mpd(x, chunk=512), rel=1e-12
-    )
 
 
 def test_mpd_needs_two_samples():
@@ -266,8 +260,9 @@ def _eval_setup(dim):
 
 
 def _reference_evaluate(ckpt, base_ckpt, reward, n, n_steps, seed, k):
-    """evaluate as composed before the one-pass kNN/energy terms: one full
-    product per distance matrix, the kNN radii read from a full sort."""
+    """evaluate from the metrics' definitions: one full product per distance
+    matrix, the kNN radii read from a full sort, diversity from the gen-gen
+    mean times n / (n - 1) and the energy cross term from D(ref, gen)."""
     gen, ref = (
         np.stack([t.states[-1] for t in sample_batch(c.vf, n_steps, n, s)])
         for c, s in ((ckpt, seed), (base_ckpt, seed + 1))
@@ -285,15 +280,15 @@ def _reference_evaluate(ckpt, base_ckpt, reward, n, n_steps, seed, k):
         dist = wasserstein1_1d(gen, ref)
     else:
         dist = max(
-            2.0 * mean_dist(gen, ref) - mean_dist(gen, gen) - mean_dist(ref, ref), 0.0
+            2.0 * mean_dist(ref, gen) - mean_dist(gen, gen) - mean_dist(ref, ref), 0.0
         )
     cross = _gram_dists(ref, gen)
     recall = float(np.mean(np.any(cross <= radii(gen)[None, :], axis=1)))
     coverage = float(np.mean(np.min(cross, axis=1) <= radii(ref)))
     rewards = reward.value(gen)
     return EvalReport(
-        float(np.mean(rewards)), float(np.std(rewards)), diversity_mpd(gen),
-        dist, coverage, recall, n, seed,
+        float(np.mean(rewards)), float(np.std(rewards)),
+        mean_dist(gen, gen) * n / (n - 1), dist, coverage, recall, n, seed,
     )
 
 
@@ -306,18 +301,37 @@ def test_evaluate_equals_the_reference_composition_bitwise(dim, n, k):
     assert repr(report) == repr(expected)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_evaluate_matches_the_standalone_metrics_bitwise(dim):
-    # evaluate takes the energy distance's self terms from the kNN pass; the
-    # standalone functions compute their own
+    # evaluate reads diversity and the energy terms from the kNN pass; the
+    # standalone functions build their own matrices
     tuned, base, reward = _eval_setup(dim)
     report = evaluate(tuned, base, reward, n_samples=270, n_steps=10, seed=9, k=4)
     gen, ref = (
         np.stack([t.states[-1] for t in sample_batch(ckpt.vf, 10, 270, seed)])
         for ckpt, seed in ((tuned, 9), (base, 10))
     )
-    assert report.distance == energy_distance(gen, ref)
+    distance = wasserstein1_1d if dim == 1 else energy_distance
+    assert report.distance == distance(gen, ref)
+    assert report.diversity_mpd == diversity_mpd(gen)
     assert (report.coverage, report.recall) == knn_coverage_recall(gen, ref, 4)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_evaluate_builds_exactly_three_distance_matrices(monkeypatch, dim):
+    # gen-gen, ref-ref and ref-gen, each once, feed every metric
+    shapes = []
+    pair_dists = evaluation._pair_dists
+
+    def counting(x, y):
+        d = pair_dists(x, y)
+        shapes.append(d.shape)
+        return d
+
+    monkeypatch.setattr(evaluation, "_pair_dists", counting)
+    tuned, base, reward = _eval_setup(dim)
+    evaluate(tuned, base, reward, n_samples=120, n_steps=5, seed=2, k=3)
+    assert shapes == [(120, 120)] * 3
 
 
 def test_evaluate_rejects_too_few_samples_for_k():

@@ -175,10 +175,29 @@ def test_script_runs_at_tiny_size(script, tmp_path):
         assert (tmp_path / name).stat().st_size > 0, name
 
 
+def assert_rejected_before_writing(script, outdir, *args):
+    proc = run_script(script, outdir, *args)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert list(outdir.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, value", [("--sigma", "-1"), ("--horizon", "nan"),
                                          ("--points", "-1")])
 def test_oracle_curves_rejects_bad_input_before_writing(flag, value, tmp_path):
-    proc = run_script("oracle_curves.py", tmp_path, "--points", "11", flag, value)
-    assert proc.returncode != 0
-    assert "Traceback" not in proc.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert_rejected_before_writing("oracle_curves.py", tmp_path, "--points", "11",
+                                   flag, value)
+
+
+@pytest.mark.parametrize("script, flag, value", [
+    ("tradeoff_sweep.py", "--n-eval", "4"),
+    ("tradeoff_sweep.py", "--iterations", "-1"),
+    ("tradeoff_sweep.py", "--seeds", "-1"),
+    ("tilt_experiment.py", "--n-samples", "0"),
+    ("tilt_experiment.py", "--finetune-iters", "-1"),
+    ("tilt_experiment.py", "--pretrain-iters", "-1"),
+])
+def test_training_scripts_reject_bad_input_before_pretraining(script, flag, value,
+                                                              tmp_path):
+    # the tiny-size arguments first, so a late failure still ends quickly
+    assert_rejected_before_writing(script, tmp_path, *SCRIPTS[script][0], flag, value)
