@@ -28,13 +28,20 @@ class Checkpoint:
 
 
 def atomic_write(path: str, data: bytes) -> None:
-    """Write to a temp file in the same directory, then rename over ``path``."""
+    """Write to a temp file in the same directory, then rename over ``path``.
+
+    The file gets the mode a plain ``open`` would give it, 0o666 less the
+    umask; ``mkstemp`` alone would leave it 0o600.
+    """
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

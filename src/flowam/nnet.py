@@ -17,9 +17,10 @@ forward pass, from the same intermediates as the activation (the sigmoid
 for SiLU, tanh itself for tanh), and stores it on the tape, so ``backward``
 only multiplies.  Plain ``forward`` computes no derivative.  The
 activations, the bias add and the backward multiply work in place on arrays
-they have just allocated, never on an argument.  Time features are computed
-once per distinct time: a scalar t is embedded as one row and broadcast to
-the batch.
+they have just allocated, never on an argument.  A scalar t is embedded
+once per process: its read-only row is kept in a module-level memo (one row
+per grid time of a run) and copied into every row of the feature matrix.
+An array t, as pretraining passes, is embedded at every call.
 
 Everything is float64 numpy.  No general-purpose autodiff: the architecture
 is a fixed MLP over [state, sinusoidal time features].
@@ -27,6 +28,7 @@ is a fixed MLP over [state, sinusoidal time features].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +154,26 @@ def time_embedding(t: np.ndarray, n_features: int) -> np.ndarray:
     return feats
 
 
+# (t, sign of t, n_features) -> read-only embedded row; the sign keeps -0.0
+# apart from 0.0, whose sines differ in sign
+_TIME_ROWS: dict = {}
+_TIME_ROWS_MAX = 4096
+
+
+def _time_row(t, n_features: int) -> np.ndarray:
+    """``time_embedding(t, n_features)`` of a scalar t, embedded once per process."""
+    t = float(t)
+    key = (t, math.copysign(1.0, t), n_features)
+    row = _TIME_ROWS.get(key)
+    if row is None:
+        if len(_TIME_ROWS) >= _TIME_ROWS_MAX:
+            _TIME_ROWS.clear()  # a caller that never repeats a time
+        row = time_embedding(t, n_features)
+        row.flags.writeable = False
+        _TIME_ROWS[key] = row
+    return row
+
+
 def layer_views(cfg: NetConfig, flat: np.ndarray):
     """(weights, biases): each layer's W_l and b_l as views into ``flat``.
 
@@ -275,13 +297,13 @@ class VelocityField:
             raise ShapeError(
                 f"state dim {x2.shape[1]} != configured {self.cfg.state_dim}"
             )
-        n = x2.shape[0]
-        parts = [x2]
-        if self.cfg.time_features > 0:
-            # a time shared by the batch is embedded as one row and broadcast
-            emb = time_embedding(t, self.cfg.time_features)
-            parts.append(np.broadcast_to(emb, (n, emb.shape[1])))
-        return np.concatenate(parts, axis=1), squeeze
+        sd, nf = self.cfg.state_dim, self.cfg.time_features
+        feats = np.empty((x2.shape[0], sd + nf))
+        feats[:, :sd] = x2
+        if nf > 0:
+            # one row per scalar time, copied to every row of the batch
+            feats[:, sd:] = _time_row(t, nf) if np.ndim(t) == 0 else time_embedding(t, nf)
+        return feats, squeeze
 
     def _run(self, feats, taped):
         """Output, layer inputs and, if taped, activation derivatives."""

@@ -26,7 +26,7 @@ PRETRAIN_CFG = dict(
 
 @pytest.fixture(scope="session")
 def base1d_ckpt():
-    """1D standard-normal base model (heavy; ~40s)."""
+    """1D standard-normal base model (heavy; about 60 s)."""
     cfg = TrainConfig(**PRETRAIN_CFG)
     net = NetConfig(state_dim=1, hidden=(64, 64, 64))
     ckpt, _ = pretrain(cfg, Gaussian1D(0.0, 1.0), net)
@@ -35,7 +35,7 @@ def base1d_ckpt():
 
 @pytest.fixture(scope="session")
 def base2d_ckpt():
-    """2D bimodal base model (heavy; ~40s)."""
+    """2D bimodal base model (heavy; about 60 s)."""
     cfg = TrainConfig(**PRETRAIN_CFG)
     net = NetConfig(state_dim=2, hidden=(64, 64, 64))
     ckpt, _ = pretrain(cfg, GaussianMixture2D.two_modes(), net)

@@ -46,6 +46,23 @@ def test_save_is_atomic_no_leftover_tmp(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000], ids=oct)
+def test_written_files_get_the_mode_of_a_plain_open(umask, tmp_path):
+    # mkstemp makes its file 0o600; the renamed file must instead get what
+    # open() gives under the umask, like every other file the user makes
+    old = os.umask(umask)
+    try:
+        cio.save(make_ckpt(), str(tmp_path / "ck.bin"))
+        cio.atomic_write(str(tmp_path / "metrics.csv"), b"a,b\n")
+        with open(tmp_path / "plain.txt", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    want = 0o666 & ~umask
+    for name in ("ck.bin", "metrics.csv", "plain.txt"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == want, name
+
+
 def test_rewrite_is_byte_identical(tmp_path):
     ck = make_ckpt(seed=5)
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flowam.dynamics import sample_batch, sample_ode, sample_seed
+from flowam.dynamics import _stream_states, sample_batch, sample_ode, sample_seed
 from flowam.errors import DomainError, NonFiniteError, ShapeError
 from flowam.nnet import NetConfig, VelocityField
 from flowam.oracles import LinearVelocityField
@@ -105,6 +107,64 @@ def test_sample_batch_matches_single_sample_streams():
             states.append(x)
         np.testing.assert_array_equal(batch[i].states, np.concatenate(states))
         np.testing.assert_array_equal(batch[i].noises, noises)
+
+
+# base seeds of 1, 2 and 3 little-endian uint32 words
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                  st.integers(2**64, 2**96 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, m=st.integers(1, 300), n=st.integers(1, 6), stochastic=st.booleans())
+@example(seed=0, m=1, n=1, stochastic=True)
+@example(seed=2**32 - 1, m=300, n=3, stochastic=False)
+@example(seed=2**32, m=300, n=2, stochastic=True)
+@example(seed=2**64 + 1, m=17, n=4, stochastic=True)
+def test_batched_streams_equal_single_streams(seed, m, n, stochastic):
+    # one seeding pass over the batch gives every row the x0 and noise bits
+    # of its own stream sample_seed(seed, i)
+    lf = LinearVelocityField([[0.3, 0.0], [0.0, -0.2]])
+    batch = sample_batch(lf, n, m, seed,
+                         coeffs=step_coeffs(MEMORYLESS, n) if stochastic else None)
+    for i, traj in enumerate(batch):
+        rng = sample_seed(seed, i)
+        np.testing.assert_array_equal(traj.states[0], rng.standard_normal(2))
+        if stochastic:
+            np.testing.assert_array_equal(traj.noises, rng.standard_normal((n, 2)))
+        else:
+            assert traj.noises.shape == (0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.one_of(SEEDS, st.integers(2**96, 2**224 - 1)), m=st.integers(1, 40))
+@example(seed=0, m=1)
+@example(seed=2**32 - 1, m=3)
+@example(seed=2**32, m=3)
+@example(seed=2**64 + 1, m=3)
+def test_stream_states_equal_numpy_pcg64_seeding(seed, m):
+    # a change to numpy's SeedSequence or PCG64 seeding must fail here, not
+    # silently move the sampler's bits; seeds of 4 to 7 words also run the
+    # loop over entropy past the pool
+    for i, (state, inc) in enumerate(_stream_states(seed, m)):
+        ref = np.random.PCG64(np.random.SeedSequence([seed, i])).state["state"]
+        assert (state, inc) == (ref["state"], ref["inc"])
+
+
+@pytest.mark.parametrize("stochastic", [False, True])
+def test_sample_batch_builds_no_seed_sequence_per_sample(stochastic, monkeypatch):
+    made = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    lf = LinearVelocityField([[0.1]])
+    for m in (1, 64, 300):
+        made.clear()
+        sample_batch(lf, 5, m, 11, coeffs=step_coeffs(MEMORYLESS, 5) if stochastic else None)
+        assert made == [], m
 
 
 def test_mlp_batch_rows_match_single_runs_to_rounding():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowam import nnet
 from flowam.errors import NonFiniteError, ShapeError, ValidationError
 from flowam.nnet import (
     ACTIVATIONS,
@@ -73,6 +74,59 @@ def test_features_broadcast_one_row_to_the_batch():
         feats, _ = vf._features(x, t)
         expected = np.concatenate([x, _per_column_embedding(np.full(64, t), 4)], axis=1)
         np.testing.assert_array_equal(feats, expected)
+
+
+def _concatenated_features(x, t, n_features):
+    """Reference feature matrix: the embedding broadcast and concatenated."""
+    parts = [x]
+    if n_features > 0:
+        emb = time_embedding(t, n_features)
+        parts.append(np.broadcast_to(emb, (x.shape[0], emb.shape[1])))
+    return np.concatenate(parts, axis=1)
+
+
+@pytest.mark.parametrize("n_features", [0, 7, 8])
+def test_features_equal_the_concatenated_expression_bitwise(n_features, monkeypatch):
+    monkeypatch.setattr(nnet, "_TIME_ROWS", {})
+    vf = VelocityField.init(NetConfig(state_dim=3, hidden=(5,), time_features=n_features))
+    x = np.random.default_rng(4).standard_normal((33, 3))
+    # 0.0 before -0.0: the memo must keep their rows (sin is signed) apart
+    times = [0.0, -0.0, 0.37, np.float64(0.98), 1.0, np.array(0.5),
+             np.array([0.25]), np.random.default_rng(5).uniform(size=33)]
+    for t in times * 2:  # the second pass reads the memo
+        feats, _ = vf._features(x, t)
+        expected = _concatenated_features(x, t, n_features)
+        assert feats.shape == expected.shape
+        assert feats.tobytes() == expected.tobytes()
+
+
+def test_each_scalar_time_is_embedded_once(monkeypatch):
+    calls = []
+    real = nnet.time_embedding
+
+    def counting(t, n_features):
+        calls.append(np.ndim(t))
+        return real(t, n_features)
+
+    monkeypatch.setattr(nnet, "_TIME_ROWS", {})
+    monkeypatch.setattr(nnet, "time_embedding", counting)
+    vf = small_field()
+    x = np.random.default_rng(6).standard_normal((16, 2))
+    grid = np.linspace(0.0, 1.0, 11)
+    for _ in range(3):
+        for t in grid:
+            vf.forward(x, t)
+            vf.forward_tape(x, t)
+            vf.input_vjp(x, t, x)
+    assert calls == [0] * grid.size
+    # an array of times is embedded at every call, as pretraining passes it
+    vf.forward(x, grid[:1].repeat(16))
+    vf.forward(x, grid[:1].repeat(16))
+    assert calls[grid.size:] == [1, 1]
+    for row in nnet._TIME_ROWS.values():
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0, 0] = 1.0
 
 
 def _silu_prime(z):
