@@ -17,11 +17,27 @@ a stream, and the cheaper way to make a single one.
 The batch is integrated jointly, and BLAS may round a product over m rows
 differently from one over a single row, so row i matches the run of sample i
 alone only to rounding; a rerun at the same batch size repeats bit for bit.
+
+A batch of m >= 2 * BLOCK_ROWS rows is integrated as floor(m / BLOCK_ROWS)
+near-equal row blocks, each its own batch, cut at multiples of 4 by m alone.
+Blocks this large round as the same rows do inside one product over all m
+(measured with OpenBLAS 0.3.31 on x86-64: 640 rows or more suffice, and a
+1-wide output layer, which takes numpy's matrix-vector path, needs the
+multiples of 4); ``tests/test_dynamics.py`` pins this.  ``run_blocks`` runs
+them on the calling thread and WORKERS - 1 pool threads, so numpy's kernels,
+which release the interpreter lock, use every core; which thread runs a
+block cannot change its bytes.  WORKERS is the number of usable cores when
+BLAS is limited to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS set, and every one set is "1"), else 1: threaded BLAS runs
+one product at a time and its threads would compete with these.
 ``sample_ode`` integrates the flow from a given initial state.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -114,15 +130,24 @@ def _stream_states(base_seed: int, m: int) -> list:
     return states
 
 
-def _integrate(field, x0, n_steps, coeffs=None, noises=None, start=0):
+class _BlowUp(NonFiniteError):
+    """A state went non-finite: first at grid index ``step``, in row ``sample``."""
+
+    def __init__(self, step: int, sample: int):
+        self.step, self.sample = step, sample
+        super().__init__(f"non-finite state at step {step}, sample {sample}")
+
+
+def _integrate(field, x0, n_steps, coeffs=None, noises=None, start=0, out=None):
     """Shared Euler / Euler-Maruyama core over a batch, from grid index
     ``start`` to t=1; Euler-Maruyama reads ``coeffs``, a ``step_coeffs``
-    table.  Returns (times (N+1,), states (N+1-start, m, dim))."""
+    table.  Returns (times (N+1,), states (N+1-start, m, dim)); the states
+    are written into ``out`` if it is given."""
     x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
     m, dim = x.shape
     h = 1.0 / n_steps
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    states = np.empty((n_steps + 1 - start, m, dim))
+    states = np.empty((n_steps + 1 - start, m, dim)) if out is None else out
     states[0] = x
     stochastic = noises is not None
     for k in range(start, n_steps):
@@ -134,10 +159,82 @@ def _integrate(field, x0, n_steps, coeffs=None, noises=None, start=0):
             x = x + h * drift + np.sqrt(h) * sig * noises[k]
         else:
             x = x + h * v
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError(f"non-finite state at step {k + 1}")
+        finite = np.isfinite(x)
+        if not np.all(finite):
+            raise _BlowUp(k + 1, int(np.argmin(np.all(finite, axis=1))))
         states[k + 1 - start] = x
     return times, states
+
+
+BLOCK_ROWS = 1000  # rows per sampler block; tests/test_dynamics.py pins its bits
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _worker_count() -> int:
+    """Usable cores if BLAS is limited to one thread, else 1."""
+    limits = [os.environ[v] for v in _BLAS_THREAD_VARS if v in os.environ]
+    if not limits or any(v != "1" for v in limits):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+WORKERS = _worker_count()
+# ((WORKERS, pid) it was made for, executor), made by the first parallel
+# call; a forked child, which has none of the threads, makes its own
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    # imported here: concurrent.futures pulls in logging, about 10 ms and
+    # 0.6 MB that a process which never runs blocks in parallel need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    key = (WORKERS, os.getpid())
+    with _pool_lock:
+        if _pool is None or _pool[0] != key:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (key, ThreadPoolExecutor(WORKERS - 1, "flowam-blocks"))
+        return _pool[1]
+
+
+def run_blocks(fn, n: int, parts: Optional[int] = None) -> list:
+    """``[fn(lo, hi) for (lo, hi) in spans]`` over range(n) cut into ``parts``
+    near-equal spans (default: one per worker), inner bounds multiples of 4.
+
+    With w = min(WORKERS, spans) > 1, the calling thread runs spans 0, w,
+    2w, ... and w - 1 pool threads the others, in the caller's context (so
+    numpy's error state holds); fn must touch only its own rows and must
+    not call ``run_blocks``.  Every span is finished before an error is
+    raised.
+    """
+    parts = WORKERS if parts is None else parts
+    bounds = sorted({4 * (j * n // (4 * parts)) for j in range(parts)} | {n})
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    w = min(WORKERS, len(spans))
+    if w <= 1:
+        return [fn(lo, hi) for lo, hi in spans]
+    out = [None] * len(spans)
+
+    def run(first):
+        for i in range(first, len(spans), w):
+            out[i] = fn(*spans[i])
+
+    pool = _executor()
+    futures = [pool.submit(contextvars.copy_context().run, run, j) for j in range(1, w)]
+    try:
+        run(0)
+    finally:
+        for f in futures:
+            f.exception()  # waits for the span to finish
+    for f in futures:
+        f.result()
+    return out
 
 
 def sample_ode(field, n_steps: int, x0) -> Trajectory:
@@ -158,9 +255,12 @@ def sample_batch(
     """m independent trajectories with per-sample derived seeds.
 
     x0 ~ N(0, I) and the noise block are drawn from each sample's own stream,
-    then the batch is integrated jointly (vectorized over samples).
-    ``coeffs`` is the run's ``step_coeffs`` table, shape (n_steps, 3); without
-    it, or where sigma is 0 at every step, this is the Euler flow of the ODE.
+    then the batch is integrated vectorized over samples, in row blocks from
+    m >= 2 * BLOCK_ROWS on.  ``coeffs`` is the run's ``step_coeffs`` table,
+    shape (n_steps, 3); without it, or where sigma is 0 at every step, this
+    is the Euler flow of the ODE.  A non-finite state raises
+    ``NonFiniteError`` naming the earliest step at which any sample went
+    non-finite and the first such sample.
     """
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
@@ -185,10 +285,22 @@ def sample_batch(
     noises = None
     if stochastic:
         noises = draws[:, dim:].reshape(m, n_steps, dim).transpose(1, 0, 2)
-    try:
-        times, states = _integrate(field, x0, n_steps, coeffs, noises)
-    except NonFiniteError as e:
-        raise NonFiniteError(f"{e} (samples 0:{m})") from e
+    states = np.empty((n_steps + 1, m, dim))
+
+    def block(lo, hi):
+        try:
+            return _integrate(field, x0[lo:hi], n_steps, coeffs,
+                              None if noises is None else noises[:, lo:hi],
+                              out=states[:, lo:hi])[0]
+        except _BlowUp as e:
+            return _BlowUp(e.step, lo + e.sample)
+
+    done = run_blocks(block, m, m // BLOCK_ROWS if m >= 2 * BLOCK_ROWS else 1)
+    blowups = [b for b in done if isinstance(b, _BlowUp)]
+    if blowups:
+        # the earliest step, then its first sample: what one batch would name
+        raise min(blowups, key=lambda e: (e.step, e.sample))
+    times = done[0]
     empty = np.empty((0, dim))
     return [
         Trajectory(times=times, states=states[:, i, :],

@@ -10,6 +10,13 @@ them.  Diversity is the gen-gen mean times n / (n - 1), and the energy
 distance's cross term is the ref-gen mean, D(b, a) in ``energy_distance``'s
 terms, so the standalone functions have the bits of ``evaluate``.  kNN radii
 read the k-th order statistic with a partition, not a sort.
+
+Finishing a distance matrix, partitioning it and the recall test are
+row-local, so each splits its rows into one span per worker of
+``dynamics.run_blocks``; the Gram product and the means run whole.  The split
+cannot change a bit, and
+``evaluate`` samples each model with one ``sample_batch`` call, which runs
+its own row blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import sample_batch
+from .dynamics import run_blocks, sample_batch
 from .errors import DomainError, EmptyInput, ShapeError, TooFewSamples
 
 
@@ -51,7 +58,7 @@ def _as_points(x) -> np.ndarray:
     return x
 
 
-PAIR_BLOCK_ROWS = 256  # rows finished per block of the distance matrix
+PAIR_BLOCK_ROWS = 32  # rows finished per block of the distance matrix
 
 
 def _pair_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -59,18 +66,24 @@ def _pair_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Bitwise sqrt(max(|x_i|^2 + |y_j|^2 - (2 x) @ y^T, 0)).  Only the Gram
     product is allocated at full size; the elementwise rest is finished in
-    place, a block of rows at a time, so the block size cannot change a bit.
+    place, a block of rows at a time, with each worker of ``run_blocks``
+    taking its own span of rows, so neither the block size nor the workers
+    can change a bit.
     """
     sx = np.sum(x**2, axis=1)
     sy = np.sum(y**2, axis=1)
     d = (2.0 * x) @ y.T
-    buf = np.empty((min(PAIR_BLOCK_ROWS, d.shape[0]), d.shape[1]))
-    for i in range(0, d.shape[0], PAIR_BLOCK_ROWS):
-        blk = d[i : i + PAIR_BLOCK_ROWS]
-        tmp = np.add(sx[i : i + PAIR_BLOCK_ROWS, None], sy, out=buf[: blk.shape[0]])
-        np.subtract(tmp, blk, out=blk)
-        np.maximum(blk, 0.0, out=blk)
-        np.sqrt(blk, out=blk)
+
+    def finish(lo, hi):
+        buf = np.empty((min(PAIR_BLOCK_ROWS, hi - lo), d.shape[1]))
+        for i in range(lo, hi, PAIR_BLOCK_ROWS):
+            blk = d[i : min(i + PAIR_BLOCK_ROWS, hi)]
+            tmp = np.add(sx[i : i + blk.shape[0], None], sy, out=buf[: blk.shape[0]])
+            np.subtract(tmp, blk, out=blk)
+            np.maximum(blk, 0.0, out=blk)
+            np.sqrt(blk, out=blk)
+
+    run_blocks(finish, d.shape[0])
     return d
 
 
@@ -126,11 +139,17 @@ def _knn_radii(d: np.ndarray, k: int) -> np.ndarray:
     """Distance from each point of x to its k-th nearest other point of x.
 
     ``d`` is x's self-distance matrix, which this consumes: it writes inf on
-    the diagonal and partitions each row in place.
+    the diagonal and partitions each row in place, each worker of
+    ``run_blocks`` its own span of rows.
     """
     np.fill_diagonal(d, np.inf)
-    d.partition(k - 1, axis=1)
-    return d[:, k - 1].copy()
+
+    def radii(lo, hi):
+        blk = d[lo:hi]
+        blk.partition(k - 1, axis=1)
+        return blk[:, k - 1].copy()
+
+    return np.concatenate(run_blocks(radii, d.shape[0]))
 
 
 def _knn_terms(gen, ref, k: int):
@@ -153,7 +172,14 @@ def _knn_terms(gen, ref, k: int):
         del d
     gen_radii, ref_radii = radii
     cross = _pair_dists(r, g)  # (n_ref, n_gen)
-    recall = float(np.mean(np.any(cross <= gen_radii[None, :], axis=1)))
+
+    def recalled(lo, hi):
+        # a block of rows at a time, so no (n_ref, n_gen) boolean is made
+        return [np.any(cross[i : min(i + PAIR_BLOCK_ROWS, hi)] <= gen_radii, axis=1)
+                for i in range(lo, hi, PAIR_BLOCK_ROWS)]
+
+    hits = [h for span in run_blocks(recalled, cross.shape[0]) for h in span]
+    recall = float(np.mean(np.concatenate(hits)))
     coverage = float(np.mean(np.min(cross, axis=1) <= ref_radii))
     return coverage, recall, means[0], means[1], float(np.mean(cross))
 

@@ -4,9 +4,12 @@ The expensive pretrained checkpoints are session-scoped and only built when
 a test actually requests them, so unit-test runs stay fast.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
+from flowam import dynamics
 from flowam.nnet import NetConfig
 from flowam.tasks import Gaussian1D, GaussianMixture2D
 from flowam.train import TrainConfig, pretrain
@@ -57,3 +60,21 @@ def tiny1d_ckpt():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Three row-block workers, no pool yet, and a record of every thread
+    started; a path that must stay on the calling thread leaves it empty
+    and ``dynamics._pool`` None."""
+    monkeypatch.setattr(dynamics, "WORKERS", 3)
+    monkeypatch.setattr(dynamics, "_pool", None)
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started

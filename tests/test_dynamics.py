@@ -1,9 +1,20 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowam.dynamics import _stream_states, sample_batch, sample_ode, sample_seed
+from flowam import dynamics
+from flowam.dynamics import (
+    BLOCK_ROWS,
+    _integrate,
+    _stream_states,
+    run_blocks,
+    sample_batch,
+    sample_ode,
+    sample_seed,
+)
 from flowam.errors import DomainError, NonFiniteError, ShapeError
 from flowam.nnet import NetConfig, VelocityField
 from flowam.oracles import LinearVelocityField
@@ -187,3 +198,128 @@ def test_nonfinite_state_aborts():
 
     with pytest.raises(NonFiniteError):
         sample_ode(Exploder(), 5, np.array([1.0]))
+
+
+# -- row blocks ------------------------------------------------------------------
+
+
+def _states(trajs):
+    return np.stack([t.states for t in trajs], axis=1)  # (N+1, m, dim)
+
+
+@pytest.mark.parametrize("m", [2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 4 * BLOCK_ROWS + 3])
+@pytest.mark.parametrize("hidden", [(32, 32), (64, 64, 64)])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("stochastic", [False, True])
+def test_blocked_sample_batch_equals_one_integration_bitwise(stochastic, dim, hidden, m):
+    # a batch of m >= 2 BLOCK_ROWS rows runs as row blocks; each block's
+    # products must round as the same rows do inside one product over all
+    # m, which pins BLOCK_ROWS: blocks of a few hundred rows round otherwise.
+    # The memoryless table's kappa of 1 / T_FLOOR would blow an untrained
+    # field's states up over a 4-step grid
+    n = 4
+    vf = VelocityField.init(NetConfig(state_dim=dim, hidden=hidden), seed=dim)
+    table = step_coeffs(NOISE_SCHEDULES["one_minus_t"], n) if stochastic else None
+    trajs = sample_batch(vf, n, m, 3, coeffs=table)
+    x0 = np.stack([t.states[0] for t in trajs])
+    noises = np.stack([t.noises for t in trajs], axis=1) if stochastic else None
+    times, states = _integrate(vf, x0, n, table, noises)
+    np.testing.assert_array_equal(_states(trajs), states)
+    np.testing.assert_array_equal(trajs[0].times, times)
+
+
+@pytest.mark.parametrize("m,parts,bounds", [
+    (2000, 2, [0, 1000, 2000]),
+    (2001, 2, [0, 1000, 2001]),
+    (4003, 4, [0, 1000, 2000, 3000, 4003]),
+    (10, 3, [0, 0, 4, 10]),
+    (1, 2, [0, 0, 1]),
+])
+def test_run_blocks_cuts_near_equal_spans_at_multiples_of_four(monkeypatch, m, parts, bounds):
+    # the partition depends on the row count and the part count alone;
+    # empty spans are dropped
+    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(dynamics, "WORKERS", workers)
+        assert run_blocks(lambda lo, hi: (lo, hi), m, parts) == spans
+
+
+def test_run_blocks_keeps_the_callers_numpy_error_state(monkeypatch):
+    # a pool thread runs its span in the caller's context, and its error
+    # reaches the caller after every span is done
+    monkeypatch.setattr(dynamics, "WORKERS", 3)
+    finished = []
+
+    def divide(lo, hi):
+        if lo > 0:
+            np.ones(1) / np.zeros(1)
+        finished.append(lo)
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        run_blocks(divide, 12, 3)
+    assert finished == [0]
+    with np.errstate(divide="ignore"):
+        run_blocks(divide, 12, 3)
+    assert sorted(finished) == [0, 0, 4, 8]
+
+
+def test_worker_counts_give_the_same_bytes(monkeypatch):
+    # the workers only decide which thread runs a block; with more workers
+    # than cores and a short switch interval, any state shared between
+    # blocks would show here
+    vf = VelocityField.init(NetConfig(state_dim=2, hidden=(32, 32)), seed=4)
+    table = step_coeffs(MEMORYLESS, 6)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dynamics, "WORKERS", workers)
+            runs.append([_states(sample_batch(vf, 6, 3 * BLOCK_ROWS + 5, 8, coeffs=c))
+                         for c in (None, table)])
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_sample_batch_below_two_blocks_starts_no_thread(thread_starts):
+    lf = LinearVelocityField([[0.1]])
+    for m in (1, 64, 2 * BLOCK_ROWS - 1):
+        sample_batch(lf, 3, m, 0)
+        sample_batch(lf, 3, m, 0, coeffs=step_coeffs(MEMORYLESS, 3))
+    assert thread_starts == [] and dynamics._pool is None
+
+
+class _Bomb:
+    """v = 0, so every state stays at its x0, except that the sample whose
+    x0 is a key of ``at`` gets an infinite velocity from grid time at[x0] on."""
+
+    state_dim = 1
+
+    def __init__(self, at):
+        self.at = at
+
+    def forward(self, x, t):
+        v = np.zeros_like(x)
+        for x0, t_bad in self.at.items():
+            v[(x[:, 0] == x0) & (t >= t_bad)] = np.inf
+        return v
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blow_up_names_the_earliest_step_over_all_blocks(monkeypatch, workers):
+    # sample 1500 (second block) blows up at step 3, sample 7 (first block)
+    # at step 5 and sample 1800 at step 3 as well: the error names step 3
+    # and its first sample, as one batch over all rows does
+    monkeypatch.setattr(dynamics, "WORKERS", workers)
+    m, n, seed = 2 * BLOCK_ROWS, 10, 4
+    x0 = {i: sample_seed(seed, i).standard_normal(1)[0] for i in (7, 1500, 1800)}
+    bomb = _Bomb({x0[7]: 0.4, x0[1500]: 0.2, x0[1800]: 0.2})
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=r"^non-finite state at step 3, sample 1500$"):
+            sample_batch(bomb, n, m, seed)
+        monkeypatch.setattr(dynamics, "BLOCK_ROWS", m)  # one block
+        with pytest.raises(NonFiniteError, match=r"^non-finite state at step 3, sample 1500$"):
+            sample_batch(bomb, n, m, seed)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowam import evaluation
+from flowam import dynamics, evaluation
 from flowam.checkpoint import Checkpoint
 from flowam.dynamics import sample_batch
 from flowam.errors import DomainError, EmptyInput, TooFewSamples
@@ -35,18 +35,22 @@ def _gram_dists(x, y):
     return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
 
 
+# 256 and 512 rows end on a row block of PAIR_BLOCK_ROWS, 257 one row past
 @pytest.mark.parametrize("n,m", [
-    (1, 1), (5, 7), (PAIR_BLOCK_ROWS, 3), (PAIR_BLOCK_ROWS + 1, 40),
-    (2 * PAIR_BLOCK_ROWS, 2 * PAIR_BLOCK_ROWS), (300, 300), (1999, 37),
+    (1, 1), (5, 7), (256, 3), (257, 40), (512, 512), (300, 300), (1999, 37),
 ])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_pair_dists_equal_the_gram_expression_bitwise(n, m, d):
+def test_pair_dists_equal_the_gram_expression_bitwise(monkeypatch, n, m, d):
+    assert 256 % PAIR_BLOCK_ROWS == 0
     rng = np.random.default_rng(100 * n + d)
     x = rng.standard_normal((n, d)) * 3.0
     y = rng.standard_normal((m, d)) * 3.0
     y[: min(n, m) // 2] = x[: min(n, m) // 2]  # equal rows hit the clamp at 0
-    for a, b in ((x, y), (y, x), (x, x)):
-        np.testing.assert_array_equal(_pair_dists(a, b), _gram_dists(a, b))
+    # with 3 workers each finishes its own span of rows, in blocks of its own
+    for workers in (1, 3):
+        monkeypatch.setattr(dynamics, "WORKERS", workers)
+        for a, b in ((x, y), (y, x), (x, x)):
+            np.testing.assert_array_equal(_pair_dists(a, b), _gram_dists(a, b))
 
 
 def test_pair_dists_leave_their_arguments_unchanged():
@@ -62,7 +66,7 @@ def test_pair_dists_leave_their_arguments_unchanged():
 @pytest.mark.parametrize("n", [6, 40, 300])
 @pytest.mark.parametrize("which_k", ["1", "5", "n-1"])
 @pytest.mark.parametrize("lattice", [True, False])
-def test_knn_radii_equal_the_sorted_column_bitwise(n, which_k, lattice):
+def test_knn_radii_equal_the_sorted_column_bitwise(monkeypatch, n, which_k, lattice):
     k = {"1": 1, "5": 5, "n-1": n - 1}[which_k]
     rng = np.random.default_rng(n)
     if lattice:  # integer points: many tied distances
@@ -72,7 +76,9 @@ def test_knn_radii_equal_the_sorted_column_bitwise(n, which_k, lattice):
     d = _pair_dists(x, x)
     np.fill_diagonal(d, np.inf)
     expected = np.sort(d, axis=1)[:, k - 1]
-    np.testing.assert_array_equal(_knn_radii(d.copy(), k), expected)
+    for workers in (1, 3):  # 3: each worker partitions its own span of rows
+        monkeypatch.setattr(dynamics, "WORKERS", workers)
+        np.testing.assert_array_equal(_knn_radii(d.copy(), k), expected)
 
 
 # -- diversity -------------------------------------------------------------------
@@ -292,8 +298,8 @@ def _reference_evaluate(ckpt, base_ckpt, reward, n, n_steps, seed, k):
     )
 
 
-# the 2D case spans two row blocks of the distance kernel
-@pytest.mark.parametrize("dim,n,k", [(1, 200, 5), (2, PAIR_BLOCK_ROWS + 45, 5), (3, 260, 7)])
+# the 2D case spans several row blocks of the distance kernel
+@pytest.mark.parametrize("dim,n,k", [(1, 200, 5), (2, 301, 5), (3, 260, 7)])
 def test_evaluate_equals_the_reference_composition_bitwise(dim, n, k):
     tuned, base, reward = _eval_setup(dim)
     report = evaluate(tuned, base, reward, n_samples=n, n_steps=10, seed=5, k=k)
@@ -340,3 +346,33 @@ def test_evaluate_rejects_too_few_samples_for_k():
         evaluate(tuned, base, reward, n_samples=5, n_steps=3, k=5)
     with pytest.raises(DomainError):
         evaluate(tuned, base, reward, n_samples=5, n_steps=3, k=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_worker_counts_give_the_same_report(monkeypatch, dim):
+    # at n = 2000 the sampler runs two row blocks and the distance and kNN
+    # kernels one span of rows per worker; the report's bits must not move
+    tuned, base, reward = _eval_setup(dim)
+    reports = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(dynamics, "WORKERS", workers)
+        reports.add(repr(evaluate(tuned, base, reward, n_samples=2000, n_steps=5, seed=6)))
+    assert len(reports) == 1
+
+
+def test_evaluate_samples_each_model_with_one_sample_batch_call(monkeypatch):
+    # the row blocks go through private functions only, so a wrapper around
+    # sample_batch (as the benchmark's capture installs) sees both models'
+    # whole sample sets
+    monkeypatch.setattr(dynamics, "WORKERS", 2)
+    calls = []
+
+    def recording(field, n_steps, m, *args, **kwargs):
+        calls.append((field, m))
+        return sample_batch(field, n_steps, m, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "sample_batch", recording)
+    monkeypatch.setattr(evaluation, "sample_batch", recording)
+    tuned, base, reward = _eval_setup(2)
+    evaluate(tuned, base, reward, n_samples=2000, n_steps=3, seed=1)
+    assert calls == [(tuned.vf, 2000), (base.vf, 2000)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowam import dynamics
 from flowam.checkpoint import Checkpoint
 from flowam.control import RegularizerSpec
 from flowam.errors import ConfigError, NonFiniteError, ValidationError
@@ -299,6 +300,15 @@ def test_one_iteration_makes_exactly_the_counted_network_passes(
     cfg = small_cfg(method=method, n_steps=N_WORK, batch=4, iterations=1, **setting)
     finetune(cfg, make_base(seed=9), QuadraticWell(center=np.array([1.0])))
     assert tuple(counts.values()) == expected
+
+
+@pytest.mark.parametrize("method", ["ode-am", "sde-am", "draft", "refl"])
+def test_finetune_at_batch_64_starts_no_thread(thread_starts, method):
+    # a fine-tuning batch is far below two sampler blocks, so even with
+    # three workers allowed the whole run stays on the calling thread
+    cfg = small_cfg(method=method, batch=64, iterations=2, k_window=3)
+    finetune(cfg, make_base(seed=5), QuadraticWell(center=np.array([1.0])))
+    assert thread_starts == [] and dynamics._pool is None
 
 
 def test_write_csv_deterministic(tmp_path):
