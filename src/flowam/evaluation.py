@@ -4,19 +4,16 @@ Metrics: reward statistics, mean pairwise distance (diversity), exact 1D
 Wasserstein-1 via sorted samples, energy distance in 2D and up, and kNN-ball
 coverage/recall against a reference sample set (k = 5 by default).
 
-``evaluate`` builds three n x n distance matrices, gen-gen, ref-ref and
-ref-gen, in one kNN pass that also returns their means; every metric reads
-them.  Diversity is the gen-gen mean times n / (n - 1), and the energy
-distance's cross term is the ref-gen mean, D(b, a) in ``energy_distance``'s
-terms, so the standalone functions have the bits of ``evaluate``.  kNN radii
-read the k-th order statistic with a partition, not a sort.
-
-Finishing a distance matrix, partitioning it and the recall test are
-row-local, so each splits its rows into one span per worker of
-``dynamics.run_blocks``; the Gram product and the means run whole.  The split
-cannot change a bit, and
-``evaluate`` samples each model with one ``sample_batch`` call, which runs
-its own row blocks.
+No n x n distance matrix is made: ``_pair_pass`` streams the distances
+between two sample sets in blocks of PAIR_BLOCK_ROWS rows, each worker of
+``dynamics.run_blocks`` in its own buffer, so memory is
+O(WORKERS * PAIR_BLOCK_ROWS * n).  ``evaluate`` makes three passes: gen-gen
+and ref-ref give means and kNN radii (by partition), ref-gen its mean and
+the recall and coverage hits.  Diversity is the gen-gen mean times
+n / (n - 1), and the energy cross term is the ref-gen mean, D(b, a) in
+``energy_distance``'s terms.  The standalone metrics run the same passes,
+so they have ``evaluate``'s bits.  ``evaluate`` samples each model with one
+``sample_batch`` call, which runs its own row blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import run_blocks, sample_batch
-from .errors import DomainError, EmptyInput, ShapeError, TooFewSamples
+from .errors import DomainError, EmptyInput, NonFiniteError, ShapeError, TooFewSamples
 
 
 @dataclass
@@ -55,40 +52,72 @@ def _as_points(x) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2:
         raise ShapeError(f"expected (n, dim) samples, got shape {x.shape}")
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise NonFiniteError(f"non-finite sample at row {int(np.argmax(bad))}")
     return x
 
 
-PAIR_BLOCK_ROWS = 32  # rows finished per block of the distance matrix
+def _point_sets(a, b):
+    """Both sample sets as points, which must share their state dimension."""
+    a, b = _as_points(a), _as_points(b)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"sample sets of shapes {a.shape} and {b.shape} differ in dimension")
+    return a, b
 
 
-def _pair_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of x and y, via the Gram expansion.
+PAIR_BLOCK_ROWS = 32  # rows of x per block of a pair pass
 
-    Bitwise sqrt(max(|x_i|^2 + |y_j|^2 - (2 x) @ y^T, 0)).  Only the Gram
-    product is allocated at full size; the elementwise rest is finished in
-    place, a block of rows at a time, with each worker of ``run_blocks``
-    taking its own span of rows, so neither the block size nor the workers
-    can change a bit.
+
+def _pair_pass(x: np.ndarray, y: np.ndarray, visit=None) -> float:
+    """Mean Euclidean distance between the rows of x and y, in one pass.
+
+    x's rows are cut by len(x) alone into blocks of PAIR_BLOCK_ROWS (a last
+    block of one row joins the one before: numpy would take it down its
+    matrix-vector path, which BLAS may round differently).  Block [lo, hi),
+    bitwise sqrt(max(|x_i|^2 + |y_j|^2 - (2 x)[lo:hi] @ y^T, 0)), is summed
+    into its own slot, then ``visit(lo, block)`` may read and overwrite it.
+    The slots are added in block order, so workers cannot change a bit.
     """
+    n, m = x.shape[0], y.shape[0]
+    bounds = [*range(0, max(n - 1, 1), PAIR_BLOCK_ROWS), n]  # no one-row tail
     sx = np.sum(x**2, axis=1)
     sy = np.sum(y**2, axis=1)
-    d = (2.0 * x) @ y.T
+    x2 = 2.0 * x
+    sums = np.empty(len(bounds) - 1)
 
-    def finish(lo, hi):
-        buf = np.empty((min(PAIR_BLOCK_ROWS, hi - lo), d.shape[1]))
-        for i in range(lo, hi, PAIR_BLOCK_ROWS):
-            blk = d[i : min(i + PAIR_BLOCK_ROWS, hi)]
-            tmp = np.add(sx[i : i + blk.shape[0], None], sy, out=buf[: blk.shape[0]])
-            np.subtract(tmp, blk, out=blk)
+    def blocks(b0, b1):
+        gram = np.empty((min(PAIR_BLOCK_ROWS + 1, n), m))
+        tmp = np.empty_like(gram)
+        for b in range(b0, b1):
+            lo, hi = bounds[b], bounds[b + 1]
+            blk = np.matmul(x2[lo:hi], y.T, out=gram[: hi - lo])
+            np.subtract(np.add(sx[lo:hi, None], sy, out=tmp[: hi - lo]), blk, out=blk)
             np.maximum(blk, 0.0, out=blk)
             np.sqrt(blk, out=blk)
+            sums[b] = np.sum(blk)
+            if visit is not None:
+                visit(lo, blk)
 
-    run_blocks(finish, d.shape[0])
-    return d
+    # one part per block: run_blocks deals them out in spans of four
+    run_blocks(blocks, sums.size, parts=sums.size)
+    return float(np.sum(sums)) / (n * m)
+
+
+def _self_pass(x: np.ndarray, k: int):
+    """(mean self distance, each point's distance to its k-th nearest other)."""
+    radii = np.empty(x.shape[0])
+
+    def kth(lo, blk):  # after the block's sum: no point is its own neighbour
+        np.fill_diagonal(blk[:, lo:], np.inf)
+        blk.partition(k - 1, axis=1)
+        radii[lo : lo + blk.shape[0]] = blk[:, k - 1]
+
+    return _pair_pass(x, x, kth), radii
 
 
 def _mpd(self_mean: float, n: int) -> float:
-    """Mean over unordered pairs from the mean of the n x n self matrix."""
+    """Mean over unordered pairs from the mean of the n x n self distances."""
     return self_mean * n / (n - 1)
 
 
@@ -98,13 +127,12 @@ def diversity_mpd(samples) -> float:
     n = x.shape[0]
     if n < 2:
         raise TooFewSamples(f"need >= 2 samples, got {n}")
-    return _mpd(float(np.mean(_pair_dists(x, x))), n)
+    return _mpd(_pair_pass(x, x), n)
 
 
 def wasserstein1_1d(a, b, resample_seed: int = 0) -> float:
     """Exact empirical W1 in 1D; unequal sizes are resampled to match."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
+    a, b = (_as_points(v).ravel() for v in (a, b))
     if a.size == 0 or b.size == 0:
         raise EmptyInput("empty sample set")
     if a.size != b.size:
@@ -124,64 +152,36 @@ def _energy(mean_ab: float, mean_aa: float, mean_bb: float) -> float:
 def energy_distance(a, b) -> float:
     """Energy distance 2 E|A-B| - E|A-A'| - E|B-B'| (nonnegative).
 
-    The cross term is the mean of D(b, a), the orientation of the kNN cross
-    matrix.
+    The cross term is the mean of D(b, a), as in the kNN cross pass.
     """
-    a = _as_points(a)
-    b = _as_points(b)
+    a, b = _point_sets(a, b)
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise TooFewSamples("need >= 2 samples per set")
-    means = [float(np.mean(_pair_dists(x, y))) for x, y in ((b, a), (a, a), (b, b))]
-    return _energy(*means)
-
-
-def _knn_radii(d: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each point of x to its k-th nearest other point of x.
-
-    ``d`` is x's self-distance matrix, which this consumes: it writes inf on
-    the diagonal and partitions each row in place, each worker of
-    ``run_blocks`` its own span of rows.
-    """
-    np.fill_diagonal(d, np.inf)
-
-    def radii(lo, hi):
-        blk = d[lo:hi]
-        blk.partition(k - 1, axis=1)
-        return blk[:, k - 1].copy()
-
-    return np.concatenate(run_blocks(radii, d.shape[0]))
+    return _energy(*(_pair_pass(x, y) for x, y in ((b, a), (a, a), (b, b))))
 
 
 def _knn_terms(gen, ref, k: int):
     """(coverage, recall, mean gen-gen, mean ref-ref, mean ref-gen distance).
 
-    The one pass over the three distance matrices: each self matrix's mean
-    is read before the kNN radii consume it, and only one self matrix is
-    alive at a time.
+    gen-gen and ref-ref give their means and kNN radii, then ref-gen its mean
+    and each reference row's recall and coverage hits.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    g, r = _as_points(gen), _as_points(ref)
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    g, r = _point_sets(gen, ref)
     if g.shape[0] < k + 1 or r.shape[0] < k + 1:
         raise TooFewSamples(f"need >= {k + 1} points per set")
-    means, radii = [], []
-    for x in (g, r):
-        d = _pair_dists(x, x)
-        means.append(float(np.mean(d)))
-        radii.append(_knn_radii(d, k))
-        del d
-    gen_radii, ref_radii = radii
-    cross = _pair_dists(r, g)  # (n_ref, n_gen)
+    mean_gg, gen_radii = _self_pass(g, k)
+    mean_rr, ref_radii = _self_pass(r, k)
+    recalled, covered = np.empty((2, r.shape[0]), dtype=bool)
 
-    def recalled(lo, hi):
-        # a block of rows at a time, so no (n_ref, n_gen) boolean is made
-        return [np.any(cross[i : min(i + PAIR_BLOCK_ROWS, hi)] <= gen_radii, axis=1)
-                for i in range(lo, hi, PAIR_BLOCK_ROWS)]
+    def hits(lo, blk):
+        hi = lo + blk.shape[0]
+        np.any(blk <= gen_radii, axis=1, out=recalled[lo:hi])
+        np.less_equal(np.min(blk, axis=1), ref_radii[lo:hi], out=covered[lo:hi])
 
-    hits = [h for span in run_blocks(recalled, cross.shape[0]) for h in span]
-    recall = float(np.mean(np.concatenate(hits)))
-    coverage = float(np.mean(np.min(cross, axis=1) <= ref_radii))
-    return coverage, recall, means[0], means[1], float(np.mean(cross))
+    mean_rg = _pair_pass(r, g, hits)
+    return float(np.mean(covered)), float(np.mean(recalled)), mean_gg, mean_rr, mean_rg
 
 
 def knn_coverage_recall(gen, ref, k: int = 5):
@@ -208,11 +208,9 @@ def evaluate(
     vf, base = ckpt.vf, base_ckpt.vf
     if vf.state_dim != base.state_dim:
         raise ShapeError("checkpoints have different state dimensions")
-    gen = np.stack(
-        [t.states[-1] for t in sample_batch(vf, n_steps, n_samples, seed)]
-    )
-    ref = np.stack(
-        [t.states[-1] for t in sample_batch(base, n_steps, n_samples, seed + 1)]
+    gen, ref = (
+        np.stack([t.states[-1] for t in sample_batch(f, n_steps, n_samples, s)])
+        for f, s in ((vf, seed), (base, seed + 1))
     )
     rewards = reward.value(gen)
     # k + 1 >= 2 points per set also covers the diversity and energy checks

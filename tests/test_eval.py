@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,12 @@ from hypothesis import strategies as st
 from flowam import dynamics, evaluation
 from flowam.checkpoint import Checkpoint
 from flowam.dynamics import sample_batch
-from flowam.errors import DomainError, EmptyInput, TooFewSamples
+from flowam.errors import DomainError, EmptyInput, NonFiniteError, ShapeError, TooFewSamples
 from flowam.evaluation import (
     EvalReport,
     PAIR_BLOCK_ROWS,
-    _knn_radii,
-    _pair_dists,
+    _pair_pass,
+    _self_pass,
     diversity_mpd,
     energy_distance,
     evaluate,
@@ -26,13 +28,35 @@ from flowam.tasks import ConstantReward, QuadraticWell
 
 
 def _gram_dists(x, y):
-    """The one-expression Gram form whose bits _pair_dists keeps."""
+    """The one-expression Gram form whose bits each block of a pair pass keeps."""
     d2 = (
         np.sum(x**2, axis=1)[:, None]
         + np.sum(y**2, axis=1)[None, :]
         - 2.0 * x @ y.T
     )
     return np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
+
+
+def _block_bounds(n):
+    """Blocks of PAIR_BLOCK_ROWS rows, cut by n alone; a one-row tail joins
+    the block before it."""
+    starts = list(range(0, n, PAIR_BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _passed_blocks(x, y):
+    """(mean, [(lo, block copy), ...]) of one pair pass, in block order."""
+    seen = []
+    mean = _pair_pass(x, y, lambda lo, blk: seen.append((lo, blk.copy())))
+    return mean, sorted(seen, key=lambda s: s[0])
+
+
+def _blocked_mean(x, y):
+    """The pass's mean from its definition: block sums added in block order."""
+    sums = [np.sum(_gram_dists(x[lo:hi], y)) for lo, hi in _block_bounds(len(x))]
+    return float(np.sum(np.array(sums))) / (len(x) * len(y))
 
 
 # 256 and 512 rows end on a row block of PAIR_BLOCK_ROWS, 257 one row past
@@ -46,11 +70,18 @@ def test_pair_dists_equal_the_gram_expression_bitwise(monkeypatch, n, m, d):
     x = rng.standard_normal((n, d)) * 3.0
     y = rng.standard_normal((m, d)) * 3.0
     y[: min(n, m) // 2] = x[: min(n, m) // 2]  # equal rows hit the clamp at 0
-    # with 3 workers each finishes its own span of rows, in blocks of its own
+    # with 3 workers each runs its own spans of blocks, in a buffer of its own
     for workers in (1, 3):
         monkeypatch.setattr(dynamics, "WORKERS", workers)
         for a, b in ((x, y), (y, x), (x, x)):
-            np.testing.assert_array_equal(_pair_dists(a, b), _gram_dists(a, b))
+            mean, blocks = _passed_blocks(a, b)
+            bounds = _block_bounds(len(a))
+            assert [lo for lo, _ in blocks] == [lo for lo, _ in bounds]
+            for (lo, blk), (_, hi) in zip(blocks, bounds):
+                np.testing.assert_array_equal(blk, _gram_dists(a[lo:hi], b))
+            assert mean == _blocked_mean(a, b)
+            # the whole-matrix mean differs only in the order of its sum
+            assert mean == pytest.approx(np.mean(_gram_dists(a, b)), rel=1e-12, abs=0)
 
 
 def test_pair_dists_leave_their_arguments_unchanged():
@@ -58,8 +89,9 @@ def test_pair_dists_leave_their_arguments_unchanged():
     x = rng.standard_normal((PAIR_BLOCK_ROWS + 9, 2))
     y = rng.standard_normal((17, 2))
     before = (x.tobytes(), y.tobytes())
-    _pair_dists(x, y)
-    _pair_dists(x, x)
+    _pair_pass(x, y)
+    _pair_pass(x, x)
+    _self_pass(x, 3)
     assert (x.tobytes(), y.tobytes()) == before
 
 
@@ -73,12 +105,65 @@ def test_knn_radii_equal_the_sorted_column_bitwise(monkeypatch, n, which_k, latt
         x = rng.integers(-2, 3, size=(n, 2)).astype(np.float64)
     else:
         x = rng.standard_normal((n, 2))
-    d = _pair_dists(x, x)
-    np.fill_diagonal(d, np.inf)
-    expected = np.sort(d, axis=1)[:, k - 1]
-    for workers in (1, 3):  # 3: each worker partitions its own span of rows
+
+    def sorted_column(d, lo):
+        np.fill_diagonal(d[:, lo:], np.inf)
+        return np.sort(d, axis=1)[:, k - 1]
+
+    expected = np.concatenate(
+        [sorted_column(_gram_dists(x[lo:hi], x), lo) for lo, hi in _block_bounds(n)]
+    )
+    whole = sorted_column(_gram_dists(x, x), 0)
+    for workers in (1, 3):  # 3: each worker partitions its own blocks
         monkeypatch.setattr(dynamics, "WORKERS", workers)
-        np.testing.assert_array_equal(_knn_radii(d.copy(), k), expected)
+        mean, radii = _self_pass(x, k)
+        np.testing.assert_array_equal(radii, expected)
+        assert mean == _blocked_mean(x, x)
+        np.testing.assert_allclose(radii, whole, rtol=1e-12, atol=0)
+
+
+# n on both sides of a block boundary, and unequal set sizes
+SIZES = [(2, 5), (5, 2), (31, 33), (32, 31), (33, 32), (257, 256), (1999, 2000)]
+
+
+@pytest.mark.parametrize("n,n_ref", SIZES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_standalone_metrics_equal_the_whole_matrix_formulas(n, n_ref, d):
+    rng = np.random.default_rng(10 * n + d)
+    gen = rng.standard_normal((n, d))
+    ref = rng.standard_normal((n_ref, d)) * 1.5 + 0.5
+    whole = {}
+    for name, (x, y) in {"gg": (gen, gen), "rr": (ref, ref), "rg": (ref, gen)}.items():
+        whole[name] = _gram_dists(x, y)
+    mean = {name: float(np.mean(dist)) for name, dist in whole.items()}
+    assert diversity_mpd(gen) == pytest.approx(mean["gg"] * n / (n - 1), rel=1e-12, abs=0)
+    energy = max(2.0 * mean["rg"] - mean["gg"] - mean["rr"], 0.0)
+    assert energy_distance(gen, ref) == pytest.approx(energy, rel=1e-12, abs=0)
+    k = min(5, n - 1, n_ref - 1)
+    radii = {}
+    for name in ("gg", "rr"):
+        np.fill_diagonal(whole[name], np.inf)
+        radii[name] = np.sort(whole[name], axis=1)[:, k - 1]
+    recall = float(np.mean(np.any(whole["rg"] <= radii["gg"][None, :], axis=1)))
+    coverage = float(np.mean(np.min(whole["rg"], axis=1) <= radii["rr"]))
+    assert knn_coverage_recall(gen, ref, k) == (coverage, recall)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_knn_pass_peak_memory_stays_far_below_one_matrix(monkeypatch, workers):
+    # one n x n float64 matrix at n = 2000 is 32 MB; each worker's two block
+    # buffers take 2 * 33 * 2000 * 8 bytes
+    monkeypatch.setattr(dynamics, "WORKERS", workers)
+    rng = np.random.default_rng(4)
+    gen = rng.standard_normal((2000, 2))
+    ref = rng.standard_normal((2000, 2)) + 0.3
+    tracemalloc.start()
+    try:
+        evaluation._knn_terms(gen, ref, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 # -- diversity -------------------------------------------------------------------
@@ -233,6 +318,49 @@ def test_knn_rejects_k_below_one(k):
         knn_coverage_recall(x, x, k=k)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, "5", None])
+def test_knn_rejects_a_k_that_is_no_integer(k):
+    x = np.random.default_rng(0).standard_normal((10, 2))
+    with pytest.raises(DomainError, match="integer"):
+        knn_coverage_recall(x, x, k=k)
+
+
+def test_knn_takes_a_numpy_integer_k():
+    x = np.random.default_rng(0).standard_normal((10, 2))
+    assert knn_coverage_recall(x, x, k=np.int64(3)) == knn_coverage_recall(x, x, k=3)
+
+
+# -- bad input ------------------------------------------------------------------------
+
+
+METRICS = {
+    "diversity": lambda a, b: diversity_mpd(a),
+    "energy": energy_distance,
+    "knn": knn_coverage_recall,
+    "w1": wasserstein1_1d,
+}
+
+
+# metric and the sample set that holds the bad row
+@pytest.mark.parametrize("case", ["diversity-0", "energy-0", "energy-1", "knn-0", "knn-1",
+                                  "w1-0", "w1-1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_reject_non_finite_samples(case, bad):
+    # one bad row used to give (0.0, 1.0), nan or inf without an error
+    name, side = case.split("-")
+    sets = [np.random.default_rng(s).standard_normal((12, 1)) for s in (1, 2)]
+    sets[int(side)][7, 0] = bad
+    with pytest.raises(NonFiniteError, match="row 7"):
+        METRICS[name](*sets)
+
+
+@pytest.mark.parametrize("metric", [energy_distance, knn_coverage_recall])
+def test_metrics_reject_sample_sets_of_different_dimensions(metric):
+    rng = np.random.default_rng(5)
+    with pytest.raises(ShapeError, match=r"\(10, 2\) and \(12, 3\)"):
+        metric(rng.standard_normal((10, 2)), rng.standard_normal((12, 3)))
+
+
 # -- report assembly ----------------------------------------------------------------
 
 
@@ -265,20 +393,27 @@ def _eval_setup(dim):
     return tuned, base, QuadraticWell(center=np.ones(dim))
 
 
-def _reference_evaluate(ckpt, base_ckpt, reward, n, n_steps, seed, k):
-    """evaluate from the metrics' definitions: one full product per distance
-    matrix, the kNN radii read from a full sort, diversity from the gen-gen
-    mean times n / (n - 1) and the energy cross term from D(ref, gen)."""
+def _reference_evaluate(ckpt, base_ckpt, reward, n, n_steps, seed, k, whole=False):
+    """evaluate from the metrics' definitions: each distance from its blocks'
+    Gram products (whole=True: one product per pair of sets), means from
+    block sums added in block order (whole: the matrix mean), kNN radii from
+    a full sort, diversity from the gen-gen mean times n / (n - 1) and the
+    energy cross term from D(ref, gen)."""
     gen, ref = (
         np.stack([t.states[-1] for t in sample_batch(c.vf, n_steps, n, s)])
         for c, s in ((ckpt, seed), (base_ckpt, seed + 1))
     )
 
+    def dists(x, y):
+        if whole:
+            return _gram_dists(x, y)
+        return np.concatenate([_gram_dists(x[lo:hi], y) for lo, hi in _block_bounds(len(x))])
+
     def mean_dist(x, y):
-        return float(np.mean(_gram_dists(x, y)))
+        return float(np.mean(dists(x, y))) if whole else _blocked_mean(x, y)
 
     def radii(x):
-        d = _gram_dists(x, x)
+        d = dists(x, x)
         np.fill_diagonal(d, np.inf)
         return np.sort(d, axis=1)[:, k - 1]
 
@@ -288,7 +423,7 @@ def _reference_evaluate(ckpt, base_ckpt, reward, n, n_steps, seed, k):
         dist = max(
             2.0 * mean_dist(ref, gen) - mean_dist(gen, gen) - mean_dist(ref, ref), 0.0
         )
-    cross = _gram_dists(ref, gen)
+    cross = dists(ref, gen)
     recall = float(np.mean(np.any(cross <= radii(gen)[None, :], axis=1)))
     coverage = float(np.mean(np.min(cross, axis=1) <= radii(ref)))
     rewards = reward.value(gen)
@@ -298,13 +433,18 @@ def _reference_evaluate(ckpt, base_ckpt, reward, n, n_steps, seed, k):
     )
 
 
-# the 2D case spans several row blocks of the distance kernel
+# the 2D case spans several row blocks of the distance pass
 @pytest.mark.parametrize("dim,n,k", [(1, 200, 5), (2, 301, 5), (3, 260, 7)])
 def test_evaluate_equals_the_reference_composition_bitwise(dim, n, k):
     tuned, base, reward = _eval_setup(dim)
     report = evaluate(tuned, base, reward, n_samples=n, n_steps=10, seed=5, k=k)
     expected = _reference_evaluate(tuned, base, reward, n, 10, 5, k)
     assert repr(report) == repr(expected)
+    # the whole matrices' means differ only in the order of their sums
+    whole = _reference_evaluate(tuned, base, reward, n, 10, 5, k, whole=True)
+    assert (report.coverage, report.recall) == (whole.coverage, whole.recall)
+    for name in ("reward_mean", "reward_std", "diversity_mpd", "distance"):
+        assert getattr(report, name) == pytest.approx(getattr(whole, name), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -324,20 +464,28 @@ def test_evaluate_matches_the_standalone_metrics_bitwise(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_evaluate_builds_exactly_three_distance_matrices(monkeypatch, dim):
-    # gen-gen, ref-ref and ref-gen, each once, feed every metric
-    shapes = []
-    pair_dists = evaluation._pair_dists
+def test_evaluate_makes_three_passes_and_no_n_by_n_array(monkeypatch, dim):
+    # gen-gen, ref-ref and ref-gen, each once, feed every metric, a block of
+    # rows at a time
+    passes, block_rows = [], []
+    pair_pass = evaluation._pair_pass
 
-    def counting(x, y):
-        d = pair_dists(x, y)
-        shapes.append(d.shape)
-        return d
+    def recording(x, y, visit=None):
+        passes.append((x, y))
 
-    monkeypatch.setattr(evaluation, "_pair_dists", counting)
+        def watching(lo, blk):
+            block_rows.append(blk.shape[0])
+            visit(lo, blk)
+
+        return pair_pass(x, y, watching)
+
+    monkeypatch.setattr(evaluation, "_pair_pass", recording)
     tuned, base, reward = _eval_setup(dim)
     evaluate(tuned, base, reward, n_samples=120, n_steps=5, seed=2, k=3)
-    assert shapes == [(120, 120)] * 3
+    (g, g2), (r, r2), cross = passes
+    assert g is g2 and r is r2 and cross[0] is r and cross[1] is g
+    assert g.shape == r.shape == (120, dim)
+    assert sum(block_rows) == 3 * 120 and max(block_rows) <= PAIR_BLOCK_ROWS + 1
 
 
 def test_evaluate_rejects_too_few_samples_for_k():
