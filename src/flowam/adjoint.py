@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, _integrate
+from .dynamics import Trajectory, _check_finite, _integrate
 from .errors import NonFiniteError, ShapeError
 
 BLOWUP_NORM = 1e12
@@ -129,6 +129,7 @@ def verify_adjoint_fd(base, traj: Trajectory, reward, t_index: int, fd_step=1e-4
     dim = x.shape[-1]
     e = fd_step * np.eye(dim)
     _, states = _integrate(base, np.concatenate([x + e, x - e]), n, start=t_index)
+    _check_finite(states, t_index)
     g = -reward.value(states[-1])
     fd = (g[:dim] - g[dim:]) / (2.0 * fd_step)
     scale = max(np.linalg.norm(fd), 1e-12)

@@ -24,20 +24,22 @@ Blocks this large round as the same rows do inside one product over all m
 (measured with OpenBLAS 0.3.31 on x86-64: 640 rows or more suffice, and a
 1-wide output layer, which takes numpy's matrix-vector path, needs the
 multiples of 4); ``tests/test_dynamics.py`` pins this.  ``run_blocks`` runs
-them on the calling thread and WORKERS - 1 pool threads, so numpy's kernels,
-which release the interpreter lock, use every core; which thread runs a
-block cannot change its bytes.  WORKERS is the number of usable cores when
-BLAS is limited to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-MKL_NUM_THREADS set, and every one set is "1"), else 1: threaded BLAS runs
-one product at a time and its threads would compete with these.
-``sample_ode`` integrates the flow from a given initial state.
+them on the calling thread and WORKERS - 1 threads of a pool made for that
+call, so numpy's kernels, which release the interpreter lock, use every
+core; which thread runs a block cannot change its bytes.  WORKERS is the
+number of usable cores when BLAS is limited to one thread
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS set, and every one
+set is "1"), else 1: threaded BLAS runs one product at a time and its
+threads would compete with these.
+``sample_ode`` integrates the flow from a given initial state.  No step
+tests its state: each sampler scans the finished states once and names the
+earliest non-finite step and its first sample.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -130,12 +132,15 @@ def _stream_states(base_seed: int, m: int) -> list:
     return states
 
 
-class _BlowUp(NonFiniteError):
-    """A state went non-finite: first at grid index ``step``, in row ``sample``."""
-
-    def __init__(self, step: int, sample: int):
-        self.step, self.sample = step, sample
-        super().__init__(f"non-finite state at step {step}, sample {sample}")
+def _check_finite(states, start: int = 0) -> None:
+    """Raise ``NonFiniteError`` naming the earliest grid index at which a row
+    of ``states`` (grid indices start, start + 1, ...) is non-finite, and the
+    first such row: what stopping at the first non-finite step would name."""
+    bad = ~np.isfinite(states).all(axis=-1)  # (steps, m)
+    if bad.any():
+        step, sample = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonFiniteError(
+            f"non-finite state at step {start + int(step)}, sample {int(sample)}")
 
 
 def _integrate(field, x0, n_steps, coeffs=None, noises=None, start=0, out=None):
@@ -159,9 +164,6 @@ def _integrate(field, x0, n_steps, coeffs=None, noises=None, start=0, out=None):
             x = x + h * drift + np.sqrt(h) * sig * noises[k]
         else:
             x = x + h * v
-        finite = np.isfinite(x)
-        if not np.all(finite):
-            raise _BlowUp(k + 1, int(np.argmin(np.all(finite, axis=1))))
         states[k + 1 - start] = x
     return times, states
 
@@ -182,56 +184,36 @@ def _worker_count() -> int:
 
 
 WORKERS = _worker_count()
-# ((WORKERS, pid) it was made for, executor), made by the first parallel
-# call; a forked child, which has none of the threads, makes its own
-_pool = None
-_pool_lock = threading.Lock()
 
 
-def _executor():
-    # imported here: concurrent.futures pulls in logging, about 10 ms and
-    # 0.6 MB that a process which never runs blocks in parallel need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _pool
-    key = (WORKERS, os.getpid())
-    with _pool_lock:
-        if _pool is None or _pool[0] != key:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (key, ThreadPoolExecutor(WORKERS - 1, "flowam-blocks"))
-        return _pool[1]
-
-
-def run_blocks(fn, n: int, parts: Optional[int] = None) -> list:
+def run_blocks(fn, n: int, parts: int) -> list:
     """``[fn(lo, hi) for (lo, hi) in spans]`` over range(n) cut into ``parts``
-    near-equal spans (default: one per worker), inner bounds multiples of 4.
+    near-equal spans, inner bounds multiples of 4.
 
     With w = min(WORKERS, spans) > 1, the calling thread runs spans 0, w,
-    2w, ... and w - 1 pool threads the others, in the caller's context (so
-    numpy's error state holds); fn must touch only its own rows and must
-    not call ``run_blocks``.  Every span is finished before an error is
-    raised.
+    2w, ... and a pool of w - 1 threads, made for this call, the others, in
+    the caller's context (so numpy's error state holds); fn must touch only
+    its own rows and must not call ``run_blocks``.  Every span is finished
+    before an error is raised.
     """
-    parts = WORKERS if parts is None else parts
     bounds = sorted({4 * (j * n // (4 * parts)) for j in range(parts)} | {n})
     spans = list(zip(bounds[:-1], bounds[1:]))
     w = min(WORKERS, len(spans))
     if w <= 1:
         return [fn(lo, hi) for lo, hi in spans]
+    # imported here: concurrent.futures pulls in logging, about 10 ms and
+    # 0.6 MB that a process which never runs blocks in parallel need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
     out = [None] * len(spans)
 
     def run(first):
         for i in range(first, len(spans), w):
             out[i] = fn(*spans[i])
 
-    pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, run, j) for j in range(1, w)]
-    try:
-        run(0)
-    finally:
-        for f in futures:
-            f.exception()  # waits for the span to finish
+    with ThreadPoolExecutor(w - 1, "flowam-blocks") as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, j) for j in range(1, w)]
+        run(0)  # on an error, leaving the block waits for every other span
     for f in futures:
         f.result()
     return out
@@ -242,6 +224,7 @@ def sample_ode(field, n_steps: int, x0) -> Trajectory:
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
     times, states = _integrate(field, x0, n_steps)
+    _check_finite(states)
     return Trajectory(times, states[:, 0, :], np.empty((0, states.shape[-1])))
 
 
@@ -288,19 +271,12 @@ def sample_batch(
     states = np.empty((n_steps + 1, m, dim))
 
     def block(lo, hi):
-        try:
-            return _integrate(field, x0[lo:hi], n_steps, coeffs,
-                              None if noises is None else noises[:, lo:hi],
-                              out=states[:, lo:hi])[0]
-        except _BlowUp as e:
-            return _BlowUp(e.step, lo + e.sample)
+        return _integrate(field, x0[lo:hi], n_steps, coeffs,
+                          None if noises is None else noises[:, lo:hi],
+                          out=states[:, lo:hi])[0]
 
-    done = run_blocks(block, m, m // BLOCK_ROWS if m >= 2 * BLOCK_ROWS else 1)
-    blowups = [b for b in done if isinstance(b, _BlowUp)]
-    if blowups:
-        # the earliest step, then its first sample: what one batch would name
-        raise min(blowups, key=lambda e: (e.step, e.sample))
-    times = done[0]
+    times = run_blocks(block, m, m // BLOCK_ROWS if m >= 2 * BLOCK_ROWS else 1)[0]
+    _check_finite(states)
     empty = np.empty((0, dim))
     return [
         Trajectory(times=times, states=states[:, i, :],

@@ -160,17 +160,22 @@ def energy_distance(a, b) -> float:
     return _energy(*(_pair_pass(x, y) for x, y in ((b, a), (a, a), (b, b))))
 
 
+def _check_knn(k, n: int) -> None:
+    """k must be an integer >= 1, and the smaller set hold n >= k + 1 points."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    if n < k + 1:
+        raise TooFewSamples(f"need >= {k + 1} points per set")
+
+
 def _knn_terms(gen, ref, k: int):
     """(coverage, recall, mean gen-gen, mean ref-ref, mean ref-gen distance).
 
     gen-gen and ref-ref give their means and kNN radii, then ref-gen its mean
     and each reference row's recall and coverage hits.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
     g, r = _point_sets(gen, ref)
-    if g.shape[0] < k + 1 or r.shape[0] < k + 1:
-        raise TooFewSamples(f"need >= {k + 1} points per set")
+    _check_knn(k, min(g.shape[0], r.shape[0]))
     mean_gg, gen_radii = _self_pass(g, k)
     mean_rr, ref_radii = _self_pass(r, k)
     recalled, covered = np.empty((2, r.shape[0]), dtype=bool)
@@ -208,12 +213,13 @@ def evaluate(
     vf, base = ckpt.vf, base_ckpt.vf
     if vf.state_dim != base.state_dim:
         raise ShapeError("checkpoints have different state dimensions")
+    # k + 1 >= 2 points per set also covers the diversity and energy checks
+    _check_knn(k, n_samples)
     gen, ref = (
         np.stack([t.states[-1] for t in sample_batch(f, n_steps, n_samples, s)])
         for f, s in ((vf, seed), (base, seed + 1))
     )
     rewards = reward.value(gen)
-    # k + 1 >= 2 points per set also covers the diversity and energy checks
     coverage, recall, mean_gg, mean_rr, mean_rg = _knn_terms(gen, ref, k)
     if gen.shape[1] == 1:
         dist = wasserstein1_1d(gen, ref)

@@ -168,6 +168,27 @@ def test_verify_adjoint_fd_on_analytic_field():
         assert err < 1e-4
 
 
+def test_verify_adjoint_fd_raises_when_its_reintegration_blows_up():
+    # the base trajectory stays at x0, but a state off it gets an infinite
+    # velocity: a NaN error would pass gate 2's max(err, e) unseen
+    x0 = 0.5
+
+    class Tripwire:
+        state_dim = 1
+
+        def forward(self, x, t):
+            return np.where(np.atleast_2d(x) == x0, 0.0, np.inf)
+
+        def input_vjp(self, x, t, w):
+            return self.forward(x, t), np.zeros_like(w)
+
+    traj = sample_ode(Tripwire(), 10, np.array([x0]))
+    reward = QuadraticWell(center=np.array([1.0]), curvature=1.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=r"^non-finite state at step 5, sample 0$"):
+            verify_adjoint_fd(Tripwire(), traj, reward, t_index=4)
+
+
 def test_verify_adjoint_fd_index_bounds():
     lf, traj = linear_traj(n=10)
     reward = QuadraticWell(center=np.array([0.0]), curvature=1.0)

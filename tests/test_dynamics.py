@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -289,7 +290,7 @@ def test_sample_batch_below_two_blocks_starts_no_thread(thread_starts):
     for m in (1, 64, 2 * BLOCK_ROWS - 1):
         sample_batch(lf, 3, m, 0)
         sample_batch(lf, 3, m, 0, coeffs=step_coeffs(MEMORYLESS, 3))
-    assert thread_starts == [] and dynamics._pool is None
+    assert thread_starts == []
 
 
 class _Bomb:
@@ -323,3 +324,32 @@ def test_blow_up_names_the_earliest_step_over_all_blocks(monkeypatch, workers):
         monkeypatch.setattr(dynamics, "BLOCK_ROWS", m)  # one block
         with pytest.raises(NonFiniteError, match=r"^non-finite state at step 3, sample 1500$"):
             sample_batch(bomb, n, m, seed)
+
+
+def test_sample_ode_names_the_blow_up_step():
+    # the velocity is infinite from grid time 0.2 = step 2 on, so the state
+    # at step 3 is the first non-finite one
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=r"^non-finite state at step 3, sample 0$"):
+            sample_ode(_Bomb({0.3: 0.2}), 10, np.array([0.3]))
+
+
+def _live_block_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("flowam-blocks")]
+
+
+def test_no_block_thread_outlives_its_call(thread_starts):
+    # each parallel call makes its own pool and shuts it down before it
+    # returns or raises
+    vf = VelocityField.init(NetConfig(state_dim=2, hidden=(16,)), seed=1)
+    sample_batch(vf, 3, 2 * BLOCK_ROWS, 0)
+    assert thread_starts and _live_block_threads() == []
+
+    def fail_after_0(lo, hi):
+        if lo > 0:
+            raise ValueError(f"span {lo}")
+
+    with pytest.raises(ValueError, match="span"):
+        run_blocks(fail_after_0, 12, 3)
+    assert _live_block_threads() == []
+    assert all(name.startswith("flowam-blocks") for name in thread_starts)

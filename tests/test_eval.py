@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -488,12 +489,22 @@ def test_evaluate_makes_three_passes_and_no_n_by_n_array(monkeypatch, dim):
     assert sum(block_rows) == 3 * 120 and max(block_rows) <= PAIR_BLOCK_ROWS + 1
 
 
-def test_evaluate_rejects_too_few_samples_for_k():
+def test_evaluate_rejects_too_few_samples_for_k(monkeypatch):
+    # before either model is sampled
+    calls = []
+    monkeypatch.setattr(evaluation, "sample_batch", lambda *a, **kw: calls.append(a))
     tuned, base, reward = _eval_setup(2)
-    with pytest.raises(TooFewSamples):
-        evaluate(tuned, base, reward, n_samples=5, n_steps=3, k=5)
-    with pytest.raises(DomainError):
-        evaluate(tuned, base, reward, n_samples=5, n_steps=3, k=0)
+    for n, k, error in ((5, 5, TooFewSamples), (5, 0, DomainError), (50, 2.0, DomainError)):
+        with pytest.raises(error):
+            evaluate(tuned, base, reward, n_samples=n, n_steps=3, k=k)
+    assert calls == []
+
+
+def test_evaluate_leaves_no_block_thread_alive(thread_starts):
+    tuned, base, reward = _eval_setup(2)
+    evaluate(tuned, base, reward, n_samples=2000, n_steps=3, seed=1)
+    assert thread_starts
+    assert not [t for t in threading.enumerate() if t.name.startswith("flowam-blocks")]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from flowam import dynamics
 from flowam.checkpoint import Checkpoint
 from flowam.control import RegularizerSpec
 from flowam.errors import ConfigError, NonFiniteError, ValidationError
 from flowam.nnet import GradientTape, NetConfig, VelocityField
 from flowam.oracles import GaussianFlowSpec, rf_velocity
-from flowam.tasks import ConstantReward, Gaussian1D, QuadraticWell
+from flowam.tasks import ConstantReward, Gaussian1D, GaussianMixture2D, QuadraticWell
 from flowam.train import (
     ADAM_BETA1,
     ADAM_EPS,
@@ -308,7 +307,7 @@ def test_finetune_at_batch_64_starts_no_thread(thread_starts, method):
     # three workers allowed the whole run stays on the calling thread
     cfg = small_cfg(method=method, batch=64, iterations=2, k_window=3)
     finetune(cfg, make_base(seed=5), QuadraticWell(center=np.array([1.0])))
-    assert thread_starts == [] and dynamics._pool is None
+    assert thread_starts == []
 
 
 def test_write_csv_deterministic(tmp_path):
@@ -320,3 +319,25 @@ def test_write_csv_deterministic(tmp_path):
     text = open(p1).read()
     assert text.splitlines()[0] == "iter,loss"
     assert "0.1234567890123" in text
+
+
+def test_a_pretrain_in_a_child_loads_with_the_in_process_bits(pretrain_in_child):
+    # the heavy bases are built this way, at this batch and width: in a
+    # spawned child with one BLAS thread, saved, and loaded here
+    cfg = small_cfg(batch=512, iterations=40, lr=1e-3)
+    for dist in (Gaussian1D(0.5, 2.0), GaussianMixture2D.two_modes()):
+        net = NetConfig(state_dim=dist.dim, hidden=(64, 64, 64))
+        built, _ = pretrain(cfg, dist, net)
+        loaded = pretrain_in_child(cfg, dist, net)
+        assert loaded.vf.params_flat().tobytes() == built.vf.params_flat().tobytes()
+        assert (loaded.vf.cfg, loaded.seed, loaded.iteration) == (net, cfg.seed, 40)
+
+
+def test_a_failing_pretrain_in_a_child_fails_with_its_error_text(pretrain_in_child):
+    # Adam's first step of about lr sends every parameter to 1e300, and the
+    # next forward overflows
+    cfg = small_cfg(batch=16, iterations=5, lr=1e300, warmup=0)
+    net = NetConfig(state_dim=1, hidden=(8,))
+    with np.errstate(all="ignore"):
+        with pytest.raises(pytest.fail.Exception, match=r"(?s)NonFiniteError: pretraining aborted"):
+            pretrain_in_child(cfg, Gaussian1D(0.0, 1.0), net)
