@@ -4,8 +4,9 @@ One `key = value` pair per line; `#` starts a comment.  The training and
 network keys are the fields of `TrainConfig` and `NetConfig` (keys `p` and
 `lam` set `reg_p` and `reg_lam`), which own their defaults and checks; this
 module adds the data, reward, evaluation and output keys and the checks
-that need them.  Unknown keys and every violated constraint are collected
-and reported together, not one at a time.
+that need them.  The data keys are checked by building the run's
+distribution from the ``DATA`` table.  Unknown keys and every violated
+constraint are collected and reported together, not one at a time.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .nnet import NetConfig
 from .tasks import (
-    DISTRIBUTIONS,
     REWARDS,
     ConstantReward,
     Gaussian1D,
@@ -86,6 +86,15 @@ SCHEMA = {
     "outdir": (str, "out"),
 }
 
+# data name -> builder over the resolved values; each check of the data keys
+# is the distribution's own, run by ``_validate`` with the other checks
+DATA = {
+    "gauss1d": lambda v: Gaussian1D(mu=v["data_mu"], sigma=v["data_sigma"]),
+    "gm2": lambda v: GaussianMixture2D.two_modes(offset=v["mode_offset"],
+                                                 std=v["mode_std"]),
+    "ring8": lambda v: ring8(radius=v["ring_radius"], std=v["ring_std"]),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -93,13 +102,12 @@ class RunConfig:
     train: TrainConfig
     net: NetConfig
     config_sha256: str
-    tool_version: str = TOOL_VERSION
 
     def __getitem__(self, key):
         return self.values[key]
 
     def resolved_text(self) -> str:
-        lines = [f"# tool_version = {self.tool_version}",
+        lines = [f"# tool_version = {TOOL_VERSION}",
                  f"# config_sha256 = {self.config_sha256}"]
         for k in sorted(self.values):
             v = self.values[k]
@@ -140,12 +148,16 @@ def _build(cls, values: dict):
 def _validate(values: dict, raw: dict) -> list:
     """The checks of keys that are not TrainConfig or NetConfig fields."""
     v = []
-    if values["data"] not in DISTRIBUTIONS:
-        v.append(f"data must be one of {tuple(DISTRIBUTIONS)}")
+    if values["data"] not in DATA:
+        v.append(f"data must be one of {tuple(DATA)}")
     else:
-        dim = DISTRIBUTIONS[values["data"]]().dim
-        if values["state_dim"] != dim:
-            v.append(f"data {values['data']} requires state_dim = {dim}")
+        try:
+            dim = DATA[values["data"]](values).dim
+        except DomainError as e:
+            v.append(f"data {values['data']}: {e}")
+        else:
+            if values["state_dim"] != dim:
+                v.append(f"data {values['data']} requires state_dim = {dim}")
     if values["reward"] not in REWARDS:
         v.append(f"reward must be one of {tuple(REWARDS)}")
     for key in ("reward_center", "reward_direction"):
@@ -223,14 +235,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def make_distribution(cfg: RunConfig):
-    kind = cfg["data"]
-    if kind == "gauss1d":
-        return Gaussian1D(mu=cfg["data_mu"], sigma=cfg["data_sigma"])
-    if kind == "gm2":
-        return GaussianMixture2D.two_modes(
-            offset=cfg["mode_offset"], std=cfg["mode_std"]
-        )
-    return ring8(radius=cfg["ring_radius"], std=cfg["ring_std"])
+    return DATA[cfg["data"]](cfg)
 
 
 def make_reward(cfg: RunConfig):

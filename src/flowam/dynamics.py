@@ -240,8 +240,8 @@ def sample_batch(
     x0 ~ N(0, I) and the noise block are drawn from each sample's own stream,
     then the batch is integrated vectorized over samples, in row blocks from
     m >= 2 * BLOCK_ROWS on.  ``coeffs`` is the run's ``step_coeffs`` table,
-    shape (n_steps, 3); without it, or where sigma is 0 at every step, this
-    is the Euler flow of the ODE.  A non-finite state raises
+    shape (n_steps, 3); with it this is the Euler-Maruyama flow of the SDE,
+    without it the Euler flow of the ODE.  A non-finite state raises
     ``NonFiniteError`` naming the earliest step at which any sample went
     non-finite and the first such sample.
     """
@@ -255,7 +255,7 @@ def sample_batch(
         raise ShapeError(f"coefficient table must have shape ({n_steps}, 3), "
                          f"got {np.shape(coeffs)}")
     dim = field.state_dim
-    stochastic = coeffs is not None and bool(np.any(coeffs[:, 2]))
+    stochastic = coeffs is not None
     # row i is stream i's x0 and then its (N, dim) noise block, in one draw
     draws = np.empty((m, dim * (1 + n_steps if stochastic else 1)))
     rng = np.random.Generator(np.random.PCG64(0))

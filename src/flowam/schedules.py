@@ -11,8 +11,8 @@ correction (sigma^2 / (2 eta)) (v - kappa x), and the memoryless noise level
 is sigma^2 = 2 eta.  ``step_coeffs`` evaluates (correction, kappa, sigma)
 once per grid at the step starts, with t clipped to [T_FLOOR, 1 - T_FLOOR]
 so kappa and the correction stay finite at both ends.  That table is the one
-description of the SDE: the sampler, the adjoint, the stochastic loss and
-the config check all read it.
+description of the SDE: the sampler, the adjoint and the stochastic loss
+read it.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ def _sin2(t, eta):
     return np.array([math.sin(math.pi * s) ** 2 for s in t.tolist()])
 
 
-# name -> sigma(t, eta) >= 0 over the clipped step-start times
+# name -> sigma(t, eta) > 0 over the clipped step-start times
 NOISE_SCHEDULES = {
     "memoryless": lambda t, eta: np.sqrt(np.maximum(2.0 * eta, 0.0)),
     "sin2": _sin2,
     "one_minus_t": lambda t, eta: 1.0 - t,
-    "zero": lambda t, eta: np.zeros_like(t),
 }

@@ -10,7 +10,7 @@ seeds the backward adjoint pass during fine-tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,13 +107,6 @@ def ring8(radius: float = 3.0, std: float = 0.3) -> GaussianMixture2D:
     angles = 2.0 * np.pi * np.arange(8) / 8.0
     centers = tuple((radius * np.cos(a), radius * np.sin(a)) for a in angles)
     return GaussianMixture2D(centers=centers, weights=(0.125,) * 8, stds=(std,) * 8)
-
-
-DISTRIBUTIONS = {
-    "gauss1d": Gaussian1D,
-    "gm2": GaussianMixture2D.two_modes,
-    "ring8": ring8,
-}
 
 
 # ---------------------------------------------------------------------------

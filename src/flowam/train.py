@@ -59,8 +59,7 @@ class TrainConfig:
         v = []
         if self.method not in METHODS:
             v.append(f"method must be one of {METHODS}, got {self.method!r}")
-        window_ok = 1 <= self.n_truncate <= self.n_steps
-        if not window_ok:
+        if not 1 <= self.n_truncate <= self.n_steps:
             v.append(f"n_truncate must satisfy 1 <= n_truncate <= n_steps, got "
                      f"n_truncate={self.n_truncate} n_steps={self.n_steps}")
         if self.method in ("draft", "refl") and not 1 <= self.k_window <= self.n_steps:
@@ -82,12 +81,6 @@ class TrainConfig:
         if self.noise not in NOISE_SCHEDULES:
             v.append(f"noise must be one of {tuple(NOISE_SCHEDULES)}, "
                      f"got {self.noise!r}")
-        elif self.method == "sde-am" and window_ok:
-            # sigma > 0 at the step starts of the last n_truncate steps
-            table = step_coeffs(NOISE_SCHEDULES[self.noise], self.n_steps)
-            if np.any(table[-self.n_truncate:, 2] <= 0.0):
-                v.append(f"noise schedule {self.noise!r} vanishes on the matching "
-                         f"window; sde-am needs sigma > 0 there")
         ValidationError.check(v)
 
     @property
@@ -126,7 +119,11 @@ def optimizer_step(
     clip: float,
     lr: float,
 ) -> np.ndarray:
-    """Global-norm clip followed by a bias-corrected Adam update."""
+    """Global-norm clip followed by a bias-corrected Adam update.
+
+    Only the gradient is checked for finiteness here; the caller's
+    ``VelocityField.set_params_flat`` checks the parameters it adopts.
+    """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.shape:
         raise ConfigError(f"grad shape {grads.shape} != param shape {params.shape}")
@@ -140,10 +137,7 @@ def optimizer_step(
     opt.v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grads * grads
     mhat = opt.m / (1.0 - ADAM_BETA1**opt.step)
     vhat = opt.v / (1.0 - ADAM_BETA2**opt.step)
-    out = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("non-finite parameters after update")
-    return out
+    return params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def _iteration_seed(base_seed: int, iteration: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_rewrite_is_byte_identical(tmp_path):
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     cio.save(ck, p1)
     cio.save(ck, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_load_rejects_garbage_header(tmp_path):
@@ -97,9 +98,9 @@ def test_load_rejects_truncated_params(tmp_path):
     ck = make_ckpt()
     path = str(tmp_path / "ck.bin")
     cio.save(ck, path)
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     trunc = str(tmp_path / "trunc.bin")
-    open(trunc, "wb").write(data[:-16])
+    Path(trunc).write_bytes(data[:-16])
     with pytest.raises(ParseError):
         cio.load(trunc)
 

@@ -307,6 +307,11 @@ ERROR_CASES = {
                "for lr:"),
     "data-sigma-nan": (TINY_PRETRAIN + "data_sigma = nan\n", pretrain_argv,
                        "for data_sigma:"),
+    "data-sigma-zero": (TINY_FINETUNE + "data_sigma = 0\n",
+                        lambda base, tmp: finetune_argv(base, tmp / "out"),
+                        "data gauss1d: sigma must be > 0, got 0.0"),
+    "gm2-mode-std-negative": (GM2_CONFIG + "mode_std = -1\n", pretrain_argv,
+                              "data gm2: mode stds must be > 0"),
     "p-nan": (TINY_FINETUNE + "p = nan\n", finetune_argv, "for p:"),
     "lam-nan": (TINY_FINETUNE + "lam = nan\n", finetune_argv, "for lam:"),
     "lam-power-overflow": (TINY_FINETUNE + "p = 1.0000000000000002\nlam = 2\n",
@@ -363,3 +368,6 @@ def test_bad_input_exits_one_with_one_error_line(case, tiny_base, tmp_path, caps
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert fragment in lines[0]
+    # a case whose outdir is tmp/out checks that the config is rejected
+    # before the output directory is made
+    assert not (tmp_path / "out").exists()

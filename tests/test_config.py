@@ -2,6 +2,7 @@ import pytest
 
 from flowam.config import (
     SCHEMA,
+    TOOL_VERSION,
     make_distribution,
     make_reward,
     parse_config,
@@ -86,11 +87,33 @@ def test_sde_am_rejects_non_quadratic_penalty():
         parse_config_text("method = sde-am\np = 4\n")
 
 
-def test_sde_am_rejects_vanishing_noise():
-    with pytest.raises(ValidationError, match="sigma > 0"):
-        parse_config_text("method = sde-am\nnoise = zero\n")
+@pytest.mark.parametrize("method", ["ode-am", "sde-am"])
+def test_zero_noise_is_an_unknown_schedule(method):
+    with pytest.raises(ValidationError, match="noise must be one of"):
+        parse_config_text(f"method = {method}\nnoise = zero\n")
     # one_minus_t = beta(t) vanishes only at t = 1, never at a step start
-    parse_config_text("method = sde-am\nnoise = one_minus_t\n")
+    parse_config_text(f"method = {method}\nnoise = one_minus_t\n")
+
+
+def test_bad_data_parameters_are_listed_with_the_other_violations():
+    text = "data = gauss1d\nstate_dim = 1\ndata_sigma = 0\nlr = -1\n"
+    with pytest.raises(ValidationError) as exc:
+        parse_config_text(text)
+    assert len(exc.value.violations) == 2
+    assert exc.value.violations[0].startswith("lr must be > 0")
+    assert exc.value.violations[1] == "data gauss1d: sigma must be > 0, got 0.0"
+
+
+@pytest.mark.parametrize("text", [
+    "data = gauss1d\nstate_dim = 1\ndata_sigma = -0.5\n",
+    "data = gm2\nmode_std = 0\n",
+    "data = gm2\nmode_std = -1\n",
+    "data = ring8\nring_std = 0\n",
+], ids=["gauss1d-sigma-negative", "gm2-std-zero", "gm2-std-negative", "ring8-std-zero"])
+def test_data_that_cannot_exist_is_rejected(text):
+    data = text.split("\n")[0].split(" = ")[1]
+    with pytest.raises(ValidationError, match=f"data {data}: .* must be > 0"):
+        parse_config_text(text)
 
 
 def test_validation_error_is_a_config_error():
@@ -177,7 +200,7 @@ def test_resolved_text_roundtrips():
         again = parse_config_text(text)
         assert again.values == cfg.values
         assert again.config_sha256 == cfg.config_sha256
-        assert f"# tool_version = {cfg.tool_version}" in text
+        assert f"# tool_version = {TOOL_VERSION}" in text
 
 
 def test_parse_config_reads_file(tmp_path):
@@ -198,3 +221,6 @@ def test_make_distribution_and_reward():
     cfg2 = parse_config_text("data = gm2\nreward = tilt\n")
     assert isinstance(make_distribution(cfg2), GaussianMixture2D)
     assert isinstance(make_reward(cfg2).target, GaussianMixture2D)
+
+    ring = make_distribution(parse_config_text("data = ring8\nring_radius = 2.0\n"))
+    assert len(ring.centers) == 8 and ring.centers[0] == (2.0, 0.0)

@@ -23,6 +23,11 @@ from flowam.tasks import ConstantReward, LinearProbe, QuadraticWell
 MEMORYLESS = NOISE_SCHEDULES["memoryless"]
 
 
+def zero_sigma(t, eta):
+    """sigma = 0 at every step start: a table that no noise schedule gives."""
+    return np.zeros_like(t)
+
+
 # -- control map ------------------------------------------------------------
 
 
@@ -231,7 +236,7 @@ def test_stochastic_loss_rejects_zero_sigma_on_window():
     with pytest.raises(SingularityError, match="sigma"):
         am_sde_loss_and_grad(
             theta, base_window(base, traj, 3),
-            step_coeffs(NOISE_SCHEDULES["zero"], 10),
+            step_coeffs(zero_sigma, 10),
             *batch_of_one(traj, trace), RegularizerSpec(),
         )
 

@@ -43,8 +43,6 @@ def test_noise_schedule_kinds():
     def sigma(name, t):
         return step_coeffs(NOISE_SCHEDULES[name], 4)[int(t * 4), 2]
 
-    # zero noise: no correction and no sigma
-    assert np.all(step_coeffs(NOISE_SCHEDULES["zero"], 4)[:, [0, 2]] == 0.0)
     assert sigma("sin2", 0.5) == pytest.approx(1.0)
     assert sigma("one_minus_t", 0.25) == pytest.approx(0.75)
 
@@ -57,8 +55,7 @@ def _reference_row(name, t):
     eta = b * (kappa * b + 1.0)
     sig = {"memoryless": math.sqrt(max(2.0 * eta, 0.0)),
            "sin2": math.sin(math.pi * tc) ** 2,
-           "one_minus_t": 1.0 - tc,
-           "zero": 0.0}[name]
+           "one_minus_t": 1.0 - tc}[name]
     return sig * sig / (2.0 * eta), kappa, sig
 
 
@@ -77,8 +74,15 @@ def test_step_coeffs_bitwise_equal_scalar_reference(name, n):
 def test_eta_nonnegative_on_unit_interval(n, name):
     corr, kappa, sig = step_coeffs(NOISE_SCHEDULES[name], n).T
     assert np.all(np.isfinite(corr)) and np.all(np.isfinite(kappa))
-    assert np.all(kappa > 0.0) and np.all(sig >= 0.0)
-    # corr = sigma^2 / (2 eta) >= 0 needs eta > 0 wherever sigma != 0
+    assert np.all(kappa > 0.0) and np.all(sig > 0.0)
+    # corr = sigma^2 / (2 eta) >= 0 needs eta > 0
     assert np.all(corr >= 0.0)
-    if name == "memoryless":  # sigma = sqrt(max(2 eta, 0)) > 0 iff eta > 0
-        assert np.all(sig > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(NOISE_SCHEDULES))
+def test_every_schedule_is_positive_at_every_step_start(name):
+    # the stochastic loss divides by sigma, and nothing else guards a run
+    # against a schedule that vanishes on its matching window
+    for n in range(1, 2001):
+        sig = step_coeffs(NOISE_SCHEDULES[name], n)[:, 2]
+        assert np.all(sig > 0.0), (name, n, sig.min())

@@ -61,8 +61,8 @@ def small_base():
 
 def test_sample_batch_returns_one_trajectory_per_sample():
     vf = small_base().vf
-    runs = [({}, 0)] + [(dict(coeffs=step_coeffs(ns, 7)), 0 if name == "zero" else 7)
-                        for name, ns in NOISE_SCHEDULES.items()]
+    runs = [({}, 0)] + [(dict(coeffs=step_coeffs(ns, 7)), 7)
+                        for ns in NOISE_SCHEDULES.values()]
     for kw, noise_rows in runs:
         trajs = dynamics.sample_batch(vf, 7, 5, 3, **kw)
         assert isinstance(trajs, list) and len(trajs) == 5

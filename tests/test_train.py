@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ def test_train_config_rejects_nan_in_every_float_check():
         (dict(noise="bogus"), "noise"),
         (dict(method="draft", k_window=99), "k_window"),
         (dict(method="refl", k_window=0), "k_window"),
-        (dict(method="sde-am", noise="zero"), "sigma > 0"),
+        (dict(method="sde-am", noise="zero"), "noise must be one of"),
         (dict(iterations=-1), "iterations"),
         (dict(seed=-1), "seed"),
         (dict(grad_clip=-1.0), "grad_clip"),
@@ -315,8 +317,8 @@ def test_write_csv_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_csv(rows, ("iter", "loss"), p1)
     write_csv(rows, ("iter", "loss"), p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
-    text = open(p1).read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    text = Path(p1).read_text()
     assert text.splitlines()[0] == "iter,loss"
     assert "0.1234567890123" in text
 
