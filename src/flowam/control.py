@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, SingularityError, ValidationError
+from .errors import (
+    ConfigError, NonFiniteError, ShapeError, SingularityError, ValidationError,
+)
 from .nnet import VelocityField
 
 
@@ -107,7 +109,15 @@ def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
     total = 0.0
     denom = float(t_count * m)
     first = times.shape[0] - 1 - t_count  # step start paired with adjoints[0]
-    controls = control_from_adjoint(reg, adjoints)
+    # near p = 1 the target's factor |a|^((2-p)/(p-1)) overflows; one scan
+    # names the first bad target before any network pass consumes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        controls = control_from_adjoint(reg, adjoints)
+    finite = np.isfinite(controls)
+    if not finite.all():
+        i, j, _ = np.argwhere(~finite)[0]
+        raise NonFiniteError(f"non-finite control target at window step {i} "
+                             f"(grid index {first + i}, sample {j}, p = {reg.p})")
     for i in range(t_count):
         x, t = states[first + i], times[first + i]
         target = scale[i] * controls[i]

@@ -22,6 +22,15 @@ once per process: its read-only row is kept in a module-level memo (one row
 per grid time of a run) and copied into every row of the feature matrix.
 An array t, as pretraining passes, is embedded at every call.
 
+A call of m <= BIAS_TILE_ROWS rows, made with parameters that already
+served a call of m rows, adds each layer's bias from a read-only copy tiled
+to m rows: numpy adds two arrays of one shape about twice as fast as it
+broadcasts a row, and each element gets the same single add.  The field
+keeps the tiles until ``set_params_flat`` adopts parameters again or a call
+comes at another row count, so a fine-tuning iteration tiles theta once and
+pretraining, whose parameters serve one call each, tiles nothing.  Above
+the bound, tiles measured no faster.
+
 Everything is float64 numpy.  No general-purpose autodiff: the architecture
 is a fixed MLP over [state, sinusoidal time features].
 """
@@ -34,6 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFiniteError, ShapeError, ValidationError
+
+BIAS_TILE_ROWS = 256  # calls of at most this many rows add biases from tiles
 
 
 # The kernels below allocate their outputs once and finish them in place;
@@ -278,6 +289,10 @@ class VelocityField:
         frozen = flat.view()
         frozen.flags.writeable = False
         self.weights, self.biases = layer_views(self.cfg, frozen)
+        # (row count of the last call, its bias tiles or None); reset at
+        # every adoption, since a caller may have changed ``flat`` in place
+        # before passing it again
+        self._tiles = (None, None)
 
     @property
     def state_dim(self) -> int:
@@ -305,13 +320,36 @@ class VelocityField:
             feats[:, sd:] = _time_row(t, nf) if np.ndim(t) == 0 else time_embedding(t, nf)
         return feats, squeeze
 
+    def _tile_biases(self, m):
+        """Read-only copies of each layer's bias, tiled to m rows."""
+        tiles = [np.ascontiguousarray(np.broadcast_to(b, (m, b.size)))
+                 for b in self.biases]
+        for tile in tiles:
+            tile.flags.writeable = False
+        return tiles
+
+    def _bias_addends(self, m):
+        """What each layer's bias add reads for an m-row call: the bias
+        rows, or from the second call at m <= BIAS_TILE_ROWS their tiles."""
+        if m > BIAS_TILE_ROWS:
+            return self.biases
+        rows, tiles = self._tiles  # read once: another thread may replace it whole
+        if rows != m:
+            self._tiles = (m, None)
+            return self.biases
+        if tiles is None:
+            tiles = self._tile_biases(m)
+            self._tiles = (m, tiles)
+        return tiles
+
     def _run(self, feats, taped):
         """Output, layer inputs and, if taped, activation derivatives."""
         act, act_with_prime = ACTIVATIONS[self.cfg.activation]
         layer_inputs, derivs = [], []
         h = feats
         last = len(self.weights) - 1
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+        biases = self._bias_addends(feats.shape[0])
+        for l, (w, b) in enumerate(zip(self.weights, biases)):
             layer_inputs.append(h)
             z = h @ w.T
             z += b

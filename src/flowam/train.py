@@ -198,6 +198,7 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
     rows, timings = [], []
     for it in range(cfg.iterations):
         it_seed = _iteration_seed(cfg.seed, it)
+        phase = "sim"  # the timings.csv phase an abort names
         try:
             t0 = time.perf_counter()
             trajs = sample_batch(vf, cfg.n_steps, cfg.batch, it_seed, coeffs)
@@ -207,6 +208,7 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
             rewards = reward.value(x1)
             t1 = time.perf_counter()
 
+            phase = "adj"
             if cfg.method in ("ode-am", "sde-am"):
                 _, adjoints = lean_adjoint_batch(
                     base, times, states, -reward.grad(x1), cfg.n_truncate, coeffs,
@@ -214,6 +216,7 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
                 )
             t2 = time.perf_counter()
 
+            phase = "upd"
             if cfg.method == "ode-am":
                 loss, grads = am_det_loss_and_grad(
                     vf, v_base, times, states, adjoints, reg
@@ -238,7 +241,9 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
             vf.set_params_flat(params)
             t3 = time.perf_counter()
         except NonFiniteError as e:
-            raise NonFiniteError(f"fine-tuning aborted at iteration {it}: {e}") from e
+            raise NonFiniteError(
+                f"fine-tuning aborted at iteration {it} ({phase}): {e}"
+            ) from e
 
         rows.append(
             {

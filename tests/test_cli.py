@@ -371,3 +371,18 @@ def test_bad_input_exits_one_with_one_error_line(case, tiny_base, tmp_path, caps
     # a case whose outdir is tmp/out checks that the config is rejected
     # before the output directory is made
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_control_target_exits_two_with_one_line(tiny_base, tmp_path, capsys):
+    # near p = 1 the control target overflows; the abort is one line that
+    # names the phase and the quantity, with no numpy warning before it
+    (tmp_path / "run.cfg").write_text(
+        TINY_FINETUNE.replace("reward_center = 1.0", "reward_center = 30.0") + "p = 1.001\n")
+    args = ["finetune", "--config", str(tmp_path / "run.cfg"), "--base", str(tiny_base),
+            "--outdir", str(tmp_path / "out")]
+    assert main(args) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("numerical abort: fine-tuning aborted at iteration 0 (upd): "
+                               "non-finite control target at window step 0 ")

@@ -15,7 +15,7 @@ from flowam.control import (
     refl_loss_and_grad,
 )
 from flowam.dynamics import sample_ode
-from flowam.errors import ConfigError, ShapeError, SingularityError
+from flowam.errors import ConfigError, NonFiniteError, ShapeError, SingularityError
 from flowam.nnet import NetConfig, VelocityField
 from flowam.schedules import NOISE_SCHEDULES, step_coeffs
 from flowam.tasks import ConstantReward, LinearProbe, QuadraticWell
@@ -239,6 +239,23 @@ def test_stochastic_loss_rejects_zero_sigma_on_window():
             step_coeffs(zero_sigma, 10),
             *batch_of_one(traj, trace), RegularizerSpec(),
         )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_matching_loss_names_an_overflowing_control_target():
+    # near p = 1 the factor |a|^((2-p)/(p-1)) overflows; the map itself
+    # returns the overflow, and the loss names where it happened
+    reg = RegularizerSpec(p=1.001, lam=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = control_from_adjoint(reg, [[3.0, 0.0]])
+    assert np.isneginf(u[0, 0]) and np.isnan(u[0, 1])
+    base, theta = make_fields()
+    traj = sample_ode(base, 10, np.array([0.1]))
+    trace = lean_adjoint(base, traj, np.array([3.0]), 3)
+    with pytest.raises(NonFiniteError, match=r"^non-finite control target at window "
+                       r"step 0 \(grid index 7, sample 0, p = 1\.001\)$"):
+        am_det_loss_and_grad(theta, base_window(base, traj, 3),
+                             *batch_of_one(traj, trace), reg)
 
 
 def test_matching_loss_rejects_base_velocities_off_the_window():

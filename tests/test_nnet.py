@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from flowam import nnet
 from flowam.errors import NonFiniteError, ShapeError, ValidationError
 from flowam.nnet import (
     ACTIVATIONS,
+    BIAS_TILE_ROWS,
     GradientTape,
     NetConfig,
     VelocityField,
@@ -433,3 +437,104 @@ def test_flat_grads_accumulate_blockwise():
     for l in range(len(vf.weights)):
         assert _same_bits(tw[l], blocks[0][0][l] + blocks[1][0][l])
         assert _same_bits(tb[l], blocks[0][1][l] + blocks[1][1][l])
+
+
+# -- bias tiles ------------------------------------------------------------------
+
+
+def _broadcast_bias_run(vf, x, t):
+    """Taped forward that adds each bias row by broadcasting: z = h @ w.T; z += b."""
+    act_with_prime = ACTIVATIONS[vf.cfg.activation][1]
+    h, _ = vf._features(x, t)
+    inputs, derivs = [], []
+    for l, (w, b) in enumerate(zip(vf.weights, vf.biases)):
+        inputs.append(h)
+        z = h @ w.T
+        z += b
+        if l == len(vf.weights) - 1:
+            h = z
+        else:
+            h, d = act_with_prime(z)
+            derivs.append(d)
+    return h, inputs, derivs
+
+
+def _random_field(activation, dim, seed):
+    cfg = NetConfig(state_dim=dim, hidden=(16, 8, 16), activation=activation)
+    vf = VelocityField.init(cfg, seed=seed)
+    vf.set_params_flat(np.random.default_rng(seed).standard_normal(cfg.n_params))
+    return vf
+
+
+def _outputs(vf, x, t, w):
+    """Bytes of forward_tape with backward, input_vjp and forward; on a fresh
+    field, the first call broadcasts the biases and the later two add tiles."""
+    out, tape = vf.forward_tape(x, t)
+    grad, input_grad = tape.backward(w)
+    v, vjp = vf.input_vjp(x, t, w)
+    return [a.tobytes() for a in (out, grad, input_grad, v, vjp, vf.forward(x, t))]
+
+
+@pytest.mark.parametrize("activation", list(ACTIVATIONS))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 3, 64, BIAS_TILE_ROWS, BIAS_TILE_ROWS + 1])
+def test_tiled_bias_adds_give_the_broadcast_bytes(activation, dim, m):
+    vf = _random_field(activation, dim, seed=dim * 1000 + m)
+    rng = np.random.default_rng(m)
+    x, w = rng.standard_normal((m, dim)), rng.standard_normal((m, dim))
+    for t in (0.35, rng.random(m)):
+        out, inputs, derivs = _broadcast_bias_run(vf, x, t)
+        grad, input_grad = GradientTape(vf, inputs, derivs).backward(w)
+        vjp = GradientTape(vf, inputs, derivs).input_grad(w)
+        want = [a.tobytes() for a in (out, grad, input_grad, out, vjp, out)]
+        assert _outputs(vf, x, t, w) == want
+
+
+def test_an_in_place_update_readopted_drops_the_tiles():
+    vf = _random_field("silu", 2, seed=3)
+    rng = np.random.default_rng(3)
+    x, w = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+    _outputs(vf, x, 0.5, w)  # tiles the biases at 64 rows
+    p = vf.params
+    p += 0.25 * rng.standard_normal(p.size)
+    vf.set_params_flat(p)
+    assert vf.params is p
+    assert _outputs(vf, x, 0.5, w) == _outputs(VelocityField(vf.cfg, p.copy()), x, 0.5, w)
+
+
+def test_alternating_row_counts_give_a_fresh_fields_bytes():
+    vf = _random_field("tanh", 3, seed=4)
+    rng = np.random.default_rng(4)
+    for m in (64, 1, 64):
+        x, w = rng.standard_normal((m, 3)), rng.standard_normal((m, 3))
+        fresh = VelocityField(vf.cfg, vf.params_flat())
+        assert _outputs(vf, x, 0.2, w) == _outputs(fresh, x, 0.2, w)
+
+
+def test_threads_sharing_a_field_give_the_serial_bytes():
+    # with more threads than cores and a short switch interval, a thread
+    # that read another's half-replaced tiles would show here
+    vf = _random_field("silu", 2, seed=5)
+    rng = np.random.default_rng(5)
+    rows = (1, 64, 3, BIAS_TILE_ROWS, BIAS_TILE_ROWS + 1, 64)
+    cases = [(rng.standard_normal((m, 2)), rng.standard_normal((m, 2))) for m in rows]
+    serial = [_outputs(VelocityField(vf.cfg, vf.params_flat()), x, 0.7, w)
+              for x, w in cases]
+    got = {}
+
+    def work(k):
+        got[k] = [[_outputs(vf, x, 0.7, w) for x, w in cases[k::3]] for _ in range(20)]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k in range(3):
+        assert all(run == serial[k::3] for run in got[k])

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowam.adjoint import BLOWUP_NORM
 from flowam.checkpoint import Checkpoint
 from flowam.control import RegularizerSpec
 from flowam.errors import ConfigError, NonFiniteError, ValidationError
@@ -239,8 +240,30 @@ def test_sampling_abort_names_iteration():
     reward = QuadraticWell(center=np.array([1.0]), curvature=1.0)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as exc:
         finetune(small_cfg(iterations=2), base, reward)
-    assert "iteration 0" in str(exc.value)
+    assert "fine-tuning aborted at iteration 0 (sim): " in str(exc.value)
     assert "non-finite state at step" in str(exc.value)
+
+
+def test_adjoint_abort_names_its_phase():
+    # a terminal gradient ten times the blow-up norm passes the sampler and
+    # trips the adjoint's first step
+    reward = QuadraticWell(center=np.array([10 * BLOWUP_NORM]), curvature=1.0)
+    with pytest.raises(NonFiniteError) as exc:
+        finetune(small_cfg(iterations=2), make_base(seed=1), reward)
+    assert "fine-tuning aborted at iteration 0 (adj): adjoint blow-up" in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_update_abort_names_its_phase_and_the_control_target():
+    # near p = 1 the control target overflows once |a| > ~2; the loss names
+    # it before any network pass, and no numpy warning escapes
+    reward = QuadraticWell(center=np.array([30.0]), curvature=1.0)
+    with pytest.raises(NonFiniteError) as exc:
+        finetune(small_cfg(iterations=2, reg_p=1.001), make_base(seed=1), reward)
+    msg = str(exc.value)
+    assert msg.startswith("fine-tuning aborted at iteration 0 (upd): "
+                          "non-finite control target at window step 0")
+    assert "p = 1.001" in msg
 
 
 def test_sde_am_requires_quadratic():
@@ -301,6 +324,45 @@ def test_one_iteration_makes_exactly_the_counted_network_passes(
     cfg = small_cfg(method=method, n_steps=N_WORK, batch=4, iterations=1, **setting)
     finetune(cfg, make_base(seed=9), QuadraticWell(center=np.array([1.0])))
     assert tuple(counts.values()) == expected
+
+
+@pytest.fixture
+def tile_builds(monkeypatch):
+    """(field, rows) of every bias-tile build, in call order."""
+    builds = []
+    build = VelocityField._tile_biases
+
+    def recording(self, m):
+        builds.append((self, m))
+        return build(self, m)
+
+    monkeypatch.setattr(VelocityField, "_tile_biases", recording)
+    return builds
+
+
+@pytest.mark.parametrize("method", ["ode-am", "sde-am", "draft", "refl"])
+@pytest.mark.parametrize("batch", [4, 64])
+def test_fine_tuning_tiles_theta_once_per_update_and_the_base_once_per_run(
+    tile_builds, method, batch
+):
+    # theta's parameters change once per iteration and the base's never;
+    # a version's second call at the batch size tiles, and later calls reuse
+    base = make_base(seed=9)
+    cfg = small_cfg(method=method, batch=batch, iterations=3, k_window=3)
+    ckpt, _, _ = finetune(cfg, base, QuadraticWell(center=np.array([1.0])))
+    assert [m for vf, m in tile_builds if vf is ckpt.vf] == [batch] * 3
+    base_builds = [m for vf, m in tile_builds if vf is base.vf]
+    assert base_builds == ([batch] if method in ("ode-am", "sde-am") else [])
+    assert len(tile_builds) == 3 + len(base_builds)
+
+
+@pytest.mark.parametrize("batch", [64, 512])
+def test_pretraining_tiles_no_bias(tile_builds, batch):
+    # each parameter version serves one taped forward: 512 rows are above
+    # the bound, and 64 rows would be tiled only at a second call
+    net = NetConfig(state_dim=2, hidden=(12, 12))
+    pretrain(small_cfg(batch=batch, iterations=3), GaussianMixture2D.two_modes(), net)
+    assert tile_builds == []
 
 
 @pytest.mark.parametrize("method", ["ode-am", "sde-am", "draft", "refl"])
