@@ -68,7 +68,7 @@ def lean_adjoint_batch(
     n = times.shape[0] - 1
     if not 1 <= n_truncate <= n:
         raise ShapeError(f"n_truncate {n_truncate} not in [1, {n}]")
-    tg = np.atleast_2d(np.asarray(terminal_grads, dtype=np.float64))
+    tg = np.asarray(terminal_grads, dtype=np.float64)
     if tg.shape != states.shape[1:]:
         raise ShapeError(f"terminal grads {tg.shape} != states {states.shape[1:]}")
     if not np.all(np.isfinite(tg)):
@@ -87,8 +87,9 @@ def lean_adjoint_batch(
         row = coeffs[k] if coeffs is not None else None
         v, vjp = _vjp(base, states[k], times[k], a, row)
         a = a + h * vjp
-        if np.max(np.abs(a)) > BLOWUP_NORM:
-            raise NonFiniteError(f"adjoint blow-up at grid index {k - 1}")
+        if not np.max(np.abs(a)) <= BLOWUP_NORM:  # NaN fails the test too
+            sample = int(np.argmax(~(np.abs(a) <= BLOWUP_NORM).all(axis=1)))
+            raise NonFiniteError(f"adjoint blow-up at grid index {k - 1}, sample {sample}")
         adjoints[n_truncate - 1 - j] = a
         if v_base is not None:
             v_base[n_truncate - j] = v

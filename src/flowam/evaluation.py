@@ -1,8 +1,9 @@
 """Sample-based evaluation metrics and the report assembly.
 
 Metrics: reward statistics, mean pairwise distance (diversity), exact 1D
-Wasserstein-1 via sorted samples, energy distance in 2D and up, and kNN-ball
-coverage/recall against a reference sample set (k = 5 by default).
+Wasserstein-1 via sorted samples between two sets of one size, energy
+distance in 2D and up, and kNN-ball coverage/recall against a reference
+sample set (k = 5 by default).
 
 No n x n distance matrix is made: ``_pair_pass`` streams the distances
 between two sample sets in blocks of PAIR_BLOCK_ROWS rows, each worker of
@@ -130,19 +131,14 @@ def diversity_mpd(samples) -> float:
     return _mpd(_pair_pass(x, x), n)
 
 
-def wasserstein1_1d(a, b, resample_seed: int = 0) -> float:
-    """Exact empirical W1 in 1D; unequal sizes are resampled to match."""
-    a, b = (_as_points(v).ravel() for v in (a, b))
+def wasserstein1_1d(a, b) -> float:
+    """Exact empirical W1 in 1D between two sample sets of one size."""
+    a, b = (_as_points(v) for v in (a, b))
     if a.size == 0 or b.size == 0:
         raise EmptyInput("empty sample set")
-    if a.size != b.size:
-        n = min(a.size, b.size)
-        rng = np.random.default_rng(resample_seed)
-        if a.size > n:
-            a = rng.choice(a, size=n, replace=False)
-        if b.size > n:
-            b = rng.choice(b, size=n, replace=False)
-    return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
+    if a.shape != b.shape or a.shape[1] != 1:
+        raise ShapeError(f"W1 needs two (n, 1) sample sets, got {a.shape} and {b.shape}")
+    return float(np.mean(np.abs(np.sort(a.ravel()) - np.sort(b.ravel()))))
 
 
 def _energy(mean_ab: float, mean_aa: float, mean_bb: float) -> float:

@@ -1,8 +1,10 @@
 """Minimal feed-forward velocity network with hand-rolled reverse-mode diff.
 
 The network maps (state, time) to a velocity of the same dimension as the
-state; every entry point takes a stacked (m, dim) batch, and a single (dim,)
-state is treated as a batch of one.  Two derivative primitives are exposed:
+state.  Every entry point takes one form: states of shape (m, dim) and a
+time that is a scalar or an (m,) array; a tape is pulled back by an (m, dim)
+cotangent.  Any other shape raises ``ShapeError``.  Two derivative
+primitives are exposed:
 
 * ``input_vjp`` -- (v, w^T (dv/dx)), the velocity and the contraction the
   lean adjoint recursion consumes at every backward step; the adjoint keeps
@@ -203,13 +205,12 @@ def layer_views(cfg: NetConfig, flat: np.ndarray):
 
 
 class GradientTape:
-    """Recorded activations for one forward pass; it may be pulled back once."""
+    """Recorded activations for one forward pass; a pull back reads them only."""
 
     def __init__(self, vf: "VelocityField", layer_inputs, derivs):
         self._vf = vf
         self._layer_inputs = layer_inputs  # input to each linear layer, (n, in_l)
         self._derivs = derivs  # activation derivative of each hidden layer
-        self._used = False
 
     def backward(self, cotangent: np.ndarray):
         """Propagate an output cotangent; returns (param_grad, input_grad).
@@ -228,15 +229,11 @@ class GradientTape:
 
     def _pull(self, cotangent, grads):
         """Input gradient of the cotangent; fills the views ``grads`` unless None."""
-        if self._used:
-            raise RuntimeError("GradientTape pulled back twice")
-        self._used = True
         vf = self._vf
-        g = np.atleast_2d(np.asarray(cotangent, dtype=np.float64))
-        if g.shape[1] != vf.cfg.state_dim:
-            raise ShapeError(
-                f"cotangent dim {g.shape[1]} != state_dim {vf.cfg.state_dim}"
-            )
+        g = np.asarray(cotangent, dtype=np.float64)
+        shape = (self._layer_inputs[0].shape[0], vf.cfg.state_dim)
+        if g.shape != shape:
+            raise ShapeError(f"cotangent of shape {g.shape} != forward output {shape}")
         for l in range(len(vf.weights) - 1, -1, -1):
             if grads is not None:
                 # copied in: matmul and sum with out= into the views run slower
@@ -306,19 +303,18 @@ class VelocityField:
 
     def _features(self, x, t):
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        if x2.shape[1] != self.cfg.state_dim:
-            raise ShapeError(
-                f"state dim {x2.shape[1]} != configured {self.cfg.state_dim}"
-            )
         sd, nf = self.cfg.state_dim, self.cfg.time_features
-        feats = np.empty((x2.shape[0], sd + nf))
-        feats[:, :sd] = x2
+        if x.ndim != 2 or x.shape[1] != sd:
+            raise ShapeError(f"states of shape {x.shape} are not (m, {sd})")
+        m = x.shape[0]
+        if np.shape(t) not in ((), (m,)):
+            raise ShapeError(f"time of shape {np.shape(t)} is not () or ({m},)")
+        feats = np.empty((m, sd + nf))
+        feats[:, :sd] = x
         if nf > 0:
             # one row per scalar time, copied to every row of the batch
             feats[:, sd:] = _time_row(t, nf) if np.ndim(t) == 0 else time_embedding(t, nf)
-        return feats, squeeze
+        return feats
 
     def _tile_biases(self, m):
         """Read-only copies of each layer's bias, tiled to m rows."""
@@ -363,23 +359,13 @@ class VelocityField:
         return h, layer_inputs, derivs
 
     def forward(self, x, t) -> np.ndarray:
-        feats, squeeze = self._features(x, t)
-        out, _, _ = self._run(feats, taped=False)
-        return out[0] if squeeze else out
+        return self._run(self._features(x, t), taped=False)[0]
 
     def forward_tape(self, x, t):
-        feats, squeeze = self._features(x, t)
-        out, layer_inputs, derivs = self._run(feats, taped=True)
-        tape = GradientTape(self, layer_inputs, derivs)
-        return (out[0] if squeeze else out), tape
+        out, layer_inputs, derivs = self._run(self._features(x, t), taped=True)
+        return out, GradientTape(self, layer_inputs, derivs)
 
     def input_vjp(self, x, t, w):
-        """(v, w^T (dv/dx)) at (x, t); batched over leading axis.
-
-        ``v`` has the bits of ``forward(x, t)``.
-        """
-        w = np.asarray(w, dtype=np.float64)
-        squeeze = w.ndim == 1
+        """(v, w^T (dv/dx)) at (x, t); ``v`` has the bits of ``forward(x, t)``."""
         v, tape = self.forward_tape(x, t)
-        input_grad = tape.input_grad(np.atleast_2d(w))
-        return v, (input_grad[0] if squeeze else input_grad)
+        return v, tape.input_grad(w)

@@ -17,7 +17,7 @@ import pytest
 
 import flowam
 from flowam import checkpoint, dynamics
-from flowam.nnet import NetConfig
+from flowam.nnet import NetConfig, VelocityField
 from flowam.tasks import Gaussian1D, GaussianMixture2D
 from flowam.train import TrainConfig, pretrain
 
@@ -141,3 +141,26 @@ def thread_starts(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", recording)
     return started
+
+
+class _NaNVJPField(VelocityField):
+    """A network whose input VJP is NaN for one sample at one time."""
+
+    def input_vjp(self, x, t, w):
+        v, vjp = super().input_vjp(x, t, w)
+        if t == self.bad_time:
+            vjp[self.bad_sample] = np.nan
+        return v, vjp
+
+
+@pytest.fixture
+def nan_vjp_field():
+    """``(cfg, seed, bad_time, bad_sample) -> VelocityField`` whose
+    ``input_vjp`` gives NaN for row ``bad_sample`` at time ``bad_time``;
+    its ``forward`` and ``copy`` are the plain network's."""
+    def make(cfg, seed, bad_time, bad_sample):
+        vf = _NaNVJPField(cfg, VelocityField.init(cfg, seed=seed).params)
+        vf.bad_time, vf.bad_sample = bad_time, bad_sample
+        return vf
+
+    return make

@@ -128,6 +128,40 @@ def test_blowup_guard():
         lean_adjoint(Amplifier(), traj, huge, 10)
 
 
+def test_a_nan_adjoint_is_a_blow_up_that_names_its_sample(nan_vjp_field):
+    # NaN compares False with the blow-up norm, so a NaN VJP used to pass
+    # the guard and leave NaN adjoints for the matching loss
+    n, t_count, m = 20, 10, 8
+    vf = nan_vjp_field(NetConfig(state_dim=2, hidden=(8, 8)), 3,
+                       np.linspace(0.0, 1.0, n + 1)[18], 3)
+    rng = np.random.default_rng(3)
+    times, states = _integrate(vf, rng.standard_normal((m, 2)), n)
+    for coeffs in (None, step_coeffs(MEMORYLESS, n)):
+        with pytest.raises(NonFiniteError,
+                           match=r"^adjoint blow-up at grid index 17, sample 3$"):
+            lean_adjoint_batch(vf, times, states, rng.standard_normal((m, 2)),
+                               t_count, coeffs)
+    # a window that ends before the bad time reads no NaN
+    _, adj = lean_adjoint_batch(vf, times, states, rng.standard_normal((m, 2)), 2)
+    assert np.isfinite(adj).all()
+
+
+def test_a_blow_up_names_the_first_sample_past_the_norm():
+    lf = LinearVelocityField([[0.0]])
+    times = np.linspace(0.0, 1.0, 11)
+    states = np.zeros((11, 3, 1))
+
+    class Amplifier:
+        def input_vjp(self, x, t, w):
+            return np.zeros_like(x), 1e3 * w / times[1]
+
+    tg = np.array([[1.0], [BLOWUP_NORM / 1.5], [-BLOWUP_NORM / 1.5]])
+    with pytest.raises(NonFiniteError, match=r"^adjoint blow-up at grid index 8, sample 1$"):
+        lean_adjoint_batch(Amplifier(), times, states, tg, 5)
+    _, adj = lean_adjoint_batch(lf, times, states, tg, 5)
+    assert np.array_equal(adj, np.broadcast_to(tg, adj.shape))
+
+
 def test_sde_zero_noise_equals_deterministic():
     lf, traj = linear_traj(n=30)
     det = lean_adjoint(lf, traj, np.array([1.7]), 30)

@@ -209,10 +209,25 @@ def test_w1_translated_gaussians(rng):
     assert wasserstein1_1d(a, b) == pytest.approx(1.0, abs=0.02)
 
 
-def test_w1_unequal_sizes_resampled(rng):
-    a = rng.standard_normal(5000)
-    b = rng.standard_normal(8000) + 2.0
-    assert wasserstein1_1d(a, b) == pytest.approx(2.0, abs=0.05)
+@pytest.mark.parametrize("n_a,n_b", [(5000, 8000), (8000, 5000), (1, 2)])
+def test_w1_rejects_sets_of_unequal_sizes(rng, n_a, n_b):
+    # the sets used to be resampled to the smaller size, which is not the
+    # exact W1
+    a = rng.standard_normal(n_a)
+    b = rng.standard_normal(n_b) + 2.0
+    with pytest.raises(ShapeError, match=rf"\({n_a}, 1\) and \({n_b}, 1\)"):
+        wasserstein1_1d(a, b)
+    with pytest.raises(ShapeError):
+        wasserstein1_1d(a[:, None], b[:, None])
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [((6, 2), (6, 2)), ((4, 3), (6, 2)),
+                                             ((6, 1), (3, 2))])
+def test_w1_rejects_points_of_more_than_one_dimension(shape_a, shape_b):
+    # their coordinates used to be pooled into one 1D set without an error
+    rng = np.random.default_rng(6)
+    with pytest.raises(ShapeError):
+        wasserstein1_1d(rng.standard_normal(shape_a), rng.standard_normal(shape_b))
 
 
 def test_w1_empty_rejected():

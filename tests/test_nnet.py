@@ -74,8 +74,8 @@ def test_one_embedded_row_equals_the_m_row_embedding_bitwise():
 def test_features_broadcast_one_row_to_the_batch():
     vf = small_field()
     x = np.random.default_rng(3).standard_normal((64, 2))
-    for t in (0.0, 0.37, np.float64(0.98), np.array([0.5])):
-        feats, _ = vf._features(x, t)
+    for t in (0.0, 0.37, np.float64(0.98), np.array(0.5)):
+        feats = vf._features(x, t)
         expected = np.concatenate([x, _per_column_embedding(np.full(64, t), 4)], axis=1)
         np.testing.assert_array_equal(feats, expected)
 
@@ -96,9 +96,9 @@ def test_features_equal_the_concatenated_expression_bitwise(n_features, monkeypa
     x = np.random.default_rng(4).standard_normal((33, 3))
     # 0.0 before -0.0: the memo must keep their rows (sin is signed) apart
     times = [0.0, -0.0, 0.37, np.float64(0.98), 1.0, np.array(0.5),
-             np.array([0.25]), np.random.default_rng(5).uniform(size=33)]
+             np.full(33, 0.25), np.random.default_rng(5).uniform(size=33)]
     for t in times * 2:  # the second pass reads the memo
-        feats, _ = vf._features(x, t)
+        feats = vf._features(x, t)
         expected = _concatenated_features(x, t, n_features)
         assert feats.shape == expected.shape
         assert feats.tobytes() == expected.tobytes()
@@ -207,19 +207,61 @@ def test_net_config_lists_every_violation():
 
 def test_forward_shapes():
     vf = small_field()
-    single = vf.forward(np.zeros(2), 0.5)
-    assert single.shape == (2,)
-    batch = vf.forward(np.zeros((7, 2)), 0.5)
-    assert batch.shape == (7, 2)
-    # per-sample times
-    batch_t = vf.forward(np.zeros((7, 2)), np.linspace(0, 1, 7))
-    assert batch_t.shape == (7, 2)
+    for m in (1, 7):
+        # one time for the batch, and per-sample times
+        for t in (0.5, np.array(0.5), np.linspace(0, 1, m)):
+            assert vf.forward(np.zeros((m, 2)), t).shape == (m, 2)
+            out, tape = vf.forward_tape(np.zeros((m, 2)), t)
+            assert out.shape == (m, 2)
+            grad, input_grad = tape.backward(np.ones((m, 2)))
+            assert grad.shape == (vf.n_params,) and input_grad.shape == (m, 2)
+            v, vjp = vf.input_vjp(np.zeros((m, 2)), t, np.ones((m, 2)))
+            assert v.shape == vjp.shape == (m, 2)
 
 
 def test_forward_rejects_wrong_state_dim():
     vf = small_field()
     with pytest.raises(ShapeError):
-        vf.forward(np.zeros(3), 0.5)
+        vf.forward(np.zeros((4, 3)), 0.5)
+
+
+@pytest.mark.parametrize("name", ["forward", "forward_tape", "input_vjp"])
+@pytest.mark.parametrize("case", ["single state", "state of rank 3", "times of length 4",
+                                  "times of shape (5, 1)", "times of rank 2"])
+def test_entry_points_reject_mis_shaped_states_and_times(name, case):
+    vf = small_field()
+    rng = np.random.default_rng(9)
+    x, w = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+    x, t = {
+        "single state": (x[0], 0.5),
+        "state of rank 3": (x[None], 0.5),
+        "times of length 4": (x, rng.random(4)),
+        "times of shape (5, 1)": (x, rng.random((5, 1))),
+        "times of rank 2": (x, rng.random((1, 1))),
+    }[case]
+    with pytest.raises(ShapeError):
+        getattr(vf, name)(x, t, w) if name == "input_vjp" else getattr(vf, name)(x, t)
+
+
+@pytest.mark.parametrize("pull", ["backward", "input_grad", "input_vjp"])
+@pytest.mark.parametrize("cotangent", ["4 rows on 5", "6 rows on 5", "single row (d,)",
+                                       "wrong dim", "rank 3"])
+def test_pull_backs_reject_a_cotangent_of_another_shape(pull, cotangent):
+    vf = small_field()
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((5, 2))
+    w = {
+        "4 rows on 5": rng.standard_normal((4, 2)),
+        "6 rows on 5": rng.standard_normal((6, 2)),
+        "single row (d,)": rng.standard_normal(2),
+        "wrong dim": rng.standard_normal((5, 3)),
+        "rank 3": rng.standard_normal((1, 5, 2)),
+    }[cotangent]
+    with pytest.raises(ShapeError):
+        if pull == "input_vjp":
+            vf.input_vjp(x, 0.5, w)
+        else:
+            getattr(vf.forward_tape(x, 0.5)[1], pull)(w)
 
 
 def test_param_roundtrip_bit_exact():
@@ -228,8 +270,8 @@ def test_param_roundtrip_bit_exact():
     vf2 = small_field(seed=9)
     vf2.set_params_flat(flat)
     np.testing.assert_array_equal(vf2.params_flat(), flat)
-    out1 = vf.forward(np.ones(2), 0.3)
-    out2 = vf2.forward(np.ones(2), 0.3)
+    out1 = vf.forward(np.ones((1, 2)), 0.3)
+    out2 = vf2.forward(np.ones((1, 2)), 0.3)
     np.testing.assert_array_equal(out1, out2)
 
 
@@ -336,16 +378,16 @@ def test_param_grad_matches_finite_differences():
 
 def test_input_vjp_matches_finite_differences():
     vf = small_field(seed=7)
-    x = np.array([0.2, -0.5])
-    w = np.array([1.3, -0.4])
+    x = np.array([[0.2, -0.5], [1.1, 0.3]])
+    w = np.array([[1.3, -0.4], [-0.2, 0.9]])
     t = 0.6
     eps = 1e-6
-    fd = np.zeros(2)
+    fd = np.zeros((2, 2))
     for j in range(2):
         e = np.zeros(2)
         e[j] = eps
-        fd[j] = (
-            w @ vf.forward(x + e, t) - w @ vf.forward(x - e, t)
+        fd[:, j] = np.sum(
+            w * (vf.forward(x + e, t) - vf.forward(x - e, t)), axis=1
         ) / (2 * eps)
     v, vjp = vf.input_vjp(x, t, w)
     np.testing.assert_allclose(vjp, fd, rtol=1e-6, atol=1e-9)
@@ -379,22 +421,24 @@ def test_network_entry_points_leave_their_arguments_unchanged(activation):
     args = (x, t, w, *vf.weights, *vf.biases)
     before = [a.tobytes() for a in args]
     vf.forward(x, t)
-    vf.forward(x[0], 0.5)
+    vf.forward(x[:1], 0.5)
     _, tape = vf.forward_tape(x, t)
     tape.backward(w)
+    tape.input_grad(w)
     vf.input_vjp(x, t, w)
-    vf.input_vjp(x[0], 0.5, w[0])
+    vf.input_vjp(x[:1], 0.5, w[:1])
     assert [a.tobytes() for a in args] == before
 
 
-def test_tape_single_use():
-    vf = small_field()
-    _, tape = vf.forward_tape(np.zeros((3, 2)), 0.5)
-    tape.backward(np.zeros((3, 2)))
-    with pytest.raises(RuntimeError):
-        tape.backward(np.zeros((3, 2)))
-    with pytest.raises(RuntimeError):
-        tape.input_grad(np.zeros((3, 2)))
+def test_a_tape_pulled_back_twice_gives_the_same_bytes():
+    vf = _random_field("silu", 2, seed=11)
+    rng = np.random.default_rng(11)
+    x, w = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+    _, tape = vf.forward_tape(x, 0.5)
+    first = [a.tobytes() for a in (*tape.backward(w), tape.input_grad(w))]
+    second = [a.tobytes() for a in (*tape.backward(w), tape.input_grad(w))]
+    assert second == first
+    assert first[1] == first[2]  # input_grad has backward's bits
 
 
 def test_param_grad_batch_order_deterministic():
@@ -445,7 +489,7 @@ def test_flat_grads_accumulate_blockwise():
 def _broadcast_bias_run(vf, x, t):
     """Taped forward that adds each bias row by broadcasting: z = h @ w.T; z += b."""
     act_with_prime = ACTIVATIONS[vf.cfg.activation][1]
-    h, _ = vf._features(x, t)
+    h = vf._features(x, t)
     inputs, derivs = [], []
     for l, (w, b) in enumerate(zip(vf.weights, vf.biases)):
         inputs.append(h)

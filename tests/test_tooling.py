@@ -53,6 +53,23 @@ def test_tracer_installs_counts_and_uninstalls():
     assert tracer.calls["tasks.reward_value"] == 1
 
 
+def test_tracer_counts_the_network_calls_of_a_fine_tuning_iteration():
+    # every entry point the tracer wraps must keep its name and accept what
+    # one ode-am iteration sends it
+    tracer = load_tracer_module().Tracer()
+    cfg = train.TrainConfig(method="ode-am", n_steps=6, n_truncate=3, batch=4,
+                            iterations=1, lr=1e-3)
+    tracer.install()
+    try:
+        train.finetune(cfg, small_base(), tasks.QuadraticWell(center=np.array([1.0, 0.0])))
+    finally:
+        tracer.uninstall()
+    for name in ("nnet.input_vjp", "nnet.forward_tape", "nnet.backward"):
+        assert tracer.calls.get(name, 0) > 0, name
+    assert tracer.calls["adjoint.lean_adjoint_batch"] == 1
+    assert tracer.calls["nnet.input_vjp"] == cfg.n_truncate - 1
+
+
 def small_base():
     net = nnet.NetConfig(state_dim=2, hidden=(6,), time_features=4)
     return checkpoint.Checkpoint(vf=nnet.VelocityField.init(net, seed=1), seed=1,

@@ -253,6 +253,21 @@ def test_adjoint_abort_names_its_phase():
     assert "fine-tuning aborted at iteration 0 (adj): adjoint blow-up" in str(exc.value)
 
 
+@pytest.mark.parametrize("method", ["ode-am", "sde-am"])
+def test_a_nan_adjoint_aborts_in_the_adjoint_phase(nan_vjp_field, method):
+    # the base's VJP is NaN for sample 3 at t = 0.9; the abort used to come
+    # one phase late, as a non-finite control target
+    net = NetConfig(state_dim=1, hidden=(12, 12))
+    base = Checkpoint(vf=nan_vjp_field(net, 1, np.linspace(0.0, 1.0, 21)[18], 3),
+                      seed=1, iteration=0)
+    cfg = small_cfg(method=method, n_steps=20, n_truncate=10, batch=8, iterations=2,
+                    reg_p=2.0, noise="memoryless")
+    reward = QuadraticWell(center=np.array([1.0]), curvature=1.0)
+    with pytest.raises(NonFiniteError, match=r"^fine-tuning aborted at iteration 0 \(adj\): "
+                       r"adjoint blow-up at grid index 17, sample 3$"):
+        finetune(cfg, base, reward)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_update_abort_names_its_phase_and_the_control_target():
     # near p = 1 the control target overflows once |a| > ~2; the loss names
