@@ -19,12 +19,14 @@ from flowam.nnet import NetConfig
 from flowam.tasks import GaussianMixture2D, QuadraticWell
 from flowam.train import TrainConfig, finetune, pretrain, write_csv
 
+# (name, method, p, lam, k_window); ReFL's window is the AM methods' T = 10,
+# since with k_window = 1 it always picks step N - 1 and repeats DRaFT-1
 VARIANTS = (
-    ("ode-am_p2", "ode-am", 2.0, 0.5),
-    ("ode-am_p6", "ode-am", 6.0, 1.0),
-    ("sde-am_p2", "sde-am", 2.0, 0.5),
-    ("draft-1", "draft", 2.0, 1.0),
-    ("refl-1", "refl", 2.0, 1.0),
+    ("ode-am_p2", "ode-am", 2.0, 0.5, 1),
+    ("ode-am_p6", "ode-am", 6.0, 1.0, 1),
+    ("sde-am_p2", "sde-am", 2.0, 0.5, 1),
+    ("draft-1", "draft", 2.0, 1.0, 1),
+    ("refl-10", "refl", 2.0, 1.0, 10),
 )
 KNN_K = 5  # coverage counts the reference points within k-NN balls
 
@@ -50,9 +52,9 @@ def main():
             (name, [TrainConfig(
                 method=method, n_steps=50, n_truncate=10, batch=64,
                 iterations=args.iterations, lr=3e-4, warmup=10, grad_clip=1.0,
-                reg_p=p, reg_lam=lam, noise="memoryless", seed=seed, k_window=1,
+                reg_p=p, reg_lam=lam, noise="memoryless", seed=seed, k_window=k,
             ) for seed in args.seeds])
-            for name, method, p, lam in VARIANTS
+            for name, method, p, lam, k in VARIANTS
         ]
     except FlowError as e:
         ap.error(str(e))

@@ -33,6 +33,18 @@ comes at another row count, so a fine-tuning iteration tiles theta once and
 pretraining, whose parameters serve one call each, tiles nothing.  Above
 the bound, tiles measured no faster.
 
+``set_params_flat`` also copies the input and hidden layers' W_l^T into
+read-only C-contiguous arrays, and the forward multiplies h @ W_l^T by
+them: OpenBLAS's NN product beats its NT product against the transposed
+view (at 64 rows, 10-13 us against 14-21 us per 64x64 layer).  The two give
+the same bytes from 19 rows up for 64-wide inputs; they differ at one row,
+at up to 18 rows for 64-wide inputs and at up to 37 for 32-wide ones.  The
+output layer, state_dim wide, is multiplied by the view: 2 wide, its NN
+product was no faster at 64 rows and rounds differently from 640 rows up,
+which evaluation's sampler blocks reach.  The pull backs multiply by W_l
+itself and the parameter gradient is g^T h: both already are the faster
+forms.
+
 Everything is float64 numpy.  No general-purpose autodiff: the architecture
 is a fixed MLP over [state, sinusoidal time features].
 """
@@ -167,6 +179,11 @@ def time_embedding(t: np.ndarray, n_features: int) -> np.ndarray:
     return feats
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # (t, sign of t, n_features) -> read-only embedded row; the sign keeps -0.0
 # apart from 0.0, whose sines differ in sign
 _TIME_ROWS: dict = {}
@@ -181,9 +198,7 @@ def _time_row(t, n_features: int) -> np.ndarray:
     if row is None:
         if len(_TIME_ROWS) >= _TIME_ROWS_MAX:
             _TIME_ROWS.clear()  # a caller that never repeats a time
-        row = time_embedding(t, n_features)
-        row.flags.writeable = False
-        _TIME_ROWS[key] = row
+        row = _TIME_ROWS[key] = _read_only(time_embedding(t, n_features))
     return row
 
 
@@ -202,6 +217,17 @@ def layer_views(cfg: NetConfig, flat: np.ndarray):
         biases.append(flat[off : off + dout])
         off += dout
     return weights, biases
+
+
+def param_name(cfg: NetConfig, i: int) -> str:
+    """Where flat entry i sits in the ``layer_views`` layout: "W_l[r, c]" or "b_l[j]"."""
+    weights, biases = layer_views(cfg, np.arange(cfg.n_params))
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        for name, a in (("W", w), ("b", b)):
+            hit = np.argwhere(a == i)
+            if hit.size:
+                return f"{name}_{l}[{', '.join(str(k) for k in hit[0])}]"
+    raise IndexError(f"no entry {i} among {cfg.n_params} params")
 
 
 class GradientTape:
@@ -283,9 +309,11 @@ class VelocityField:
         if not np.all(np.isfinite(flat)):
             raise NonFiniteError("non-finite parameter values")
         self.params = flat
-        frozen = flat.view()
-        frozen.flags.writeable = False
-        self.weights, self.biases = layer_views(self.cfg, frozen)
+        self.weights, self.biases = layer_views(self.cfg, _read_only(flat.view()))
+        # what ``_run`` multiplies each layer's input by: C-contiguous copies
+        # of W_l^T for the input and hidden layers, the output layer's view
+        *inner, out = self.weights
+        self._rhs = [*(_read_only(np.ascontiguousarray(w.T)) for w in inner), out.T]
         # (row count of the last call, its bias tiles or None); reset at
         # every adoption, since a caller may have changed ``flat`` in place
         # before passing it again
@@ -318,11 +346,8 @@ class VelocityField:
 
     def _tile_biases(self, m):
         """Read-only copies of each layer's bias, tiled to m rows."""
-        tiles = [np.ascontiguousarray(np.broadcast_to(b, (m, b.size)))
-                 for b in self.biases]
-        for tile in tiles:
-            tile.flags.writeable = False
-        return tiles
+        return [_read_only(np.ascontiguousarray(np.broadcast_to(b, (m, b.size))))
+                for b in self.biases]
 
     def _bias_addends(self, m):
         """What each layer's bias add reads for an m-row call: the bias
@@ -345,9 +370,9 @@ class VelocityField:
         h = feats
         last = len(self.weights) - 1
         biases = self._bias_addends(feats.shape[0])
-        for l, (w, b) in enumerate(zip(self.weights, biases)):
+        for l, (rhs, b) in enumerate(zip(self._rhs, biases)):
             layer_inputs.append(h)
-            z = h @ w.T
+            z = h @ rhs
             z += b
             if l == last:
                 h = z

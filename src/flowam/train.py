@@ -28,7 +28,7 @@ from .control import (
 )
 from .dynamics import sample_batch, sample_seed
 from .errors import ConfigError, NonFiniteError, ValidationError
-from .nnet import NetConfig, VelocityField
+from .nnet import NetConfig, VelocityField, param_name
 from .schedules import NOISE_SCHEDULES, step_coeffs
 
 METHODS = ("ode-am", "sde-am", "draft", "refl")
@@ -118,17 +118,23 @@ def optimizer_step(
     grads: np.ndarray,
     clip: float,
     lr: float,
+    net: NetConfig | None = None,
 ) -> np.ndarray:
     """Global-norm clip followed by a bias-corrected Adam update.
 
     Only the gradient is checked for finiteness here; the caller's
-    ``VelocityField.set_params_flat`` checks the parameters it adopts.
+    ``VelocityField.set_params_flat`` checks the parameters it adopts.  A
+    non-finite gradient is named by its first non-finite entry: as layer,
+    W/b and position (``nnet.param_name``) given the network's ``net``,
+    as a flat index otherwise.
     """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.shape:
         raise ConfigError(f"grad shape {grads.shape} != param shape {params.shape}")
     if not np.all(np.isfinite(grads)):
-        raise NonFiniteError("non-finite gradient")
+        i = int(np.flatnonzero(~np.isfinite(grads))[0])
+        where = param_name(net, i) if net is not None else f"[{i}]"
+        raise NonFiniteError(f"non-finite gradient at {where}")
     norm = float(np.linalg.norm(grads))
     if clip > 0.0 and norm > clip:
         grads = grads * (clip / norm)
@@ -168,7 +174,7 @@ def pretrain(cfg: TrainConfig, dist, net_cfg: NetConfig):
             grads, _ = tape.backward(2.0 * resid / cfg.batch)
             params = optimizer_step(
                 opt, params, grads, cfg.grad_clip,
-                warmup_lr(cfg.lr, cfg.warmup, it),
+                warmup_lr(cfg.lr, cfg.warmup, it), vf.cfg,
             )
             vf.set_params_flat(params)
         except NonFiniteError as e:
@@ -236,7 +242,7 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
                 )
             params = optimizer_step(
                 opt, params, grads, cfg.grad_clip,
-                warmup_lr(cfg.lr, cfg.warmup, it),
+                warmup_lr(cfg.lr, cfg.warmup, it), vf.cfg,
             )
             vf.set_params_flat(params)
             t3 = time.perf_counter()

@@ -483,19 +483,46 @@ def test_flat_grads_accumulate_blockwise():
         assert _same_bits(tb[l], blocks[0][1][l] + blocks[1][1][l])
 
 
+# -- product layout --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m", [19, 64, 128, 512, 1000, 2000])
+def test_transposed_copies_give_the_transposed_views_bytes(dim, m):
+    """h @ W.T (OpenBLAS's NT path) and h @ W^T copied C-contiguous (its NN
+    path) give the same bytes for the default 64-wide input and hidden
+    layers at the row counts that fine-tuning, pretraining, evaluation's
+    sampler blocks and plot-data send.  This pin is what keeps metrics.csv
+    and eval.csv unchanged by the field's copies.
+
+    They differ elsewhere, on OpenBLAS 0.3.31: at m = 1, where numpy takes
+    its matrix-vector path, at m <= 18 for K = 64 inputs and at m <= 37 for
+    K = 32.  The 2-wide output layer's two paths differ at m >= 640, so the
+    field multiplies that layer by the view.
+    """
+    vf = VelocityField.init(NetConfig(state_dim=dim), seed=dim)
+    rng = np.random.default_rng(m)
+    for w in vf.weights[:-1]:
+        h = rng.standard_normal((m, w.shape[1]))
+        assert (h @ w.T).tobytes() == (h @ np.ascontiguousarray(w.T)).tobytes()
+
+
 # -- bias tiles ------------------------------------------------------------------
 
 
 def _broadcast_bias_run(vf, x, t):
-    """Taped forward that adds each bias row by broadcasting: z = h @ w.T; z += b."""
+    """Taped forward that adds each bias row by broadcasting: z = h @ W^T;
+    z += b, with W^T a contiguous copy except in the output layer, as the
+    field multiplies."""
     act_with_prime = ACTIVATIONS[vf.cfg.activation][1]
     h = vf._features(x, t)
     inputs, derivs = [], []
+    last = len(vf.weights) - 1
     for l, (w, b) in enumerate(zip(vf.weights, vf.biases)):
         inputs.append(h)
-        z = h @ w.T
+        z = h @ (w.T if l == last else np.ascontiguousarray(w.T))
         z += b
-        if l == len(vf.weights) - 1:
+        if l == last:
             h = z
         else:
             h, d = act_with_prime(z)
@@ -535,15 +562,20 @@ def test_tiled_bias_adds_give_the_broadcast_bytes(activation, dim, m):
 
 
 def test_an_in_place_update_readopted_drops_the_tiles():
+    # an update made in place and adopted again is multiplied with fresh
+    # transposed copies and added with fresh tiles: stale ones would give
+    # the old parameters' bytes
     vf = _random_field("silu", 2, seed=3)
     rng = np.random.default_rng(3)
     x, w = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
-    _outputs(vf, x, 0.5, w)  # tiles the biases at 64 rows
+    before = _outputs(vf, x, 0.5, w)  # tiles the biases at 64 rows
     p = vf.params
     p += 0.25 * rng.standard_normal(p.size)
     vf.set_params_flat(p)
     assert vf.params is p
-    assert _outputs(vf, x, 0.5, w) == _outputs(VelocityField(vf.cfg, p.copy()), x, 0.5, w)
+    after = _outputs(vf, x, 0.5, w)
+    assert after == _outputs(VelocityField(vf.cfg, p.copy()), x, 0.5, w)
+    assert all(a != b for a, b in zip(after, before))
 
 
 def test_alternating_row_counts_give_a_fresh_fields_bytes():
@@ -557,28 +589,35 @@ def test_alternating_row_counts_give_a_fresh_fields_bytes():
 
 def test_threads_sharing_a_field_give_the_serial_bytes():
     # with more threads than cores and a short switch interval, a thread
-    # that read another's half-replaced tiles would show here
+    # that read another's half-replaced tiles would show here; between
+    # rounds the field adopts new parameters in place, as fine-tuning does,
+    # and every round must give a fresh field's bytes for them
     vf = _random_field("silu", 2, seed=5)
     rng = np.random.default_rng(5)
     rows = (1, 64, 3, BIAS_TILE_ROWS, BIAS_TILE_ROWS + 1, 64)
     cases = [(rng.standard_normal((m, 2)), rng.standard_normal((m, 2))) for m in rows]
-    serial = [_outputs(VelocityField(vf.cfg, vf.params_flat()), x, 0.7, w)
-              for x, w in cases]
-    got = {}
+    for _ in range(3):
+        serial = [_outputs(VelocityField(vf.cfg, vf.params_flat()), x, 0.7, w)
+                  for x, w in cases]
+        got = {}
 
-    def work(k):
-        got[k] = [[_outputs(vf, x, 0.7, w) for x, w in cases[k::3]] for _ in range(20)]
+        def work(k):
+            got[k] = [[_outputs(vf, x, 0.7, w) for x, w in cases[k::3]]
+                      for _ in range(10)]
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    for k in range(3):
-        assert all(run == serial[k::3] for run in got[k])
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for k in range(3):
+            assert all(run == serial[k::3] for run in got[k])
+        p = vf.params
+        p += 0.25 * rng.standard_normal(p.size)
+        vf.set_params_flat(p)

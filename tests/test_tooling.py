@@ -169,6 +169,9 @@ SCRIPTS = {
                           ["base.bin", "sweep.csv"]),
     "oracle_curves.py": (["--points", "11"],
                          ["relative_strength.csv", "toy_control.csv"]),
+    "bytes_digest.py": (["--pretrain-iters", "3", "--finetune-iters", "1"],
+                        ["readme/samples.csv", "readme/tuned/eval.csv",
+                         "gm2/base/ckpt_pretrain.bin", "gm2/refl/eval.csv"]),
 }
 
 

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from flowam.adjoint import BLOWUP_NORM
 from flowam.checkpoint import Checkpoint
 from flowam.control import RegularizerSpec
 from flowam.errors import ConfigError, NonFiniteError, ValidationError
-from flowam.nnet import GradientTape, NetConfig, VelocityField
+from flowam.nnet import GradientTape, NetConfig, VelocityField, layer_views
 from flowam.oracles import GaussianFlowSpec, rf_velocity
 from flowam.tasks import ConstantReward, Gaussian1D, GaussianMixture2D, QuadraticWell
 from flowam.train import (
@@ -124,6 +125,48 @@ def test_optimizer_rejects_nonfinite():
     opt = OptimizerState.init(1)
     with pytest.raises(NonFiniteError):
         optimizer_step(opt, np.zeros(1), np.array([np.nan]), clip=1.0, lr=0.1)
+
+
+# widths (10, 4, 3, 2): W_0 0-39, b_0 40-43, W_1 44-55, b_1 56-58, W_2 59-64,
+# b_2 65-66
+@pytest.mark.parametrize("bad, where, layer, kind, pos", [
+    ((0,), "W_0[0, 0]", 0, 0, (0, 0)),
+    ((49, 66), "W_1[1, 1]", 1, 0, (1, 1)),
+    ((57,), "b_1[1]", 1, 1, (1,)),
+    ((66,), "b_2[1]", 2, 1, (1,)),
+])
+def test_a_nonfinite_gradient_names_its_first_bad_entry(bad, where, layer, kind, pos):
+    net = NetConfig(state_dim=2, hidden=(4, 3))
+    grads = np.zeros(net.n_params)
+    grads[list(bad)] = (np.nan, np.inf)[: len(bad)]
+    # the name is where layer_views puts the entry
+    assert np.isnan(layer_views(net, grads)[kind][layer][pos])
+    with pytest.raises(NonFiniteError, match=rf"^non-finite gradient at {re.escape(where)}$"):
+        optimizer_step(OptimizerState.init(net.n_params), np.zeros(net.n_params), grads,
+                       clip=1.0, lr=0.1, net=net)
+    # without the network's layout, the flat index
+    with pytest.raises(NonFiniteError, match=rf"^non-finite gradient at \[{bad[0]}\]$"):
+        optimizer_step(OptimizerState.init(net.n_params), np.zeros(net.n_params), grads,
+                       clip=1.0, lr=0.1)
+
+
+class _NaNGradForOneSample(QuadraticWell):
+    """A quadratic well whose gradient is NaN in row 3 of every batch."""
+
+    def grad(self, x):
+        g = super().grad(x)
+        g[3] = np.nan
+        return g
+
+
+def test_a_nan_reward_gradient_aborts_a_draft_update_naming_the_entry():
+    # one NaN row of the reward gradient reaches every parameter through
+    # dW = g^T h, so the first entry of the layout is the first one named
+    reward = _NaNGradForOneSample(center=np.array([1.0]), curvature=1.0)
+    cfg = small_cfg(method="draft", k_window=3, batch=8, iterations=2)
+    with pytest.raises(NonFiniteError, match=r"^fine-tuning aborted at iteration 0 \(upd\): "
+                       r"non-finite gradient at W_0\[0, 0\]$"):
+        finetune(cfg, make_base(seed=1), reward)
 
 
 def test_warmup_schedule():
