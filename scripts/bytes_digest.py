@@ -23,17 +23,16 @@ import sys
 
 import flowam
 
-# the README's example config, with its iteration count left to the flags
-README_CONFIG = """\
-data = gauss1d
-state_dim = 1
-method = sde-am
-noise = memoryless
-reward = quadwell
-reward_center = 2.0
-n_steps = 50
-n_truncate = 50
-"""
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_config():
+    """The README's example config, with its iteration count left to the flags."""
+    with open(README, encoding="utf-8") as f:
+        block = f.read().split("Example config:\n\n```ini\n", 1)[1].split("```", 1)[0]
+    return "".join(line for line in block.splitlines(keepends=True)
+                   if not line.startswith("iterations"))
+
 
 GM2_PRETRAIN = "batch = 512\nlr = 3e-4\nwarmup = 20\ngrad_clip = 10.0\nseed = 1\n"
 GM2_TUNES = {  # run name -> config keys beyond the gm2 defaults
@@ -76,8 +75,9 @@ def main():
         if proc.returncode != 0:
             sys.exit(f"flowctl {' '.join(argv)} failed:\n{proc.stderr}")
 
-    pre = config("readme_pretrain.cfg", README_CONFIG, args.pretrain_iters)
-    tune = config("readme_tune.cfg", README_CONFIG, args.finetune_iters)
+    readme = readme_config()
+    pre = config("readme_pretrain.cfg", readme, args.pretrain_iters)
+    tune = config("readme_tune.cfg", readme, args.finetune_iters)
     flowctl("pretrain", "--config", pre, "--outdir", "readme/base")
     base = "readme/base/ckpt_pretrain.bin"
     flowctl("finetune", "--config", tune, "--base", base, "--outdir", "readme/tuned")

@@ -118,23 +118,21 @@ def optimizer_step(
     grads: np.ndarray,
     clip: float,
     lr: float,
-    net: NetConfig | None = None,
+    net: NetConfig,
 ) -> np.ndarray:
     """Global-norm clip followed by a bias-corrected Adam update.
 
     Only the gradient is checked for finiteness here; the caller's
     ``VelocityField.set_params_flat`` checks the parameters it adopts.  A
-    non-finite gradient is named by its first non-finite entry: as layer,
-    W/b and position (``nnet.param_name``) given the network's ``net``,
-    as a flat index otherwise.
+    non-finite gradient is named by its first non-finite entry, as layer,
+    W/b and position in the layout of ``net`` (``nnet.param_name``).
     """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.shape:
         raise ConfigError(f"grad shape {grads.shape} != param shape {params.shape}")
     if not np.all(np.isfinite(grads)):
         i = int(np.flatnonzero(~np.isfinite(grads))[0])
-        where = param_name(net, i) if net is not None else f"[{i}]"
-        raise NonFiniteError(f"non-finite gradient at {where}")
+        raise NonFiniteError(f"non-finite gradient at {param_name(net, i)}")
     norm = float(np.linalg.norm(grads))
     if clip > 0.0 and norm > clip:
         grads = grads * (clip / norm)

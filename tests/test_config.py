@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from flowam.config import (
@@ -179,22 +181,15 @@ def test_hash_is_content_stable():
     assert a.config_sha256 != c.config_sha256
 
 
-README_EXAMPLE = """\
-data = gauss1d
-state_dim = 1
-method = sde-am
-noise = memoryless
-reward = quadwell
-reward_center = 2.0
-n_steps = 50
-n_truncate = 50
-iterations = 600
-lr = 3e-4
-"""
+def readme_example():
+    """The example config block of the README."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        return f.read().split("Example config:\n\n```ini\n", 1)[1].split("```", 1)[0]
 
 
 def test_resolved_text_roundtrips():
-    for source in ("lr = 0.001\nhidden = 32,16\n", README_EXAMPLE):
+    for source in ("lr = 0.001\nhidden = 32,16\n", readme_example()):
         cfg = parse_config_text(source)
         text = cfg.resolved_text()
         again = parse_config_text(text)

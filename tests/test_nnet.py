@@ -461,7 +461,7 @@ def test_param_grad_rejects_nonfinite_loss():
     grads, _ = tape.backward(np.full_like(out, np.nan))
     opt = OptimizerState.init(vf.n_params)
     with pytest.raises(NonFiniteError):
-        optimizer_step(opt, vf.params_flat(), grads, clip=1.0, lr=0.1)
+        optimizer_step(opt, vf.params_flat(), grads, clip=1.0, lr=0.1, net=vf.cfg)
 
 
 def test_flat_grads_accumulate_blockwise():

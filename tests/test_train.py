@@ -98,37 +98,45 @@ def test_zero_grad_clip_and_warmup_stay_legal():
 # -- optimizer -----------------------------------------------------------------
 
 
+# widths (10, 4, 3, 2): W_0 0-39, b_0 40-43, W_1 44-55, b_1 56-58, W_2 59-64,
+# b_2 65-66
+NET = NetConfig(state_dim=2, hidden=(4, 3))
+
+
 def test_zero_grads_leave_params_unchanged():
-    opt = OptimizerState.init(4)
-    params = np.array([1.0, -2.0, 0.5, 3.0])
-    out = optimizer_step(opt, params, np.zeros(4), clip=1.0, lr=0.1)
+    opt = OptimizerState.init(NET.n_params)
+    params = np.random.default_rng(0).standard_normal(NET.n_params)
+    out = optimizer_step(opt, params, np.zeros(NET.n_params), clip=1.0, lr=0.1, net=NET)
     np.testing.assert_array_equal(out, params)
 
 
 def test_adam_first_step_hand_value():
-    opt = OptimizerState.init(1)
-    params = np.array([0.0])
-    out = optimizer_step(opt, params, np.array([1.0]), clip=0.0, lr=0.1)
-    # bias-corrected first step: -lr * g / (|g| + eps)
+    opt = OptimizerState.init(NET.n_params)
+    grads = np.zeros(NET.n_params)
+    grads[0] = 1.0
+    out = optimizer_step(opt, np.zeros(NET.n_params), grads, clip=0.0, lr=0.1, net=NET)
+    # bias-corrected first step: -lr * g / (|g| + eps); a zero gradient moves nothing
     assert out[0] == pytest.approx(-0.1 / (1.0 + ADAM_EPS), rel=1e-12)
+    np.testing.assert_array_equal(out[1:], 0.0)
 
 
 def test_global_norm_clipping():
-    opt = OptimizerState.init(2)
-    g = np.array([60.0, 80.0])  # norm 100
-    optimizer_step(opt, np.zeros(2), g, clip=1.0, lr=0.1)
+    opt = OptimizerState.init(NET.n_params)
+    g = np.zeros(NET.n_params)
+    g[:2] = (60.0, 80.0)  # norm 100
+    optimizer_step(opt, np.zeros(NET.n_params), g, clip=1.0, lr=0.1, net=NET)
     # after clipping, the accumulated first moment reflects unit-norm grads
     assert np.linalg.norm(opt.m / (1.0 - ADAM_BETA1)) == pytest.approx(1.0)
 
 
 def test_optimizer_rejects_nonfinite():
-    opt = OptimizerState.init(1)
+    grads = np.zeros(NET.n_params)
+    grads[-1] = np.nan
     with pytest.raises(NonFiniteError):
-        optimizer_step(opt, np.zeros(1), np.array([np.nan]), clip=1.0, lr=0.1)
+        optimizer_step(OptimizerState.init(NET.n_params), np.zeros(NET.n_params), grads,
+                       clip=1.0, lr=0.1, net=NET)
 
 
-# widths (10, 4, 3, 2): W_0 0-39, b_0 40-43, W_1 44-55, b_1 56-58, W_2 59-64,
-# b_2 65-66
 @pytest.mark.parametrize("bad, where, layer, kind, pos", [
     ((0,), "W_0[0, 0]", 0, 0, (0, 0)),
     ((49, 66), "W_1[1, 1]", 1, 0, (1, 1)),
@@ -136,18 +144,13 @@ def test_optimizer_rejects_nonfinite():
     ((66,), "b_2[1]", 2, 1, (1,)),
 ])
 def test_a_nonfinite_gradient_names_its_first_bad_entry(bad, where, layer, kind, pos):
-    net = NetConfig(state_dim=2, hidden=(4, 3))
-    grads = np.zeros(net.n_params)
+    grads = np.zeros(NET.n_params)
     grads[list(bad)] = (np.nan, np.inf)[: len(bad)]
     # the name is where layer_views puts the entry
-    assert np.isnan(layer_views(net, grads)[kind][layer][pos])
+    assert np.isnan(layer_views(NET, grads)[kind][layer][pos])
     with pytest.raises(NonFiniteError, match=rf"^non-finite gradient at {re.escape(where)}$"):
-        optimizer_step(OptimizerState.init(net.n_params), np.zeros(net.n_params), grads,
-                       clip=1.0, lr=0.1, net=net)
-    # without the network's layout, the flat index
-    with pytest.raises(NonFiniteError, match=rf"^non-finite gradient at \[{bad[0]}\]$"):
-        optimizer_step(OptimizerState.init(net.n_params), np.zeros(net.n_params), grads,
-                       clip=1.0, lr=0.1)
+        optimizer_step(OptimizerState.init(NET.n_params), np.zeros(NET.n_params), grads,
+                       clip=1.0, lr=0.1, net=NET)
 
 
 class _NaNGradForOneSample(QuadraticWell):
