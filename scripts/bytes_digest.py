@@ -7,6 +7,8 @@ Runs flowctl, one process per command, at reduced size:
   T = 50, ``sde-am`` T = 1 and T = 50, ``draft`` and ``refl`` (batch 64),
   each evaluated at n = 2000.
 
+The script imports ``flowam`` from the ``src/`` of its own checkout and
+hands that tree to its flowctl children, whatever else is on the path.
 Prints one ``sha256  path`` line per ``metrics.csv``, ``eval.csv``,
 checkpoint, ``config.resolved`` and samples file, with paths relative to
 ``--outdir``; ``timings.csv`` holds wall-clock times and is left out.  Two
@@ -21,9 +23,16 @@ import os
 import subprocess
 import sys
 
-import flowam
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+import flowam  # noqa: E402
+
+if not os.path.abspath(flowam.__file__).startswith(SRC + os.sep):
+    sys.exit(f"flowam was imported from {flowam.__file__}, not from {SRC}")
+
+README = os.path.join(ROOT, "README.md")
 
 
 def readme_config():
@@ -60,9 +69,8 @@ def main():
     os.makedirs(args.outdir, exist_ok=True)
     # every path below is relative to the outdir, where flowctl runs, so
     # config.resolved records the same outdir whatever --outdir is
-    src = os.path.dirname(os.path.dirname(os.path.abspath(flowam.__file__)))
     env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
     def config(name, text, iterations):
         with open(os.path.join(args.outdir, name), "w", encoding="utf-8") as f:

@@ -87,7 +87,7 @@ def lean_adjoint_batch(
         row = coeffs[k] if coeffs is not None else None
         v, vjp = _vjp(base, states[k], times[k], a, row)
         a = a + h * vjp
-        if not np.max(np.abs(a)) <= BLOWUP_NORM:  # NaN fails the test too
+        if not np.abs(a).max() <= BLOWUP_NORM:  # NaN fails the test too
             sample = int(np.argmax(~(np.abs(a) <= BLOWUP_NORM).all(axis=1)))
             raise NonFiniteError(f"adjoint blow-up at grid index {k - 1}, sample {sample}")
         adjoints[n_truncate - 1 - j] = a

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (
     ConfigError, NonFiniteError, ShapeError, SingularityError, ValidationError,
 )
-from .nnet import VelocityField
+from .nnet import VelocityField, layer_views
 
 
 EPS_ADJOINT = 1e-12  # adjoint norms below this get a zero control target
@@ -118,14 +118,20 @@ def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
         i, j, _ = np.argwhere(~finite)[0]
         raise NonFiniteError(f"non-finite control target at window step {i} "
                              f"(grid index {first + i}, sample {j}, p = {reg.p})")
+    targets = scale[:, None, None] * controls
+    # each tape adds its gradient into ``grads`` through these views
+    views = layer_views(v_theta.cfg, grads)
     for i in range(t_count):
-        x, t = states[first + i], times[first + i]
-        target = scale[i] * controls[i]
-        vt, tape = v_theta.forward_tape(x, t)
-        resid = coef[i] * (vt - v_base[i]) - target
-        total += float(np.sum(resid * resid))
-        g, _ = tape.backward(2.0 * coef[i] * resid / denom)
-        grads += g
+        k = first + i
+        # coef_i (v_theta - v_base) - target, finished in v_theta's array
+        resid, tape = v_theta.forward_tape(states[k], times[k])
+        resid -= v_base[i]
+        resid *= coef[i]
+        resid -= targets[i]
+        total += float((resid * resid).sum())
+        cot = 2.0 * coef[i] * resid
+        cot /= denom
+        tape.backward(cot, into=views)
     return total / denom, grads
 
 
@@ -198,10 +204,10 @@ def draft_loss_and_grad(
         x = x + h * v
     loss = -float(np.mean(reward.value(x)))
     grads = np.zeros(v_theta.n_params)
+    views = layer_views(v_theta.cfg, grads)
     w = -reward.grad(x) / m
     for tape in reversed(tapes):
-        g, input_grad = tape.backward(h * w)
-        grads += g
+        _, input_grad = tape.backward(h * w, into=views)
         w = w + input_grad
     return loss, grads
 

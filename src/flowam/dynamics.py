@@ -136,6 +136,8 @@ def _check_finite(states, start: int = 0) -> None:
     """Raise ``NonFiniteError`` naming the earliest grid index at which a row
     of ``states`` (grid indices start, start + 1, ...) is non-finite, and the
     first such row: what stopping at the first non-finite step would name."""
+    if np.isfinite(states).all():
+        return
     bad = ~np.isfinite(states).all(axis=-1)  # (steps, m)
     if bad.any():
         step, sample = np.unravel_index(np.argmax(bad), bad.shape)
@@ -155,13 +157,17 @@ def _integrate(field, x0, n_steps, coeffs=None, noises=None, start=0, out=None):
     states = np.empty((n_steps + 1 - start, m, dim)) if out is None else out
     states[0] = x
     stochastic = noises is not None
+    if stochastic:
+        # (correction, kappa) per step and each step's sqrt(h) sigma noise
+        drift_coeffs = coeffs[:, :2].tolist()
+        kicks = (np.sqrt(h) * coeffs[:, 2])[:, None, None] * noises
     for k in range(start, n_steps):
         t = times[k]
         v = field.forward(x, t)
         if stochastic:
-            corr, kappa, sig = coeffs[k]
+            corr, kappa = drift_coeffs[k]
             drift = v + corr * (v - kappa * x)
-            x = x + h * drift + np.sqrt(h) * sig * noises[k]
+            x = x + h * drift + kicks[k]
         else:
             x = x + h * v
         states[k + 1 - start] = x

@@ -12,7 +12,10 @@ primitives are exposed:
   It pulls the cotangent back through the layers only, forming no
   parameter gradient, with the bits of ``backward``'s input gradient;
 * ``GradientTape.backward`` -- cotangent propagation to one flat parameter
-  gradient, in the layout of the parameter vector, for loss minimization.
+  gradient, in the layout of the parameter vector, for loss minimization;
+  given ``into``, the ``layer_views`` of a caller's flat sum, it adds the
+  gradient into that sum, so a loss over a window of tapes forms no
+  vector per tape and the sum has the bits of adding the vectors.
 
 ``forward_tape`` computes each hidden layer's activation derivative in the
 forward pass, from the same intermediates as the activation (the sigmoid
@@ -21,8 +24,11 @@ only multiplies.  Plain ``forward`` computes no derivative.  The
 activations, the bias add and the backward multiply work in place on arrays
 they have just allocated, never on an argument.  A scalar t is embedded
 once per process: its read-only row is kept in a module-level memo (one row
-per grid time of a run) and copied into every row of the feature matrix.
-An array t, as pretraining passes, is embedded at every call.
+per grid time of a run).  A call of m <= BIAS_TILE_ROWS rows joins the
+states to a read-only (m, F) block of that row, kept in a second, bounded
+memo, with one ``np.concatenate``; a larger call copies the row into every
+row of the feature matrix.  An array t, as pretraining passes, is embedded
+at every call.
 
 A call of m <= BIAS_TILE_ROWS rows, made with parameters that already
 served a call of m rows, adds each layer's bias from a read-only copy tiled
@@ -36,12 +42,17 @@ the bound, tiles measured no faster.
 ``set_params_flat`` also copies the input and hidden layers' W_l^T into
 read-only C-contiguous arrays, and the forward multiplies h @ W_l^T by
 them: OpenBLAS's NN product beats its NT product against the transposed
-view (at 64 rows, 10-13 us against 14-21 us per 64x64 layer).  The two give
-the same bytes from 19 rows up for 64-wide inputs; they differ at one row,
-at up to 18 rows for 64-wide inputs and at up to 37 for 32-wide ones.  The
-output layer, state_dim wide, is multiplied by the view: 2 wide, its NN
-product was no faster at 64 rows and rounds differently from 640 rows up,
-which evaluation's sampler blocks reach.  The pull backs multiply by W_l
+view (at 64 rows, 10-13 us against 14-21 us per 64x64 layer).  Where the
+two give the same bytes depends on both widths (OpenBLAS 0.3.31, one
+thread): for inputs at most 16 wide they differ only at one row; for
+inputs at least 32 wide they differ at up to about 150, 75, 37, 18 and 9
+rows for outputs 8, 16, 32, 64 and 128 wide.  2- and 3-wide outputs are
+the exception: of 16- to 28-wide inputs they differ at most row counts up
+to 1,096, of wider inputs from about 400 (3 wide) and 600 (2 wide) rows
+up.  The default layers, 10 -> 64 and 64 -> 64, agree from 19 rows up.
+The output layer, state_dim wide, is multiplied by the view: 2 wide, its
+NN product was no faster at 64 rows and rounds differently at
+evaluation's 1,000-row sampler blocks.  The pull backs multiply by W_l
 itself and the parameter gradient is g^T h: both already are the faster
 forms.
 
@@ -184,6 +195,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _tiled(row: np.ndarray, m: int) -> np.ndarray:
+    """A read-only copy of ``row`` in each of m rows."""
+    return _read_only(np.ascontiguousarray(np.broadcast_to(row, (m, row.shape[-1]))))
+
+
 # (t, sign of t, n_features) -> read-only embedded row; the sign keeps -0.0
 # apart from 0.0, whose sines differ in sign
 _TIME_ROWS: dict = {}
@@ -200,6 +216,25 @@ def _time_row(t, n_features: int) -> np.ndarray:
             _TIME_ROWS.clear()  # a caller that never repeats a time
         row = _TIME_ROWS[key] = _read_only(time_embedding(t, n_features))
     return row
+
+
+# (t, sign of t, n_features, m) -> read-only (m, n_features) block of the
+# time row, for calls of m <= BIAS_TILE_ROWS rows, which join it to the
+# states with one np.concatenate
+_TIME_BLOCKS: dict = {}
+_TIME_BLOCKS_MAX = 512  # at most 512 * 256 rows * n_features floats
+
+
+def _time_block(t, n_features: int, m: int) -> np.ndarray:
+    """``_time_row(t, n_features)`` tiled to m rows, built once per process."""
+    t = float(t)
+    key = (t, math.copysign(1.0, t), n_features, m)
+    block = _TIME_BLOCKS.get(key)
+    if block is None:
+        if len(_TIME_BLOCKS) >= _TIME_BLOCKS_MAX:
+            _TIME_BLOCKS.clear()
+        block = _TIME_BLOCKS[key] = _tiled(_time_row(t, n_features), m)
+    return block
 
 
 def layer_views(cfg: NetConfig, flat: np.ndarray):
@@ -238,14 +273,20 @@ class GradientTape:
         self._layer_inputs = layer_inputs  # input to each linear layer, (n, in_l)
         self._derivs = derivs  # activation derivative of each hidden layer
 
-    def backward(self, cotangent: np.ndarray):
+    def backward(self, cotangent: np.ndarray, into=None):
         """Propagate an output cotangent; returns (param_grad, input_grad).
 
         ``param_grad`` is one flat vector in the layout of the network's
         ``params``, each layer's (dW, db) summed over the batch in ascending
         sample order; ``input_grad`` is w^T dv/dx per sample, restricted to
-        the state slice of the input.
+        the state slice of the input.  Given ``into``, the ``layer_views``
+        of a caller's flat gradient sum, each layer's (dW, db) is added into
+        that sum instead, with the bits of ``sum += param_grad``, and
+        ``param_grad`` is None: a loss over many tapes sums their gradients
+        without a vector per tape.
         """
+        if into is not None:
+            return None, self._pull(cotangent, into, add=True)
         grad = np.empty(self._vf.n_params)
         return grad, self._pull(cotangent, layer_views(self._vf.cfg, grad))
 
@@ -253,8 +294,9 @@ class GradientTape:
         """``backward``'s input_grad alone: no parameter gradient is formed."""
         return self._pull(cotangent, None)
 
-    def _pull(self, cotangent, grads):
-        """Input gradient of the cotangent; fills the views ``grads`` unless None."""
+    def _pull(self, cotangent, grads, add=False):
+        """Input gradient of the cotangent; fills the views ``grads``, or
+        with ``add`` adds into them, unless they are None."""
         vf = self._vf
         g = np.asarray(cotangent, dtype=np.float64)
         shape = (self._layer_inputs[0].shape[0], vf.cfg.state_dim)
@@ -262,9 +304,14 @@ class GradientTape:
             raise ShapeError(f"cotangent of shape {g.shape} != forward output {shape}")
         for l in range(len(vf.weights) - 1, -1, -1):
             if grads is not None:
-                # copied in: matmul and sum with out= into the views run slower
-                grads[0][l][...] = g.T @ self._layer_inputs[l]
-                grads[1][l][...] = g.sum(axis=0)
+                dw, db = g.T @ self._layer_inputs[l], g.sum(axis=0)
+                if add:
+                    grads[0][l] += dw
+                    grads[1][l] += db
+                else:
+                    # copied in: matmul and sum with out= into the views run slower
+                    grads[0][l][...] = dw
+                    grads[1][l][...] = db
             # layer 0 multiplies by all of W_0 and slices afterwards: the
             # product with W_0's state columns alone has other bits
             g = g @ vf.weights[l]
@@ -282,6 +329,7 @@ class VelocityField:
 
     def __init__(self, cfg: NetConfig, params):
         self.cfg = cfg
+        self._act, self._act_with_prime = ACTIVATIONS[cfg.activation]
         self.set_params_flat(params)
 
     @classmethod
@@ -310,7 +358,7 @@ class VelocityField:
             raise NonFiniteError("non-finite parameter values")
         self.params = flat
         self.weights, self.biases = layer_views(self.cfg, _read_only(flat.view()))
-        # what ``_run`` multiplies each layer's input by: C-contiguous copies
+        # what the forward multiplies each layer's input by: C-contiguous copies
         # of W_l^T for the input and hidden layers, the output layer's view
         *inner, out = self.weights
         self._rhs = [*(_read_only(np.ascontiguousarray(w.T)) for w in inner), out.T]
@@ -335,19 +383,22 @@ class VelocityField:
         if x.ndim != 2 or x.shape[1] != sd:
             raise ShapeError(f"states of shape {x.shape} are not (m, {sd})")
         m = x.shape[0]
-        if np.shape(t) not in ((), (m,)):
+        # float covers numpy's float64 scalars, the samplers' grid times
+        scalar = isinstance(t, float) or np.shape(t) == ()
+        if scalar and m <= BIAS_TILE_ROWS:
+            return np.concatenate((x, _time_block(t, nf, m)), axis=1)
+        if not scalar and np.shape(t) != (m,):
             raise ShapeError(f"time of shape {np.shape(t)} is not () or ({m},)")
         feats = np.empty((m, sd + nf))
         feats[:, :sd] = x
         if nf > 0:
             # one row per scalar time, copied to every row of the batch
-            feats[:, sd:] = _time_row(t, nf) if np.ndim(t) == 0 else time_embedding(t, nf)
+            feats[:, sd:] = _time_row(t, nf) if scalar else time_embedding(t, nf)
         return feats
 
     def _tile_biases(self, m):
         """Read-only copies of each layer's bias, tiled to m rows."""
-        return [_read_only(np.ascontiguousarray(np.broadcast_to(b, (m, b.size))))
-                for b in self.biases]
+        return [_tiled(b, m) for b in self.biases]
 
     def _bias_addends(self, m):
         """What each layer's bias add reads for an m-row call: the bias
@@ -363,32 +414,31 @@ class VelocityField:
             self._tiles = (m, tiles)
         return tiles
 
-    def _run(self, feats, taped):
-        """Output, layer inputs and, if taped, activation derivatives."""
-        act, act_with_prime = ACTIVATIONS[self.cfg.activation]
+    def forward(self, x, t) -> np.ndarray:
+        h = self._features(x, t)
+        last = len(self._rhs) - 1
+        for l, (rhs, b) in enumerate(zip(self._rhs, self._bias_addends(h.shape[0]))):
+            z = h @ rhs
+            z += b
+            h = z if l == last else self._act(z)
+        return h
+
+    def forward_tape(self, x, t):
+        """(v, tape): the tape keeps each layer's input and each hidden
+        activation's derivative."""
+        h = self._features(x, t)
         layer_inputs, derivs = [], []
-        h = feats
-        last = len(self.weights) - 1
-        biases = self._bias_addends(feats.shape[0])
-        for l, (rhs, b) in enumerate(zip(self._rhs, biases)):
+        last = len(self._rhs) - 1
+        for l, (rhs, b) in enumerate(zip(self._rhs, self._bias_addends(h.shape[0]))):
             layer_inputs.append(h)
             z = h @ rhs
             z += b
             if l == last:
                 h = z
-            elif taped:
-                h, d = act_with_prime(z)
-                derivs.append(d)
             else:
-                h = act(z)
-        return h, layer_inputs, derivs
-
-    def forward(self, x, t) -> np.ndarray:
-        return self._run(self._features(x, t), taped=False)[0]
-
-    def forward_tape(self, x, t):
-        out, layer_inputs, derivs = self._run(self._features(x, t), taped=True)
-        return out, GradientTape(self, layer_inputs, derivs)
+                h, d = self._act_with_prime(z)
+                derivs.append(d)
+        return h, GradientTape(self, layer_inputs, derivs)
 
     def input_vjp(self, x, t, w):
         """(v, w^T (dv/dx)) at (x, t); ``v`` has the bits of ``forward(x, t)``."""

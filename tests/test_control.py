@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowam.adjoint import lean_adjoint
+from flowam.adjoint import lean_adjoint, lean_adjoint_batch
 from flowam.control import (
     EPS_ADJOINT,
     RegularizerSpec,
@@ -14,7 +14,7 @@ from flowam.control import (
     draft_loss_and_grad,
     refl_loss_and_grad,
 )
-from flowam.dynamics import sample_ode
+from flowam.dynamics import sample_batch, sample_ode
 from flowam.errors import ConfigError, NonFiniteError, ShapeError, SingularityError
 from flowam.nnet import NetConfig, VelocityField
 from flowam.schedules import NOISE_SCHEDULES, step_coeffs
@@ -321,6 +321,71 @@ def test_sde_loss_grad_matches_fd():
 
 
 # -- reward backprop baselines ------------------------------------------------
+
+
+def _matching_reference(theta, v_base, times, states, adjoints, reg, coef, scale):
+    """The matching loss as per-step expressions, each step's gradient a
+    vector of its own added to a zero sum."""
+    t_count, m = adjoints.shape[:2]
+    first = times.shape[0] - 1 - t_count
+    controls = control_from_adjoint(reg, adjoints)
+    grads, total, denom = np.zeros(theta.n_params), 0.0, float(t_count * m)
+    for i in range(t_count):
+        vt, tape = theta.forward_tape(states[first + i], times[first + i])
+        resid = coef[i] * (vt - v_base[i]) - scale[i] * controls[i]
+        total += float(np.sum(resid * resid))
+        g, _ = tape.backward(2.0 * coef[i] * resid / denom)
+        grads += g
+    return total / denom, grads
+
+
+@pytest.mark.parametrize("method", ["ode-am", "sde-am"])
+@pytest.mark.parametrize("t_count", [1, 3, 50])
+@pytest.mark.parametrize("m", [1, 4, 64])
+def test_matching_losses_give_the_per_step_expressions_bytes(method, t_count, m):
+    n = 50
+    base, theta = make_fields(dim=2, seed=t_count + m)
+    theta.set_params_flat(theta.params + 0.05 * np.random.default_rng(m).standard_normal(
+        theta.n_params))
+    table = step_coeffs(MEMORYLESS, n) if method == "sde-am" else None
+    trajs = sample_batch(theta, n, m, 7, table)
+    times, states = trajs[0].times, np.stack([t.states for t in trajs], axis=1)
+    reward = QuadraticWell(center=np.array([1.0, 0.0]))
+    v_base = np.empty((t_count, m, 2))
+    _, adjoints = lean_adjoint_batch(base, times, states, -reward.grad(states[-1]),
+                                     t_count, table, v_base)
+    reg = RegularizerSpec()
+    if method == "ode-am":
+        got = am_det_loss_and_grad(theta, v_base, times, states, adjoints, reg)
+        coef = scale = np.ones(t_count)
+    else:
+        got = am_sde_loss_and_grad(theta, v_base, table, times, states, adjoints, reg)
+        corr, _, sig = table[-t_count:].T
+        coef, scale = (corr + 1.0) / sig, sig
+    loss, grads = _matching_reference(theta, v_base, times, states, adjoints, reg,
+                                      coef, scale)
+    assert got[0] == loss
+    assert got[1].tobytes() == grads.tobytes()
+
+
+def test_draft_gives_the_summed_step_vectors_bytes():
+    _, theta = make_fields(dim=2, seed=6)
+    trajs = sample_batch(theta, 12, 16, 3)
+    times, states = trajs[0].times, np.stack([t.states for t in trajs], axis=1)
+    reward = QuadraticWell(center=np.array([1.0, 0.0]))
+    loss, grads = draft_loss_and_grad(theta, times, states, reward, 5)
+    h, x, tapes = times[1] - times[0], states[7].copy(), []
+    for j in range(7, 12):
+        v, tape = theta.forward_tape(x, times[j])
+        tapes.append(tape)
+        x = x + h * v
+    want, w = np.zeros(theta.n_params), -reward.grad(x) / 16
+    for tape in reversed(tapes):
+        g, input_grad = tape.backward(h * w)
+        want += g
+        w = w + input_grad
+    assert loss == -float(np.mean(reward.value(x)))
+    assert grads.tobytes() == want.tobytes()
 
 
 def test_draft_constant_reward_zero_gradient():

@@ -205,6 +205,34 @@ def test_nonfinite_state_aborts():
         sample_ode(Exploder(), 5, np.array([1.0]))
 
 
+def _euler_maruyama_reference(field, x0, coeffs, noises):
+    """The Euler-Maruyama states as plain per-step expressions."""
+    n = coeffs.shape[0]
+    h = 1.0 / n
+    times = np.linspace(0.0, 1.0, n + 1)
+    x, states = x0, [x0]
+    for k in range(n):
+        v = field.forward(x, times[k])
+        corr, kappa, sig = coeffs[k]
+        drift = v + corr * (v - kappa * x)
+        x = x + h * drift + np.sqrt(h) * sig * noises[k]
+        states.append(x)
+    return np.stack(states)
+
+
+@pytest.mark.parametrize("schedule", sorted(NOISE_SCHEDULES))
+@pytest.mark.parametrize("m", [1, 64, 2 * BLOCK_ROWS + 1])
+def test_sample_batch_keeps_the_plain_euler_maruyama_bytes(schedule, m):
+    n = 6
+    vf = VelocityField.init(NetConfig(state_dim=2, hidden=(16, 16)), seed=m)
+    table = step_coeffs(NOISE_SCHEDULES[schedule], n)
+    trajs = sample_batch(vf, n, m, 5, coeffs=table)
+    x0 = np.stack([t.states[0] for t in trajs])
+    noises = np.stack([t.noises for t in trajs], axis=1)
+    want = _euler_maruyama_reference(vf, x0, table, noises)
+    assert np.stack([t.states for t in trajs], axis=1).tobytes() == want.tobytes()
+
+
 # -- row blocks ------------------------------------------------------------------
 
 

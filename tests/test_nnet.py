@@ -92,16 +92,32 @@ def _concatenated_features(x, t, n_features):
 @pytest.mark.parametrize("n_features", [0, 7, 8])
 def test_features_equal_the_concatenated_expression_bitwise(n_features, monkeypatch):
     monkeypatch.setattr(nnet, "_TIME_ROWS", {})
+    monkeypatch.setattr(nnet, "_TIME_BLOCKS", {})
     vf = VelocityField.init(NetConfig(state_dim=3, hidden=(5,), time_features=n_features))
     x = np.random.default_rng(4).standard_normal((33, 3))
-    # 0.0 before -0.0: the memo must keep their rows (sin is signed) apart
+    # 0.0 before -0.0: the memos must keep their rows (sin is signed) apart
     times = [0.0, -0.0, 0.37, np.float64(0.98), 1.0, np.array(0.5),
              np.full(33, 0.25), np.random.default_rng(5).uniform(size=33)]
-    for t in times * 2:  # the second pass reads the memo
+    for t in times * 2:  # the second pass reads the memos
         feats = vf._features(x, t)
         expected = _concatenated_features(x, t, n_features)
         assert feats.shape == expected.shape
         assert feats.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 19, 64, BIAS_TILE_ROWS, BIAS_TILE_ROWS + 1])
+def test_time_blocks_give_the_row_copy_features(m, monkeypatch):
+    # up to BIAS_TILE_ROWS rows a scalar time's features are the states
+    # joined to a memo block, above it the states and the row copied in
+    monkeypatch.setattr(nnet, "_TIME_BLOCKS", {})
+    vf = small_field()
+    x = np.random.default_rng(m).standard_normal((m, 2))
+    times = [0.0, -0.0, np.float64(-0.0), *np.linspace(0.0, 1.0, 51)]
+    for t in times * 2:  # the second pass reads the memo
+        assert vf._features(x, t).tobytes() == _concatenated_features(x, t, 4).tobytes()
+    blocks = nnet._TIME_BLOCKS.values()
+    assert len(blocks) == (0 if m > BIAS_TILE_ROWS else 52)  # 51 grid times and -0.0
+    assert all(b.shape == (m, 4) and not b.flags.writeable for b in blocks)
 
 
 def test_each_scalar_time_is_embedded_once(monkeypatch):
@@ -113,6 +129,7 @@ def test_each_scalar_time_is_embedded_once(monkeypatch):
         return real(t, n_features)
 
     monkeypatch.setattr(nnet, "_TIME_ROWS", {})
+    monkeypatch.setattr(nnet, "_TIME_BLOCKS", {})
     monkeypatch.setattr(nnet, "time_embedding", counting)
     vf = small_field()
     x = np.random.default_rng(6).standard_normal((16, 2))
@@ -496,9 +513,10 @@ def test_transposed_copies_give_the_transposed_views_bytes(dim, m):
     and eval.csv unchanged by the field's copies.
 
     They differ elsewhere, on OpenBLAS 0.3.31: at m = 1, where numpy takes
-    its matrix-vector path, at m <= 18 for K = 64 inputs and at m <= 37 for
-    K = 32.  The 2-wide output layer's two paths differ at m >= 640, so the
-    field multiplies that layer by the view.
+    its matrix-vector path, and, for inputs at least 32 wide, at m <= 18
+    for 64-wide outputs (m <= 37 for 32-wide ones).  The 2-wide output
+    layer's two paths differ at evaluation's 1,000-row blocks, so the field
+    multiplies that layer by the view.
     """
     vf = VelocityField.init(NetConfig(state_dim=dim), seed=dim)
     rng = np.random.default_rng(m)
@@ -621,3 +639,41 @@ def test_threads_sharing_a_field_give_the_serial_bytes():
         p = vf.params
         p += 0.25 * rng.standard_normal(p.size)
         vf.set_params_flat(p)
+
+
+# -- gradient sums and the time-block memo ----------------------------------------
+
+
+@pytest.mark.parametrize("activation", list(ACTIVATIONS))
+@pytest.mark.parametrize("m", [1, 4, 64])
+@pytest.mark.parametrize("steps", [1, 3, 50])
+def test_backward_into_a_sum_gives_the_summed_vectors_bytes(activation, m, steps):
+    # a loss over `steps` tapes adds each gradient into one sum; it must
+    # equal zeros + g_0 + g_1 + ... of the vectors backward returns, byte
+    # for byte, so the sign of every zero too; the first step's -0.0
+    # cotangent makes its gradient all zeros
+    vf = _random_field(activation, 2, seed=steps * 100 + m)
+    rng = np.random.default_rng(m)
+    want = np.zeros(vf.n_params)
+    got = np.zeros(vf.n_params)
+    views = layer_views(vf.cfg, got)
+    for k in range(steps):
+        x = rng.standard_normal((m, 2))
+        w = np.full((m, 2), -0.0) if k == 0 else rng.standard_normal((m, 2))
+        _, tape = vf.forward_tape(x, k / steps)
+        g, input_grad = tape.backward(w)
+        want += g
+        none, summed_input_grad = tape.backward(w, into=views)
+        assert none is None
+        assert summed_input_grad.tobytes() == input_grad.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_the_time_block_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(nnet, "_TIME_BLOCKS", {})
+    monkeypatch.setattr(nnet, "_TIME_BLOCKS_MAX", 5)
+    vf = small_field()
+    x = np.random.default_rng(7).standard_normal((8, 2))
+    for t in np.linspace(0.0, 1.0, 23):
+        assert vf._features(x, t).tobytes() == _concatenated_features(x, t, 4).tobytes()
+        assert len(nnet._TIME_BLOCKS) <= 5

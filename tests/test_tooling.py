@@ -55,7 +55,9 @@ def test_tracer_installs_counts_and_uninstalls():
 
 def test_tracer_counts_the_network_calls_of_a_fine_tuning_iteration():
     # every entry point the tracer wraps must keep its name and accept what
-    # one ode-am iteration sends it
+    # one ode-am iteration sends it, and the work must pass through those
+    # names: N + 1 forwards, 2T - 1 taped forwards, T backwards and T - 1
+    # input-only pullbacks, or a benchmark counter reads zero
     tracer = load_tracer_module().Tracer()
     cfg = train.TrainConfig(method="ode-am", n_steps=6, n_truncate=3, batch=4,
                             iterations=1, lr=1e-3)
@@ -64,10 +66,12 @@ def test_tracer_counts_the_network_calls_of_a_fine_tuning_iteration():
         train.finetune(cfg, small_base(), tasks.QuadraticWell(center=np.array([1.0, 0.0])))
     finally:
         tracer.uninstall()
-    for name in ("nnet.input_vjp", "nnet.forward_tape", "nnet.backward"):
-        assert tracer.calls.get(name, 0) > 0, name
-    assert tracer.calls["adjoint.lean_adjoint_batch"] == 1
-    assert tracer.calls["nnet.input_vjp"] == cfg.n_truncate - 1
+    n, t = cfg.n_steps, cfg.n_truncate
+    assert {name: tracer.calls.get(name, 0) for name in (
+        "nnet.forward", "nnet.forward_tape", "nnet.backward", "nnet.input_vjp",
+        "adjoint.lean_adjoint_batch")} == {
+        "nnet.forward": n + 1, "nnet.forward_tape": 2 * t - 1, "nnet.backward": t,
+        "nnet.input_vjp": t - 1, "adjoint.lean_adjoint_batch": 1}
 
 
 def small_base():
@@ -175,10 +179,12 @@ SCRIPTS = {
 }
 
 
-def run_script(script, outdir, *args):
+def run_script(script, outdir, *args, path_first=None):
+    """Run a script with this tree's src/ first on PYTHONPATH, or after
+    ``path_first`` if that is given."""
     src = os.path.join(ROOT, "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [path_first, src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", script),
          "--outdir", str(outdir), *args],
@@ -193,6 +199,23 @@ def test_script_runs_at_tiny_size(script, tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_bytes_digest_digests_its_own_tree_past_a_decoy_flowam(tmp_path):
+    # a flowam package ahead of this tree on the path is neither imported
+    # by the script nor handed to its flowctl children
+    decoy = tmp_path / "decoy"
+    (decoy / "flowam").mkdir(parents=True)
+    (decoy / "flowam" / "__init__.py").write_text(
+        'raise ImportError("the decoy flowam was imported")\n')
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    args, outputs = SCRIPTS["bytes_digest.py"]
+    proc = run_script("bytes_digest.py", outdir, *args, path_first=str(decoy))
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 35
+    for name in outputs:
+        assert (outdir / name).stat().st_size > 0, name
 
 
 def assert_rejected_before_writing(script, outdir, *args):

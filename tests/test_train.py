@@ -13,6 +13,7 @@ from flowam.oracles import GaussianFlowSpec, rf_velocity
 from flowam.tasks import ConstantReward, Gaussian1D, GaussianMixture2D, QuadraticWell
 from flowam.train import (
     ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     OptimizerState,
     TrainConfig,
@@ -127,6 +128,41 @@ def test_global_norm_clipping():
     optimizer_step(opt, np.zeros(NET.n_params), g, clip=1.0, lr=0.1, net=NET)
     # after clipping, the accumulated first moment reflects unit-norm grads
     assert np.linalg.norm(opt.m / (1.0 - ADAM_BETA1)) == pytest.approx(1.0)
+
+
+def _adam_reference(m, v, step, params, grads, clip, lr):
+    """The clipped Adam step as plain expressions: (m, v, new params)."""
+    norm = float(np.linalg.norm(grads))
+    if clip > 0.0 and norm > clip:
+        grads = grads * (clip / norm)
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
+    mhat = m / (1.0 - ADAM_BETA1**step)
+    vhat = v / (1.0 - ADAM_BETA2**step)
+    return m, v, params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+@pytest.mark.parametrize("clip", [0.0, 1.0])
+def test_in_place_adam_gives_the_plain_expressions_bytes(clip):
+    # zeros of both signs, subnormals and huge entries, over enough steps
+    # for the moments to carry all of them
+    rng = np.random.default_rng(11)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e150, -3e-200])
+    opt = OptimizerState.init(NET.n_params)
+    m, v = np.zeros(NET.n_params), np.zeros(NET.n_params)
+    params = rng.standard_normal(NET.n_params)
+    want = params.copy()
+    for step in range(1, 13):
+        grads = rng.standard_normal(NET.n_params) * 10.0 ** rng.integers(-320, 3, NET.n_params)
+        grads[rng.choice(NET.n_params, specials.size, replace=False)] = specials
+        if step % 4 == 0:
+            grads[:] = -0.0
+        given = grads.copy()
+        params = optimizer_step(opt, params, grads, clip=clip, lr=1e-2, net=NET)
+        m, v, want = _adam_reference(m, v, step, want, grads, clip, 1e-2)
+        assert grads.tobytes() == given.tobytes()  # the caller's gradient is kept
+        assert [a.tobytes() for a in (opt.m, opt.v, params)] == \
+            [a.tobytes() for a in (m, v, want)]
 
 
 def test_optimizer_rejects_nonfinite():
