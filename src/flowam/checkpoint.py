@@ -71,13 +71,12 @@ def load(path: str) -> Checkpoint:
         raise ParseError(f"bad checkpoint header in {path}: {e}") from e
     if not isinstance(header, dict):
         raise ParseError(f"bad checkpoint header in {path}: not a JSON object")
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ParseError(
-            f"unsupported checkpoint format_version {header.get('format_version')}"
-        )
-    for key in ("n_params", "seed", "iteration"):
+    # a bool or a float is no integer here, whatever it compares equal to
+    for key in ("format_version", "n_params", "seed", "iteration"):
         if type(header.get(key)) is not int:
             raise ParseError(f"checkpoint {path}: header {key} is not an integer")
+    if header["format_version"] != FORMAT_VERSION:
+        raise ParseError(f"unsupported checkpoint format_version {header['format_version']}")
     try:
         cfg = NetConfig.from_dict(header["arch"])
     except (KeyError, TypeError, ValueError, ConfigError) as e:

@@ -12,10 +12,8 @@ primitives are exposed:
   It pulls the cotangent back through the layers only, forming no
   parameter gradient, with the bits of ``backward``'s input gradient;
 * ``GradientTape.backward`` -- cotangent propagation to one flat parameter
-  gradient, in the layout of the parameter vector, for loss minimization;
-  given ``into``, the ``layer_views`` of a caller's flat sum, it adds the
-  gradient into that sum, so a loss over a window of tapes forms no
-  vector per tape and the sum has the bits of adding the vectors.
+  gradient, in the layout of the parameter vector, for loss minimization,
+  or added into a caller's flat sum (``into``).
 
 ``forward_tape`` computes each hidden layer's activation derivative in the
 forward pass, from the same intermediates as the activation (the sigmoid
@@ -24,11 +22,8 @@ only multiplies.  Plain ``forward`` computes no derivative.  The
 activations, the bias add and the backward multiply work in place on arrays
 they have just allocated, never on an argument.  A scalar t is embedded
 once per process: its read-only row is kept in a module-level memo (one row
-per grid time of a run).  A call of m <= BIAS_TILE_ROWS rows joins the
-states to a read-only (m, F) block of that row, kept in a second, bounded
-memo, with one ``np.concatenate``; a larger call copies the row into every
-row of the feature matrix.  An array t, as pretraining passes, is embedded
-at every call.
+per grid time of a run) and copied into every row of the feature matrix.
+An array t, as pretraining passes, is embedded at every call.
 
 A call of m <= BIAS_TILE_ROWS rows, made with parameters that already
 served a call of m rows, adds each layer's bias from a read-only copy tiled
@@ -164,14 +159,19 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
-        if int(d["n_cond"]) != 0:
+        """The inverse of ``to_dict``; every count must be an int, not a
+        bool or a float (``ValueError``)."""
+        for v in (d["state_dim"], d["time_features"], d["n_cond"], *d["hidden"]):
+            if type(v) is not int:
+                raise ValueError(f"{v!r} is not an integer")
+        if d["n_cond"] != 0:
             raise ConfigError(f"conditional networks (n_cond = {d['n_cond']}) "
                               "are not supported")
         return cls(
-            state_dim=int(d["state_dim"]),
-            hidden=tuple(int(h) for h in d["hidden"]),
+            state_dim=d["state_dim"],
+            hidden=tuple(d["hidden"]),
             activation=str(d["activation"]),
-            time_features=int(d["time_features"]),
+            time_features=d["time_features"],
         )
 
 
@@ -195,11 +195,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _tiled(row: np.ndarray, m: int) -> np.ndarray:
-    """A read-only copy of ``row`` in each of m rows."""
-    return _read_only(np.ascontiguousarray(np.broadcast_to(row, (m, row.shape[-1]))))
-
-
 # (t, sign of t, n_features) -> read-only embedded row; the sign keeps -0.0
 # apart from 0.0, whose sines differ in sign
 _TIME_ROWS: dict = {}
@@ -216,25 +211,6 @@ def _time_row(t, n_features: int) -> np.ndarray:
             _TIME_ROWS.clear()  # a caller that never repeats a time
         row = _TIME_ROWS[key] = _read_only(time_embedding(t, n_features))
     return row
-
-
-# (t, sign of t, n_features, m) -> read-only (m, n_features) block of the
-# time row, for calls of m <= BIAS_TILE_ROWS rows, which join it to the
-# states with one np.concatenate
-_TIME_BLOCKS: dict = {}
-_TIME_BLOCKS_MAX = 512  # at most 512 * 256 rows * n_features floats
-
-
-def _time_block(t, n_features: int, m: int) -> np.ndarray:
-    """``_time_row(t, n_features)`` tiled to m rows, built once per process."""
-    t = float(t)
-    key = (t, math.copysign(1.0, t), n_features, m)
-    block = _TIME_BLOCKS.get(key)
-    if block is None:
-        if len(_TIME_BLOCKS) >= _TIME_BLOCKS_MAX:
-            _TIME_BLOCKS.clear()
-        block = _TIME_BLOCKS[key] = _tiled(_time_row(t, n_features), m)
-    return block
 
 
 def layer_views(cfg: NetConfig, flat: np.ndarray):
@@ -281,22 +257,21 @@ class GradientTape:
         sample order; ``input_grad`` is w^T dv/dx per sample, restricted to
         the state slice of the input.  Given ``into``, the ``layer_views``
         of a caller's flat gradient sum, each layer's (dW, db) is added into
-        that sum instead, with the bits of ``sum += param_grad``, and
-        ``param_grad`` is None: a loss over many tapes sums their gradients
-        without a vector per tape.
+        that sum instead and ``param_grad`` is None: a loss over many tapes
+        sums their gradients without a vector per tape.
         """
         if into is not None:
-            return None, self._pull(cotangent, into, add=True)
-        grad = np.empty(self._vf.n_params)
+            return None, self._pull(cotangent, into)
+        grad = np.zeros(self._vf.n_params)
         return grad, self._pull(cotangent, layer_views(self._vf.cfg, grad))
 
     def input_grad(self, cotangent: np.ndarray) -> np.ndarray:
         """``backward``'s input_grad alone: no parameter gradient is formed."""
         return self._pull(cotangent, None)
 
-    def _pull(self, cotangent, grads, add=False):
-        """Input gradient of the cotangent; fills the views ``grads``, or
-        with ``add`` adds into them, unless they are None."""
+    def _pull(self, cotangent, grads):
+        """Input gradient of the cotangent; adds the parameter gradient
+        into the views ``grads`` unless they are None."""
         vf = self._vf
         g = np.asarray(cotangent, dtype=np.float64)
         shape = (self._layer_inputs[0].shape[0], vf.cfg.state_dim)
@@ -304,14 +279,8 @@ class GradientTape:
             raise ShapeError(f"cotangent of shape {g.shape} != forward output {shape}")
         for l in range(len(vf.weights) - 1, -1, -1):
             if grads is not None:
-                dw, db = g.T @ self._layer_inputs[l], g.sum(axis=0)
-                if add:
-                    grads[0][l] += dw
-                    grads[1][l] += db
-                else:
-                    # copied in: matmul and sum with out= into the views run slower
-                    grads[0][l][...] = dw
-                    grads[1][l][...] = db
+                grads[0][l] += g.T @ self._layer_inputs[l]
+                grads[1][l] += g.sum(axis=0)
             # layer 0 multiplies by all of W_0 and slices afterwards: the
             # product with W_0's state columns alone has other bits
             g = g @ vf.weights[l]
@@ -385,8 +354,6 @@ class VelocityField:
         m = x.shape[0]
         # float covers numpy's float64 scalars, the samplers' grid times
         scalar = isinstance(t, float) or np.shape(t) == ()
-        if scalar and m <= BIAS_TILE_ROWS:
-            return np.concatenate((x, _time_block(t, nf, m)), axis=1)
         if not scalar and np.shape(t) != (m,):
             raise ShapeError(f"time of shape {np.shape(t)} is not () or ({m},)")
         feats = np.empty((m, sd + nf))
@@ -398,7 +365,8 @@ class VelocityField:
 
     def _tile_biases(self, m):
         """Read-only copies of each layer's bias, tiled to m rows."""
-        return [_tiled(b, m) for b in self.biases]
+        return [_read_only(np.ascontiguousarray(np.broadcast_to(b, (m, b.size))))
+                for b in self.biases]
 
     def _bias_addends(self, m):
         """What each layer's bias add reads for an m-row call: the bias

@@ -137,23 +137,11 @@ def optimizer_step(
     if clip > 0.0 and norm > clip:
         grads = grads * (clip / norm)
     opt.step += 1
-    # in place, each element through the IEEE operations of
-    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-    # params - lr mhat / (sqrt(vhat) + eps), with only the operands of
-    # some + and * swapped
-    opt.m *= ADAM_BETA1
-    opt.m += (1.0 - ADAM_BETA1) * grads
-    g2 = (1.0 - ADAM_BETA2) * grads
-    g2 *= grads
-    opt.v *= ADAM_BETA2
-    opt.v += g2
-    step = opt.m / (1.0 - ADAM_BETA1**opt.step)
-    step *= lr
-    vhat = np.divide(opt.v, 1.0 - ADAM_BETA2**opt.step, out=g2)
-    np.sqrt(vhat, out=vhat)
-    vhat += ADAM_EPS
-    step /= vhat
-    return np.subtract(params, step, out=step)
+    opt.m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grads
+    opt.v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grads * grads
+    mhat = opt.m / (1.0 - ADAM_BETA1**opt.step)
+    vhat = opt.v / (1.0 - ADAM_BETA2**opt.step)
+    return params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def _iteration_seed(base_seed: int, iteration: int) -> int:

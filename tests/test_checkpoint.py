@@ -163,9 +163,20 @@ def test_load_rejects_bad_arch_header(tmp_path, edit):
         (lambda h: {**h, "seed": "x"}, b"", "seed"),
         (lambda h: {**h, "n_params": 2.5}, b"", "n_params"),
         (lambda h: h, b"abc", "float64"),
+        # a bool or a float that equals the saved count is no integer either
+        (lambda h: {**h, "format_version": 1.0}, b"", "format_version"),
+        (lambda h: {**h, "format_version": True}, b"", "format_version"),
+        (lambda h: {**h, "arch": {**h["arch"], "state_dim": 2.0}}, b"", "architecture"),
+        (lambda h: {**h, "arch": {**h["arch"], "state_dim": 2.7}}, b"", "architecture"),
+        (lambda h: {**h, "arch": {**h["arch"], "time_features": 4.9}}, b"", "architecture"),
+        (lambda h: {**h, "arch": {**h["arch"], "hidden": [6.5, 6]}}, b"", "architecture"),
+        (lambda h: {**h, "arch": {**h["arch"], "n_cond": 0.0}}, b"", "architecture"),
+        (lambda h: {**h, "arch": {**h["arch"], "n_cond": False}}, b"", "architecture"),
     ],
     ids=["not-an-object", "no-n-params", "no-iteration", "text-seed", "float-n-params",
-         "trailing-bytes"],
+         "trailing-bytes", "float-version", "bool-version", "whole-float-state-dim",
+         "float-state-dim", "float-time-features", "float-hidden", "float-n-cond",
+         "bool-n-cond"],
 )
 def test_load_rejects_bad_header_shape(tmp_path, edit, tail, fragment):
     path = str(tmp_path / "ck.bin")

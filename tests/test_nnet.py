@@ -89,35 +89,22 @@ def _concatenated_features(x, t, n_features):
     return np.concatenate(parts, axis=1)
 
 
-@pytest.mark.parametrize("n_features", [0, 7, 8])
+@pytest.mark.parametrize("n_features", [0, 4, 7, 8])
 def test_features_equal_the_concatenated_expression_bitwise(n_features, monkeypatch):
     monkeypatch.setattr(nnet, "_TIME_ROWS", {})
-    monkeypatch.setattr(nnet, "_TIME_BLOCKS", {})
     vf = VelocityField.init(NetConfig(state_dim=3, hidden=(5,), time_features=n_features))
-    x = np.random.default_rng(4).standard_normal((33, 3))
-    # 0.0 before -0.0: the memos must keep their rows (sin is signed) apart
-    times = [0.0, -0.0, 0.37, np.float64(0.98), 1.0, np.array(0.5),
-             np.full(33, 0.25), np.random.default_rng(5).uniform(size=33)]
-    for t in times * 2:  # the second pass reads the memos
-        feats = vf._features(x, t)
-        expected = _concatenated_features(x, t, n_features)
-        assert feats.shape == expected.shape
-        assert feats.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("m", [1, 19, 64, BIAS_TILE_ROWS, BIAS_TILE_ROWS + 1])
-def test_time_blocks_give_the_row_copy_features(m, monkeypatch):
-    # up to BIAS_TILE_ROWS rows a scalar time's features are the states
-    # joined to a memo block, above it the states and the row copied in
-    monkeypatch.setattr(nnet, "_TIME_BLOCKS", {})
-    vf = small_field()
-    x = np.random.default_rng(m).standard_normal((m, 2))
-    times = [0.0, -0.0, np.float64(-0.0), *np.linspace(0.0, 1.0, 51)]
-    for t in times * 2:  # the second pass reads the memo
-        assert vf._features(x, t).tobytes() == _concatenated_features(x, t, 4).tobytes()
-    blocks = nnet._TIME_BLOCKS.values()
-    assert len(blocks) == (0 if m > BIAS_TILE_ROWS else 52)  # 51 grid times and -0.0
-    assert all(b.shape == (m, 4) and not b.flags.writeable for b in blocks)
+    # 0.0 before -0.0: the memo must keep their rows (sin is signed) apart
+    scalars = [0.0, -0.0, np.float64(-0.0), 0.37, np.float64(0.98), 1.0, np.array(0.5),
+               *np.linspace(0.0, 1.0, 51)]
+    for m in (1, 19, 33, 64, BIAS_TILE_ROWS, BIAS_TILE_ROWS + 1):
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((m, 3))
+        times = [*scalars, np.full(m, 0.25), rng.uniform(size=m)]
+        for t in times * 2:  # the second pass reads the memo
+            feats = vf._features(x, t)
+            expected = _concatenated_features(x, t, n_features)
+            assert feats.shape == expected.shape
+            assert feats.tobytes() == expected.tobytes()
 
 
 def test_each_scalar_time_is_embedded_once(monkeypatch):
@@ -129,7 +116,6 @@ def test_each_scalar_time_is_embedded_once(monkeypatch):
         return real(t, n_features)
 
     monkeypatch.setattr(nnet, "_TIME_ROWS", {})
-    monkeypatch.setattr(nnet, "_TIME_BLOCKS", {})
     monkeypatch.setattr(nnet, "time_embedding", counting)
     vf = small_field()
     x = np.random.default_rng(6).standard_normal((16, 2))
@@ -641,7 +627,7 @@ def test_threads_sharing_a_field_give_the_serial_bytes():
         vf.set_params_flat(p)
 
 
-# -- gradient sums and the time-block memo ----------------------------------------
+# -- gradient sums and the time-row memo ------------------------------------------
 
 
 @pytest.mark.parametrize("activation", list(ACTIVATIONS))
@@ -669,11 +655,11 @@ def test_backward_into_a_sum_gives_the_summed_vectors_bytes(activation, m, steps
     assert got.tobytes() == want.tobytes()
 
 
-def test_the_time_block_memo_stays_bounded(monkeypatch):
-    monkeypatch.setattr(nnet, "_TIME_BLOCKS", {})
-    monkeypatch.setattr(nnet, "_TIME_BLOCKS_MAX", 5)
+def test_the_time_row_memo_stays_bounded(monkeypatch):
+    monkeypatch.setattr(nnet, "_TIME_ROWS", {})
+    monkeypatch.setattr(nnet, "_TIME_ROWS_MAX", 5)
     vf = small_field()
     x = np.random.default_rng(7).standard_normal((8, 2))
     for t in np.linspace(0.0, 1.0, 23):
         assert vf._features(x, t).tobytes() == _concatenated_features(x, t, 4).tobytes()
-        assert len(nnet._TIME_BLOCKS) <= 5
+        assert len(nnet._TIME_ROWS) <= 5

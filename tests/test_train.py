@@ -143,7 +143,7 @@ def _adam_reference(m, v, step, params, grads, clip, lr):
 
 
 @pytest.mark.parametrize("clip", [0.0, 1.0])
-def test_in_place_adam_gives_the_plain_expressions_bytes(clip):
+def test_adam_step_gives_the_plain_expressions_bytes(clip):
     # zeros of both signs, subnormals and huge entries, over enough steps
     # for the moments to carry all of them
     rng = np.random.default_rng(11)
