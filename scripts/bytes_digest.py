@@ -5,7 +5,8 @@ Runs flowctl, one process per command, at reduced size:
 * the README example config: pretrain, fine-tune, eval and plot-data;
 * a ``gm2`` base (pretraining batch 512), tuned with ``ode-am`` T = 10 and
   T = 50, ``sde-am`` T = 1 and T = 50, ``draft`` and ``refl`` (batch 64),
-  each evaluated at n = 2000.
+  and with ``ode-am`` against the ``tilt`` reward and ``refl`` against an
+  off-axis ``linear`` reward, each evaluated at n = 2000.
 
 The script imports ``flowam`` from the ``src/`` of its own checkout and
 hands that tree to its flowctl children, whatever else is on the path.
@@ -51,6 +52,9 @@ GM2_TUNES = {  # run name -> config keys beyond the gm2 defaults
     "sde-am-T50": "method = sde-am\nn_truncate = 50\nnoise = sin2\n",
     "draft": "method = draft\nk_window = 5\nreward = linear\n",
     "refl": "method = refl\nk_window = 10\n",
+    "ode-am-tilt": "method = ode-am\nreward = tilt\n",
+    "refl-linear": ("method = refl\nk_window = 10\nreward = linear\n"
+                    "reward_direction = 0.6,-0.8\n"),
 }
 DIGESTED = ("metrics.csv", "eval.csv", "config.resolved", "samples.csv")
 

@@ -121,7 +121,7 @@ def verify_adjoint_fd(base, traj: Trajectory, reward, t_index: int, fd_step=1e-4
     n = traj.n_steps
     if not 1 <= t_index <= n:
         raise ShapeError(f"t_index {t_index} not in [1, {n}]")
-    terminal_grad = -np.asarray(reward.grad(traj.states[-1]), dtype=np.float64)
+    terminal_grad = -np.asarray(reward.grad(traj.states[-1:])[0], dtype=np.float64)
     # the window starts at t_index, so its first entry is the adjoint there
     adjoint = lean_adjoint(base, traj, terminal_grad, n - t_index + 1).adjoints[0]
 

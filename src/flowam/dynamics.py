@@ -213,6 +213,7 @@ def run_blocks(fn, n: int, parts: int) -> list:
 
     out = [None] * len(spans)
 
+    # the caller runs every w-th span itself; one pool future per span measured slower
     def run(first):
         for i in range(first, len(spans), w):
             out[i] = fn(*spans[i])

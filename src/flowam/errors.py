@@ -45,6 +45,13 @@ class ValidationError(ConfigError):
         if violations:
             raise cls(violations)
 
+    @staticmethod
+    def non_integers(obj, names) -> list:
+        """A violation for each field of ``obj`` in ``names`` whose value is
+        not an int; a bool or a float is not one."""
+        return [f"{n} must be an integer, got {getattr(obj, n)!r}"
+                for n in names if type(getattr(obj, n)) is not int]
+
 
 class TooFewSamples(FlowError):
     """Metric requires more samples than were provided."""

@@ -21,9 +21,10 @@ for SiLU, tanh itself for tanh), and stores it on the tape, so ``backward``
 only multiplies.  Plain ``forward`` computes no derivative.  The
 activations, the bias add and the backward multiply work in place on arrays
 they have just allocated, never on an argument.  A scalar t is embedded
-once per process: its read-only row is kept in a module-level memo (one row
-per grid time of a run) and copied into every row of the feature matrix.
-An array t, as pretraining passes, is embedded at every call.
+once per process: its read-only row is kept in ``_time_row``'s
+``functools.lru_cache`` (one row per grid time of a run, at most 4,096
+rows) and copied into every row of the feature matrix.  An array t, as
+pretraining passes, is embedded at every call.
 
 A call of m <= BIAS_TILE_ROWS rows, made with parameters that already
 served a call of m rows, adds each layer's bias from a read-only copy tiled
@@ -57,6 +58,7 @@ is a fixed MLP over [state, sinusoidal time features].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,7 +122,9 @@ class NetConfig:
     time_features: int = 8
 
     def __post_init__(self):
-        v = []
+        v = ValidationError.non_integers(self, ("state_dim", "time_features"))
+        if any(type(h) is not int for h in self.hidden):
+            v.append(f"hidden widths must be integers, got {self.hidden}")
         if self.state_dim < 1:
             v.append(f"state_dim must be >= 1, got {self.state_dim}")
         if any(h < 1 for h in self.hidden):
@@ -159,11 +163,10 @@ class NetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetConfig":
-        """The inverse of ``to_dict``; every count must be an int, not a
-        bool or a float (``ValueError``)."""
-        for v in (d["state_dim"], d["time_features"], d["n_cond"], *d["hidden"]):
-            if type(v) is not int:
-                raise ValueError(f"{v!r} is not an integer")
+        """The inverse of ``to_dict``; a count that is a bool or a float is a
+        ``ValidationError`` (a ``ValueError`` for ``n_cond``)."""
+        if type(d["n_cond"]) is not int:
+            raise ValueError(f"n_cond {d['n_cond']!r} is not an integer")
         if d["n_cond"] != 0:
             raise ConfigError(f"conditional networks (n_cond = {d['n_cond']}) "
                               "are not supported")
@@ -195,22 +198,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# (t, sign of t, n_features) -> read-only embedded row; the sign keeps -0.0
-# apart from 0.0, whose sines differ in sign
-_TIME_ROWS: dict = {}
-_TIME_ROWS_MAX = 4096
-
-
-def _time_row(t, n_features: int) -> np.ndarray:
-    """``time_embedding(t, n_features)`` of a scalar t, embedded once per process."""
-    t = float(t)
-    key = (t, math.copysign(1.0, t), n_features)
-    row = _TIME_ROWS.get(key)
-    if row is None:
-        if len(_TIME_ROWS) >= _TIME_ROWS_MAX:
-            _TIME_ROWS.clear()  # a caller that never repeats a time
-        row = _TIME_ROWS[key] = _read_only(time_embedding(t, n_features))
-    return row
+@functools.lru_cache(maxsize=4096)
+def _time_row(t: float, sign: float, n_features: int) -> np.ndarray:
+    """Read-only ``time_embedding(t, n_features)`` of a scalar t; ``sign``,
+    math.copysign(1.0, t), keeps -0.0 apart from 0.0, whose sines differ."""
+    return _read_only(time_embedding(t, n_features))
 
 
 def layer_views(cfg: NetConfig, flat: np.ndarray):
@@ -360,7 +352,8 @@ class VelocityField:
         feats[:, :sd] = x
         if nf > 0:
             # one row per scalar time, copied to every row of the batch
-            feats[:, sd:] = _time_row(t, nf) if scalar else time_embedding(t, nf)
+            feats[:, sd:] = (_time_row(float(t), math.copysign(1.0, t), nf) if scalar
+                             else time_embedding(t, nf))
         return feats
 
     def _tile_biases(self, m):

@@ -1,16 +1,17 @@
 """Synthetic data distributions and differentiable toy rewards.
 
 Every distribution exposes a sampler plus an exact log-density and score,
-so pretrained models can be checked against closed forms.  Rewards are
-batch-native: ``value`` maps stacked (m, dim) states to (m,) and a single
-(dim,) state to a scalar, ``grad`` maps (m, dim) to (m, dim), and row i of a
-batch result is bitwise the result for row i alone.  The gradient is what
-seeds the backward adjoint pass during fine-tuning.
+so pretrained models can be checked against closed forms.  Rewards take
+rows: ``value`` maps stacked (m, dim) states to (m,) and ``grad`` maps
+(m, dim) to (m, dim); ``QuadraticWell`` and ``ConstantReward`` accept any
+leading shape.  The gradient is what seeds the backward adjoint pass during
+fine-tuning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +29,7 @@ def _logsumexp(a):  # row-wise, over axis 1
 class Gaussian1D:
     mu: float = 0.0
     sigma: float = 1.0
-    dim: int = 1
+    dim: ClassVar[int] = 1
 
     def __post_init__(self):
         if not self.sigma > 0.0:
@@ -54,7 +55,7 @@ class GaussianMixture2D:
     centers: tuple  # of (x, y)
     weights: tuple
     stds: tuple
-    dim: int = 2
+    dim: ClassVar[int] = 2
 
     def __post_init__(self):
         if not (len(self.centers) == len(self.weights) == len(self.stds)):
@@ -137,12 +138,10 @@ class LogDensityTilt:
     target: object
 
     def value(self, x):
-        v = self.target.log_density(x)
-        return v if np.ndim(x) > 1 else v[0]
+        return self.target.log_density(x)
 
     def grad(self, x) -> np.ndarray:
-        s = self.target.score(x)
-        return s if np.ndim(x) > 1 else s[0]
+        return self.target.score(x)
 
 
 @dataclass(frozen=True)
@@ -152,11 +151,7 @@ class LinearProbe:
     direction: np.ndarray
 
     def value(self, x):
-        # a stack of 1 x dim products: each row is summed exactly as the
-        # 1-D dot product of that row alone
-        x = np.asarray(x, dtype=np.float64)
-        v = np.matmul(np.atleast_2d(x)[:, None, :], np.asarray(self.direction))[:, 0]
-        return v if x.ndim > 1 else v[0]
+        return np.asarray(x, dtype=np.float64) @ np.asarray(self.direction)
 
     def grad(self, x) -> np.ndarray:
         return np.asarray(self.direction, dtype=np.float64) + 0.0 * np.asarray(x)

@@ -56,7 +56,8 @@ class TrainConfig:
     k_window: int = 1
 
     def __post_init__(self):
-        v = []
+        v = ValidationError.non_integers(self, ("n_steps", "n_truncate", "batch",
+                                                "iterations", "warmup", "seed", "k_window"))
         if self.method not in METHODS:
             v.append(f"method must be one of {METHODS}, got {self.method!r}")
         if not 1 <= self.n_truncate <= self.n_steps:

@@ -19,7 +19,7 @@ from flowam.oracles import (
     rf_adjoint,
 )
 from flowam.schedules import NOISE_SCHEDULES, step_coeffs
-from flowam.tasks import QuadraticWell
+from flowam.tasks import Gaussian1D, LinearProbe, LogDensityTilt, QuadraticWell
 
 MEMORYLESS = NOISE_SCHEDULES["memoryless"]
 
@@ -196,11 +196,15 @@ def test_sde_corrected_jacobian_matches_fd():
         assert v[0] == a * x
 
 
-def test_verify_adjoint_fd_on_analytic_field():
+@pytest.mark.parametrize("reward", [
+    QuadraticWell(center=np.array([1.0]), curvature=1.0),
+    LinearProbe(direction=np.array([-0.8])),
+    LogDensityTilt(target=Gaussian1D(0.3, 0.6)),
+], ids=["quadwell", "linear", "tilt"])
+def test_verify_adjoint_fd_on_analytic_field(reward):
     spec = GaussianFlowSpec(mu=0.0, sigma=1.0)
     field = GaussianFlowField(spec)
     traj = sample_ode(field, 50, np.array([0.7]))
-    reward = QuadraticWell(center=np.array([1.0]), curvature=1.0)
     for t_index in (1, 25, 47):
         _, _, err = verify_adjoint_fd(field, traj, reward, t_index)
         assert err < 1e-4

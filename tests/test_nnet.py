@@ -90,8 +90,8 @@ def _concatenated_features(x, t, n_features):
 
 
 @pytest.mark.parametrize("n_features", [0, 4, 7, 8])
-def test_features_equal_the_concatenated_expression_bitwise(n_features, monkeypatch):
-    monkeypatch.setattr(nnet, "_TIME_ROWS", {})
+def test_features_equal_the_concatenated_expression_bitwise(n_features):
+    nnet._time_row.cache_clear()
     vf = VelocityField.init(NetConfig(state_dim=3, hidden=(5,), time_features=n_features))
     # 0.0 before -0.0: the memo must keep their rows (sin is signed) apart
     scalars = [0.0, -0.0, np.float64(-0.0), 0.37, np.float64(0.98), 1.0, np.array(0.5),
@@ -115,7 +115,7 @@ def test_each_scalar_time_is_embedded_once(monkeypatch):
         calls.append(np.ndim(t))
         return real(t, n_features)
 
-    monkeypatch.setattr(nnet, "_TIME_ROWS", {})
+    nnet._time_row.cache_clear()
     monkeypatch.setattr(nnet, "time_embedding", counting)
     vf = small_field()
     x = np.random.default_rng(6).standard_normal((16, 2))
@@ -130,10 +130,13 @@ def test_each_scalar_time_is_embedded_once(monkeypatch):
     vf.forward(x, grid[:1].repeat(16))
     vf.forward(x, grid[:1].repeat(16))
     assert calls[grid.size:] == [1, 1]
-    for row in nnet._TIME_ROWS.values():
+    assert nnet._time_row.cache_info().currsize == grid.size
+    for t in grid:
+        row = nnet._time_row(float(t), 1.0, 4)
         assert not row.flags.writeable
         with pytest.raises(ValueError):
             row[0, 0] = 1.0
+    assert len(calls) == grid.size + 2
 
 
 def _silu_prime(z):
@@ -655,11 +658,11 @@ def test_backward_into_a_sum_gives_the_summed_vectors_bytes(activation, m, steps
     assert got.tobytes() == want.tobytes()
 
 
-def test_the_time_row_memo_stays_bounded(monkeypatch):
-    monkeypatch.setattr(nnet, "_TIME_ROWS", {})
-    monkeypatch.setattr(nnet, "_TIME_ROWS_MAX", 5)
+def test_the_time_row_memo_stays_bounded():
+    nnet._time_row.cache_clear()
+    maxsize = nnet._time_row.cache_info().maxsize
     vf = small_field()
     x = np.random.default_rng(7).standard_normal((8, 2))
-    for t in np.linspace(0.0, 1.0, 23):
+    for t in np.linspace(0.0, 1.0, maxsize + 23):
         assert vf._features(x, t).tobytes() == _concatenated_features(x, t, 4).tobytes()
-        assert len(nnet._TIME_ROWS) <= 5
+    assert nnet._time_row.cache_info().currsize == maxsize

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,15 @@ def test_gaussian1d_sampling_stats(rng):
     x = dist.sample(100000, rng)
     assert abs(x.mean()) < 5.0 / np.sqrt(100000)
     assert x.var() == pytest.approx(1.0, abs=0.02)
+
+
+def test_distribution_dimensions_are_fixed():
+    assert Gaussian1D(0.0, 1.0).dim == 1 and GaussianMixture2D.two_modes().dim == 2
+    assert "dim" not in [f.name for f in fields(Gaussian1D)]
+    with pytest.raises(TypeError):
+        Gaussian1D(0.0, 1.0, 3)
+    with pytest.raises(TypeError):
+        GaussianMixture2D(centers=((0, 0),), weights=(1.0,), stds=(1.0,), dim=3)
 
 
 def test_gaussian1d_rejects_bad_sigma():
@@ -132,14 +143,13 @@ def test_quadratic_well_values_and_grad():
 )
 def test_reward_gradients_match_fd(reward, dim, rng):
     eps = 1e-6
-    for _ in range(5):
-        x = rng.uniform(-2, 2, size=dim)
-        g = reward.grad(x)
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = eps
-            fd = (reward.value(x + e) - reward.value(x - e)) / (2 * eps)
-            assert g[j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+    x = rng.uniform(-2, 2, size=(5, dim))
+    g = reward.grad(x)
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = eps
+        fd = (reward.value(x + e) - reward.value(x - e)) / (2 * eps)
+        assert g[:, j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
 
 def test_constant_reward():
@@ -173,11 +183,9 @@ def test_reward_batch_equals_rows_bitwise(reward, dim, data):
     x = data.draw(arrays(np.float64, (m, dim), elements=st.floats(-6.0, 6.0)))
     values, grads = reward.value(x), reward.grad(x)
     assert values.shape == (m,) and grads.shape == (m, dim)
-    for i in range(m):
-        value = reward.value(x[i])
-        assert np.ndim(value) == 0
-        assert _bits(values[i]) == _bits(value)
-        assert _bits(grads[i]) == _bits(reward.grad(x[i]))
-        if isinstance(reward, LinearProbe):
-            # each row sums like the plain 1-D dot product
-            assert _bits(values[i]) == _bits(x[i] @ reward.direction)
+    if isinstance(reward, (QuadraticWell, ConstantReward)):  # any leading shape
+        for i in range(m):
+            value = reward.value(x[i])
+            assert np.ndim(value) == 0
+            assert _bits(values[i]) == _bits(value)
+            assert _bits(grads[i]) == _bits(reward.grad(x[i]))

@@ -213,7 +213,7 @@ def test_bytes_digest_digests_its_own_tree_past_a_decoy_flowam(tmp_path):
     args, outputs = SCRIPTS["bytes_digest.py"]
     proc = run_script("bytes_digest.py", outdir, *args, path_first=str(decoy))
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 35
+    assert len(proc.stdout.splitlines()) == 43
     for name in outputs:
         assert (outdir / name).stat().st_size > 0, name
 

@@ -90,6 +90,33 @@ def test_train_config_rejects_bad_run_at_construction(kw, fragment):
         small_cfg(**kw)
 
 
+@pytest.mark.parametrize(
+    "cls, kw",
+    [
+        (NetConfig, dict(state_dim=True)),
+        (NetConfig, dict(state_dim=2.0)),
+        (NetConfig, dict(state_dim=2, hidden=(4.0, 4))),
+        (NetConfig, dict(state_dim=2, time_features=4.0)),
+        (TrainConfig, dict(n_steps=20.0)),
+        (TrainConfig, dict(n_truncate=True)),
+        (TrainConfig, dict(batch=8.0)),
+        (TrainConfig, dict(iterations=2.0)),
+        (TrainConfig, dict(warmup=1.0)),
+        (TrainConfig, dict(seed=1.5)),
+        (TrainConfig, dict(method="draft", k_window=2.0)),
+    ],
+    ids=["bool-state-dim", "float-state-dim", "float-hidden", "float-time-features",
+         "float-n-steps", "bool-n-truncate", "float-batch", "float-iterations",
+         "float-warmup", "float-seed", "float-k-window"],
+)
+def test_a_count_that_is_not_an_int_is_a_listed_violation(cls, kw):
+    # each of these used to construct and then fail later with a bare
+    # TypeError or IndexError
+    with pytest.raises(ValidationError) as exc:
+        cls(**kw)
+    assert [v.split()[0] for v in exc.value.violations] == [list(kw)[-1]]
+
+
 def test_zero_grad_clip_and_warmup_stay_legal():
     # 0 means "off": no clipping and no warm-up ramp
     cfg = small_cfg(grad_clip=0.0, warmup=0, seed=0)
