@@ -12,8 +12,9 @@ window's step starts.  The stochastic (quadratic-penalty) loss matches
 (sigma^2 + 2 eta) / (2 sigma eta) * (v_theta - v_base) against -sigma u*(a);
 with c = sigma^2 / (2 eta) from the ``schedules.step_coeffs`` row of the
 step start, that coefficient is (c + 1) / sigma.
-DRaFT / ReFL baselines backpropagate the terminal reward through the last
-sampler steps instead.
+DRaFT / ReFL baselines backpropagate the terminal reward through taped
+Euler steps instead, one pass for both: DRaFT re-runs the last k sampler
+steps, ReFL one step of size 1 - t from a drawn step start.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class RegularizerSpec:
     lam: float = 1.0
 
     def __post_init__(self):
+        ValidationError.check(ValidationError.wrong_types(self))
         v = []
         if not self.p > 1.0:
             v.append(f"p must be > 1, got {self.p}")
@@ -178,6 +180,25 @@ def am_sde_loss_and_grad(
 # ---------------------------------------------------------------------------
 
 
+def _reward_backprop(v_theta, x, steps, reward):
+    """(-mean reward, param_grad) of the Euler steps ``(t, h)`` taped from
+    the detached rows ``x``: -reward.grad / m at the end state, pulled back
+    through the tapes into one flat gradient."""
+    tapes = []
+    for t, h in steps:
+        v, tape = v_theta.forward_tape(x, t)
+        tapes.append((tape, h))
+        x = x + h * v
+    loss = -float(np.mean(reward.value(x)))
+    grads = np.zeros(v_theta.n_params)
+    views = layer_views(v_theta.cfg, grads)
+    w = -reward.grad(x) / x.shape[0]
+    for tape, h in reversed(tapes):
+        _, input_grad = tape.backward(h * w, into=views)
+        w = w + input_grad
+    return loss, grads
+
+
 def draft_loss_and_grad(
     v_theta: VelocityField,
     times: np.ndarray,
@@ -194,22 +215,9 @@ def draft_loss_and_grad(
     n = times.shape[0] - 1
     if not 1 <= k <= n:
         raise ShapeError(f"k {k} not in [1, {n}]")
-    m = states.shape[1]
     h = times[1] - times[0]
-    x = states[n - k].copy()
-    tapes = []
-    for j in range(n - k, n):
-        v, tape = v_theta.forward_tape(x, times[j])
-        tapes.append(tape)
-        x = x + h * v
-    loss = -float(np.mean(reward.value(x)))
-    grads = np.zeros(v_theta.n_params)
-    views = layer_views(v_theta.cfg, grads)
-    w = -reward.grad(x) / m
-    for tape in reversed(tapes):
-        _, input_grad = tape.backward(h * w, into=views)
-        w = w + input_grad
-    return loss, grads
+    return _reward_backprop(v_theta, states[n - k],
+                            [(times[j], h) for j in range(n - k, n)], reward)
 
 
 def refl_loss_and_grad(
@@ -223,20 +231,13 @@ def refl_loss_and_grad(
     """Reward at a one-step extrapolated terminal state.
 
     One step index is drawn uniformly from the last ``k_window`` steps; the
-    terminal state is extrapolated as X_1 = X_t + (1 - t) v_theta(X_t, t)
-    and only that single evaluation carries gradient.  Returns
-    (loss, param_grad) with loss -mean reward(X_1).
+    terminal state is extrapolated as X_1 = X_t + (1 - t) v_theta(X_t, t),
+    one Euler step of size 1 - t through DRaFT's pass, the only one that
+    carries gradient.  Returns (loss, param_grad) with loss -mean reward(X_1).
     """
     n = times.shape[0] - 1
     if not 1 <= k_window <= n:
         raise ShapeError(f"k_window {k_window} not in [1, {n}]")
-    m = states.shape[1]
     j = n - k_window + int(rng.integers(k_window))
     t = times[j]
-    x = states[j]
-    v, tape = v_theta.forward_tape(x, t)
-    x1 = x + (1.0 - t) * v
-    loss = -float(np.mean(reward.value(x1)))
-    w = -reward.grad(x1) / m
-    grads, _ = tape.backward((1.0 - t) * w)
-    return loss, grads
+    return _reward_backprop(v_theta, states[j], [(t, 1.0 - t)], reward)

@@ -31,7 +31,7 @@ number of usable cores when BLAS is limited to one thread
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS set, and every one
 set is "1"), else 1: threaded BLAS runs one product at a time and its
 threads would compete with these.
-``sample_ode`` integrates the flow from a given initial state.  No step
+``sample_ode`` integrates the flow from one (dim,) initial state.  No step
 tests its state: each sampler scans the finished states once and names the
 earliest non-finite step and its first sample.
 """
@@ -146,15 +146,14 @@ def _check_finite(states, start: int = 0) -> None:
 
 
 def _integrate(field, x0, n_steps, coeffs=None, noises=None, start=0, out=None):
-    """Shared Euler / Euler-Maruyama core over a batch, from grid index
-    ``start`` to t=1; Euler-Maruyama reads ``coeffs``, a ``step_coeffs``
-    table.  Returns (times (N+1,), states (N+1-start, m, dim)); the states
-    are written into ``out`` if it is given."""
-    x = np.atleast_2d(np.asarray(x0, dtype=np.float64)).copy()
-    m, dim = x.shape
+    """Shared Euler / Euler-Maruyama core over (m, dim) rows ``x0``, from
+    grid index ``start`` to t=1; Euler-Maruyama reads ``coeffs``, a
+    ``step_coeffs`` table.  Returns (times (N+1,), states (N+1-start, m,
+    dim)); the states are written into ``out`` if it is given."""
+    x = np.asarray(x0, dtype=np.float64)
     h = 1.0 / n_steps
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    states = np.empty((n_steps + 1 - start, m, dim)) if out is None else out
+    states = np.empty((n_steps + 1 - start, *x.shape)) if out is None else out
     states[0] = x
     stochastic = noises is not None
     if stochastic:
@@ -227,10 +226,11 @@ def run_blocks(fn, n: int, parts: int) -> list:
 
 
 def sample_ode(field, n_steps: int, x0) -> Trajectory:
-    """Explicit-Euler trajectory of the probability-flow ODE."""
+    """Explicit-Euler trajectory of the probability-flow ODE from one
+    (dim,) initial state."""
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
-    times, states = _integrate(field, x0, n_steps)
+    times, states = _integrate(field, np.asarray(x0)[None], n_steps)
     _check_finite(states)
     return Trajectory(times, states[:, 0, :], np.empty((0, states.shape[-1])))
 

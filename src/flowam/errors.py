@@ -1,5 +1,9 @@
 """Exception types shared across the library."""
 
+from dataclasses import fields
+
+import numpy as np
+
 
 class FlowError(Exception):
     """Base class for all library errors."""
@@ -15,6 +19,14 @@ class SingularityError(FlowError):
 
 class ShapeError(FlowError):
     """Array dimensions do not match the operation's contract."""
+
+    @classmethod
+    def rows(cls, x, dim: int) -> np.ndarray:
+        """``x`` as float64 (m, dim) rows; any other shape raises this error."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != dim:
+            raise cls(f"states of shape {x.shape} are not (m, {dim})")
+        return x
 
 
 class NonFiniteError(FlowError):
@@ -46,11 +58,20 @@ class ValidationError(ConfigError):
             raise cls(violations)
 
     @staticmethod
-    def non_integers(obj, names) -> list:
-        """A violation for each field of ``obj`` in ``names`` whose value is
-        not an int; a bool or a float is not one."""
-        return [f"{n} must be an integer, got {getattr(obj, n)!r}"
-                for n in names if type(getattr(obj, n)) is not int]
+    def wrong_types(obj) -> list:
+        """A violation for each field of the dataclass ``obj`` whose value
+        does not fit its annotation (``_FITS``); a bool is no number."""
+        return [f"{f.name} must be {_FITS[f.type][0]}, got {getattr(obj, f.name)!r}"
+                for f in fields(obj) if not _FITS[f.type][1](getattr(obj, f.name))]
+
+
+_FITS = {  # annotation -> (what a value must be, the test of a value)
+    "int": ("an integer", lambda x: type(x) is int),
+    "float": ("a number", lambda x: isinstance(x, (int, float)) and type(x) is not bool),
+    "str": ("a string", lambda x: isinstance(x, str)),
+    "tuple": ("a tuple of integers",
+              lambda x: type(x) is tuple and all(type(e) is int for e in x)),
+}
 
 
 class TooFewSamples(FlowError):

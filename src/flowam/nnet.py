@@ -114,7 +114,8 @@ ACTIVATIONS = {
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Network architecture; construction checks every field."""
+    """Network architecture; construction checks every field, its type
+    against its annotation first."""
 
     state_dim: int
     hidden: tuple = (64, 64, 64)
@@ -122,9 +123,8 @@ class NetConfig:
     time_features: int = 8
 
     def __post_init__(self):
-        v = ValidationError.non_integers(self, ("state_dim", "time_features"))
-        if any(type(h) is not int for h in self.hidden):
-            v.append(f"hidden widths must be integers, got {self.hidden}")
+        ValidationError.check(ValidationError.wrong_types(self))
+        v = []
         if self.state_dim < 1:
             v.append(f"state_dim must be >= 1, got {self.state_dim}")
         if any(h < 1 for h in self.hidden):
@@ -339,10 +339,8 @@ class VelocityField:
     # -- forward / derivatives ----------------------------------------------
 
     def _features(self, x, t):
-        x = np.asarray(x, dtype=np.float64)
         sd, nf = self.cfg.state_dim, self.cfg.time_features
-        if x.ndim != 2 or x.shape[1] != sd:
-            raise ShapeError(f"states of shape {x.shape} are not (m, {sd})")
+        x = ShapeError.rows(x, sd)
         m = x.shape[0]
         # float covers numpy's float64 scalars, the samplers' grid times
         scalar = isinstance(t, float) or np.shape(t) == ()

@@ -1,11 +1,12 @@
 """Synthetic data distributions and differentiable toy rewards.
 
 Every distribution exposes a sampler plus an exact log-density and score,
-so pretrained models can be checked against closed forms.  Rewards take
-rows: ``value`` maps stacked (m, dim) states to (m,) and ``grad`` maps
-(m, dim) to (m, dim); ``QuadraticWell`` and ``ConstantReward`` accept any
-leading shape.  The gradient is what seeds the backward adjoint pass during
-fine-tuning.
+so pretrained models can be checked against closed forms; ``log_density``
+and ``score`` take (m, dim) rows only and raise ``ShapeError`` on any
+other shape.  Rewards take rows: ``value`` maps stacked (m, dim) states to
+(m,) and ``grad`` maps (m, dim) to (m, dim); ``QuadraticWell`` and
+``ConstantReward`` accept any leading shape.  The gradient is what seeds
+the backward adjoint pass during fine-tuning.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ShapeError
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -39,13 +40,11 @@ class Gaussian1D:
         return self.mu + self.sigma * rng.standard_normal((n, 1))
 
     def log_density(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))[:, 0]
-        z = (x - self.mu) / self.sigma
+        z = (ShapeError.rows(x, self.dim)[:, 0] - self.mu) / self.sigma
         return -0.5 * z * z - np.log(self.sigma) - 0.5 * _LOG_2PI
 
     def score(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return -(x - self.mu) / self.sigma**2
+        return -(ShapeError.rows(x, self.dim) - self.mu) / self.sigma**2
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class GaussianMixture2D:
         return c + s * rng.standard_normal((n, 2))
 
     def _component_logs(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = ShapeError.rows(x, self.dim)
         c = np.asarray(self.centers, dtype=np.float64)
         s = np.asarray(self.stds, dtype=np.float64)
         d2 = np.sum((x[:, None, :] - c[None, :, :]) ** 2, axis=-1)

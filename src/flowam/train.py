@@ -39,7 +39,8 @@ TIMING_COLUMNS = ("iter", "phase_sim_ms", "phase_adj_ms", "phase_upd_ms")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every training setting with its default; construction checks them all."""
+    """Every training setting with its default; construction checks them all,
+    each type against its annotation first."""
 
     method: str = "ode-am"
     n_steps: int = 50
@@ -56,8 +57,8 @@ class TrainConfig:
     k_window: int = 1
 
     def __post_init__(self):
-        v = ValidationError.non_integers(self, ("n_steps", "n_truncate", "batch",
-                                                "iterations", "warmup", "seed", "k_window"))
+        ValidationError.check(ValidationError.wrong_types(self))
+        v = []
         if self.method not in METHODS:
             v.append(f"method must be one of {METHODS}, got {self.method!r}")
         if not 1 <= self.n_truncate <= self.n_steps:

@@ -388,6 +388,26 @@ def test_draft_gives_the_summed_step_vectors_bytes():
     assert grads.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k_window", [1, 3, 12])
+@pytest.mark.parametrize("reward", [QuadraticWell(center=np.array([1.0, 0.0])),
+                                    LinearProbe(direction=np.array([0.6, -0.8]))],
+                         ids=["quadwell", "linear-off-axis"])
+def test_refl_gives_the_one_tape_expression_bytes(k_window, reward):
+    _, theta = make_fields(dim=2, seed=6)
+    trajs = sample_batch(theta, 12, 33, 3)
+    times, states = trajs[0].times, np.stack([t.states for t in trajs], axis=1)
+    loss, grads = refl_loss_and_grad(theta, times, states, reward, k_window,
+                                     np.random.default_rng(k_window))
+    # one tape at the drawn step start, its gradient a fresh vector
+    j = 12 - k_window + int(np.random.default_rng(k_window).integers(k_window))
+    t = times[j]
+    v, tape = theta.forward_tape(states[j], t)
+    x1 = states[j] + (1.0 - t) * v
+    want, _ = tape.backward((1.0 - t) * (-reward.grad(x1) / 33))
+    assert loss == -float(np.mean(reward.value(x1)))
+    assert grads.tobytes() == want.tobytes()
+
+
 def test_draft_constant_reward_zero_gradient():
     _, theta = make_fields(seed=1)
     traj = sample_ode(theta, 10, np.array([0.3]))

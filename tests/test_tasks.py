@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowam.errors import ConfigError, DomainError
+from flowam.errors import ConfigError, DomainError, ShapeError
 from flowam.tasks import (
     ConstantReward,
     Gaussian1D,
@@ -56,6 +56,19 @@ def test_gaussian1d_score_matches_fd():
             - dist.log_density(np.array([[x - eps]]))[0]
         ) / (2 * eps)
         assert dist.score(np.array([[x]]))[0, 0] == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("dist", [Gaussian1D(0.0, 1.0), GaussianMixture2D.two_modes()],
+                         ids=["gauss1d", "gm2"])
+@pytest.mark.parametrize("shape", [lambda d: (), lambda d: (3,), lambda d: (3, d + 1),
+                                   lambda d: (1, 3, d)],
+                         ids=["scalar", "flat", "wider-rows", "stacked-rows"])
+@pytest.mark.parametrize("method", ["log_density", "score"])
+def test_distributions_take_rows_only(dist, shape, method):
+    # a flat (m,) array of 1-D states used to be read as one row, and rows
+    # wider than the distribution as their first columns
+    with pytest.raises(ShapeError, match=rf"are not \(m, {dist.dim}\)"):
+        getattr(dist, method)(np.zeros(shape(dist.dim)))
 
 
 def test_mixture_weights_must_sum_to_one():

@@ -192,7 +192,9 @@ def run_script(script, outdir, *args, path_first=None):
     )
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
+# bytes_digest.py runs once, in the decoy test below, which checks its
+# outputs too
+@pytest.mark.parametrize("script", sorted(set(SCRIPTS) - {"bytes_digest.py"}))
 def test_script_runs_at_tiny_size(script, tmp_path):
     args, outputs = SCRIPTS[script]
     proc = run_script(script, tmp_path, *args)

@@ -117,6 +117,28 @@ def test_a_count_that_is_not_an_int_is_a_listed_violation(cls, kw):
     assert [v.split()[0] for v in exc.value.violations] == [list(kw)[-1]]
 
 
+@pytest.mark.parametrize(
+    "cls, kw",
+    [
+        (TrainConfig, dict(batch="8")),
+        (TrainConfig, dict(lr="1e-3")),
+        (TrainConfig, dict(reg_p="2")),
+        (TrainConfig, dict(grad_clip=True)),
+        (NetConfig, dict(state_dim="2")),
+        (NetConfig, dict(state_dim=2, hidden=("4",))),
+        (NetConfig, dict(state_dim=2, hidden=[4, 4])),
+        (RegularizerSpec, dict(p="2")),
+    ],
+    ids=["text-batch", "text-lr", "text-reg-p", "bool-grad-clip", "text-state-dim",
+         "text-hidden", "list-hidden", "text-p"],
+)
+def test_a_setting_that_does_not_fit_its_annotation_is_a_listed_violation(cls, kw):
+    # each used to end in a bare TypeError at a range check or pass unchecked
+    with pytest.raises(ValidationError) as exc:
+        cls(**kw)
+    assert [v.split()[0] for v in exc.value.violations] == [list(kw)[-1]]
+
+
 def test_zero_grad_clip_and_warmup_stay_legal():
     # 0 means "off": no clipping and no warm-up ramp
     cfg = small_cfg(grad_clip=0.0, warmup=0, seed=0)
