@@ -1,19 +1,23 @@
 """SHA-256 digests of the run outputs that reruns must repeat byte for byte.
 
-Runs flowctl, one process per command, at reduced size:
+Runs flowctl and the experiment presets, one process per command, at
+reduced size:
 
 * the README example config: pretrain, fine-tune, eval and plot-data;
 * a ``gm2`` base (pretraining batch 512), tuned with ``ode-am`` T = 10 and
   T = 50, ``sde-am`` T = 1 and T = 50, ``draft`` and ``refl`` (batch 64),
   and with ``ode-am`` against the ``tilt`` reward and ``refl`` against an
-  off-axis ``linear`` reward, each evaluated at n = 2000.
+  off-axis ``linear`` reward, each evaluated at n = 2000;
+* the ``tilt_experiment.py`` and ``tradeoff_sweep.py`` presets, at the same
+  iteration counts, with 500 tilt samples, two sweep seeds and n = 200.
 
 The script imports ``flowam`` from the ``src/`` of its own checkout and
 hands that tree to its flowctl children, whatever else is on the path.
 Prints one ``sha256  path`` line per ``metrics.csv``, ``eval.csv``,
-checkpoint, ``config.resolved`` and samples file, with paths relative to
-``--outdir``; ``timings.csv`` holds wall-clock times and is left out.  Two
-trees give the same lines if and only if their outputs have the same bytes:
+``sweep.csv``, checkpoint, ``config.resolved`` and samples file, with paths
+relative to ``--outdir``; ``timings.csv`` holds wall-clock times and is left
+out.  Two trees give the same lines if and only if their outputs have the
+same bytes:
 
     python3 scripts/bytes_digest.py --outdir out/digest > digest.txt
 """
@@ -49,14 +53,14 @@ GM2_TUNES = {  # run name -> config keys beyond the gm2 defaults
     "ode-am-T10": "method = ode-am\nn_truncate = 10\np = 6.0\n",
     "ode-am-T50": "method = ode-am\nn_truncate = 50\n",
     "sde-am-T1": "method = sde-am\nn_truncate = 1\n",
-    "sde-am-T50": "method = sde-am\nn_truncate = 50\nnoise = sin2\n",
+    "sde-am-T50": "method = sde-am\nn_truncate = 50\nnoise = one_minus_t\n",
     "draft": "method = draft\nk_window = 5\nreward = linear\n",
     "refl": "method = refl\nk_window = 10\n",
     "ode-am-tilt": "method = ode-am\nreward = tilt\n",
     "refl-linear": ("method = refl\nk_window = 10\nreward = linear\n"
                     "reward_direction = 0.6,-0.8\n"),
 }
-DIGESTED = ("metrics.csv", "eval.csv", "config.resolved", "samples.csv")
+DIGESTED = ("metrics.csv", "eval.csv", "sweep.csv", "config.resolved", "samples.csv")
 
 
 def main():
@@ -81,11 +85,17 @@ def main():
             f.write(f"{text}iterations = {iterations}\n")
         return name
 
-    def flowctl(*argv):
-        proc = subprocess.run([sys.executable, "-m", "flowam.cli", *argv], cwd=args.outdir,
-                              env=env, capture_output=True, text=True)
+    def run(name, command, *argv):
+        proc = subprocess.run([sys.executable, *command, *argv], cwd=args.outdir, env=env,
+                              capture_output=True, text=True)
         if proc.returncode != 0:
-            sys.exit(f"flowctl {' '.join(argv)} failed:\n{proc.stderr}")
+            sys.exit(f"{name} {' '.join(argv)} failed:\n{proc.stderr}")
+
+    def flowctl(*argv):
+        run("flowctl", ("-m", "flowam.cli"), *argv)
+
+    def preset(script, *argv):
+        run(script, (os.path.join(ROOT, "scripts", script),), *argv)
 
     readme = readme_config()
     pre = config("readme_pretrain.cfg", readme, args.pretrain_iters)
@@ -107,6 +117,12 @@ def main():
         flowctl("finetune", "--config", tune, "--base", base, "--outdir", out)
         flowctl("eval", "--config", tune, "--ckpt", f"{out}/ckpt_finetune.bin",
                 "--base", base, "--outdir", out)
+
+    iters = ("--pretrain-iters", str(args.pretrain_iters))
+    preset("tilt_experiment.py", "--outdir", "tilt", *iters,
+           "--finetune-iters", str(args.finetune_iters), "--n-samples", "500")
+    preset("tradeoff_sweep.py", "--outdir", "tradeoff", *iters,
+           "--iterations", str(args.finetune_iters), "--seeds", "0", "1", "--n-eval", "200")
 
     for root, dirs, files in os.walk(args.outdir):
         dirs.sort()

@@ -12,21 +12,18 @@ import os
 
 import numpy as np
 
+import grid
 from flowam import checkpoint as ckpt_io
-from flowam.dynamics import sample_batch
-from flowam.errors import FlowError
 from flowam.evaluation import wasserstein1_1d
-from flowam.nnet import NetConfig
 from flowam.oracles import tilted_gaussian
-from flowam.schedules import NOISE_SCHEDULES, step_coeffs
-from flowam.tasks import Gaussian1D, QuadraticWell
-from flowam.train import METRICS_COLUMNS, TrainConfig, finetune, pretrain, write_csv
+from flowam.train import METRICS_COLUMNS, write_csv
 
-
-def terminal(vf, n, n_steps, seed, stochastic=False):
-    coeffs = step_coeffs(NOISE_SCHEDULES["memoryless"], n_steps) if stochastic else None
-    trajs = sample_batch(vf, n_steps, n, seed, coeffs=coeffs)
-    return np.stack([t.states[-1] for t in trajs])
+# config keys beyond flowctl's defaults; the fields in braces come from the flags
+SHARED = "data = gauss1d\nstate_dim = 1\nhidden = 64,64,64\n"
+BASE = ("batch = 512\nlr = 3e-4\nwarmup = 200\ngrad_clip = 10.0\nseed = {seed}\n"
+        "iterations = {pretrain_iters}\n")
+TUNE = ("method = sde-am\nn_truncate = 50\nbatch = 128\nlr = 3e-4\nnoise = memoryless\n"
+        "reward = quadwell\nreward_center = 2.0\niterations = {finetune_iters}\n")
 
 
 def main():
@@ -39,41 +36,19 @@ def main():
     args = ap.parse_args()
     if args.n_samples < 1:
         ap.error(f"--n-samples must be >= 1, got {args.n_samples}")
-
-    try:  # both runs are checked before the pretraining starts
-        pre_cfg = TrainConfig(
-            method="ode-am", n_steps=50, n_truncate=1, batch=512,
-            iterations=args.pretrain_iters, lr=3e-4, warmup=200, grad_clip=10.0,
-            seed=args.seed,
-        )
-        ft_cfg = TrainConfig(
-            method="sde-am", n_steps=50, n_truncate=50, batch=128,
-            iterations=args.finetune_iters, lr=3e-4, warmup=10, grad_clip=1.0,
-            reg_p=2.0, reg_lam=1.0, noise="memoryless", seed=0,
-        )
-    except FlowError as e:
-        ap.error(str(e))
-    net = NetConfig(state_dim=1, hidden=(64, 64, 64))
-    base, _ = pretrain(pre_cfg, Gaussian1D(0.0, 1.0), net)
-    ckpt_io.save(base, os.path.join(args.outdir, "base.bin"))
-
+    base, cells = grid.prepare(ap, args.outdir, SHARED, BASE.format(**vars(args)),
+                               {"tilt": TUNE.format(**vars(args))})
     ref = np.random.default_rng(123).standard_normal(args.n_samples)
-    w1_base = wasserstein1_1d(terminal(base.vf, args.n_samples, 50, 90), ref)
-    print(f"pretrained base: W1 to N(0,1) = {w1_base:.4f}")
-
-    reward = QuadraticWell(center=np.array([2.0]), curvature=1.0)
-    tuned, rows, _ = finetune(ft_cfg, base, reward)
-    ckpt_io.save(tuned, os.path.join(args.outdir, "tuned.bin"))
-    write_csv(rows, METRICS_COLUMNS, os.path.join(args.outdir, "metrics.csv"))
-
-    gen = terminal(tuned.vf, args.n_samples, 50, 91, stochastic=True)
-    mean, var = tilted_gaussian(1.0, 2.0)
-    target = mean + np.sqrt(var) * np.random.default_rng(123).standard_normal(
-        args.n_samples
-    )
-    w1 = wasserstein1_1d(gen, target)
-    print(f"tuned samples: mean {gen.mean():.4f} (target {mean}), "
-          f"var {gen.var():.4f} (target {var}), W1 = {w1:.4f}")
+    w1 = wasserstein1_1d(grid.terminal(base.vf, cells["tilt"], args.n_samples, 90), ref)
+    print(f"pretrained base: W1 to N(0,1) = {w1:.4f}")
+    for _, cfg, tuned, rows in grid.tune(base, cells):
+        ckpt_io.save(tuned, os.path.join(args.outdir, "tuned.bin"))
+        write_csv(rows, METRICS_COLUMNS, os.path.join(args.outdir, "metrics.csv"))
+        gen = grid.terminal(tuned.vf, cfg, args.n_samples, 91, sde=True)
+        mean, var = tilted_gaussian(1.0, 2.0)
+        w1 = wasserstein1_1d(gen, mean + np.sqrt(var) * ref)
+        print(f"tuned samples: mean {gen.mean():.4f} (target {mean}), "
+              f"var {gen.var():.4f} (target {var}), W1 = {w1:.4f}")
 
 
 if __name__ == "__main__":

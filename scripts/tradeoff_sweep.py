@@ -8,27 +8,30 @@ the base distribution:
 """
 
 import argparse
+import itertools
 import os
 
 import numpy as np
 
-from flowam import checkpoint as ckpt_io
-from flowam.errors import FlowError
-from flowam.evaluation import evaluate
-from flowam.nnet import NetConfig
-from flowam.tasks import GaussianMixture2D, QuadraticWell
-from flowam.train import TrainConfig, finetune, pretrain, write_csv
+import grid
+from flowam.train import write_csv
 
-# (name, method, p, lam, k_window); ReFL's window is the AM methods' T = 10,
-# since with k_window = 1 it always picks step N - 1 and repeats DRaFT-1
-VARIANTS = (
-    ("ode-am_p2", "ode-am", 2.0, 0.5, 1),
-    ("ode-am_p6", "ode-am", 6.0, 1.0, 1),
-    ("sde-am_p2", "sde-am", 2.0, 0.5, 1),
-    ("draft-1", "draft", 2.0, 1.0, 1),
-    ("refl-10", "refl", 2.0, 1.0, 10),
-)
-KNN_K = 5  # coverage counts the reference points within k-NN balls
+# config keys beyond flowctl's defaults; the fields in braces come from the flags
+SHARED = "data = gm2\nstate_dim = 2\nhidden = 64,64,64\n"
+BASE = ("batch = 512\nlr = 3e-4\nwarmup = 200\ngrad_clip = 10.0\nseed = 1\n"
+        "iterations = {pretrain_iters}\n")
+TUNE = ("n_truncate = 10\nbatch = 64\nlr = 3e-4\nreward_center = 2.0,0.0\nseed = {seed}\n"
+        "iterations = {iterations}\nn_eval = {n_eval}\neval_seed = 777\nknn_k = 5\n")
+# variant -> its keys.  ReFL's window is the AM methods' T = 10, since with
+# k_window = 1 it always picks step N - 1 and repeats DRaFT-1
+VARIANTS = {
+    "ode-am_p2": "method = ode-am\np = 2.0\nlam = 0.5\n",
+    "ode-am_p6": "method = ode-am\np = 6.0\nlam = 1.0\n",
+    "sde-am_p2": "method = sde-am\np = 2.0\nlam = 0.5\n",
+    "draft-1": "method = draft\nlam = 1.0\nk_window = 1\n",
+    "refl-10": "method = refl\nlam = 1.0\nk_window = 10\n",
+}
+COLUMNS = ("variant", "reward_mean", "reward_sem", "coverage", "diversity_mpd")
 
 
 def main():
@@ -39,60 +42,21 @@ def main():
     ap.add_argument("--pretrain-iters", type=int, default=20000)
     ap.add_argument("--n-eval", type=int, default=1000)
     args = ap.parse_args()
-    if args.n_eval < KNN_K + 1:
-        ap.error(f"--n-eval must be > {KNN_K}, got {args.n_eval}")
-
-    try:  # every run is checked before the pretraining starts
-        pre_cfg = TrainConfig(
-            method="ode-am", n_steps=50, n_truncate=1, batch=512,
-            iterations=args.pretrain_iters, lr=3e-4, warmup=200, grad_clip=10.0,
-            seed=1,
-        )
-        runs = [
-            (name, [TrainConfig(
-                method=method, n_steps=50, n_truncate=10, batch=64,
-                iterations=args.iterations, lr=3e-4, warmup=10, grad_clip=1.0,
-                reg_p=p, reg_lam=lam, noise="memoryless", seed=seed, k_window=k,
-            ) for seed in args.seeds])
-            for name, method, p, lam, k in VARIANTS
-        ]
-    except FlowError as e:
-        ap.error(str(e))
-    net = NetConfig(state_dim=2, hidden=(64, 64, 64))
-    base, _ = pretrain(pre_cfg, GaussianMixture2D.two_modes(), net)
-    ckpt_io.save(base, os.path.join(args.outdir, "base.bin"))
-
-    reward = QuadraticWell(center=np.array([2.0, 0.0]), curvature=1.0)
-
-    def report(ckpt):
-        # the model at seed 777 against the base at seed 778
-        return evaluate(ckpt, base, reward, n_samples=args.n_eval, n_steps=50,
-                        seed=777, k=KNN_K)
-
-    base_report = report(base)
-    print(f"base: reward {base_report.reward_mean:.3f}, "
-          f"mpd {base_report.diversity_mpd:.3f}")
-
+    base, cells = grid.prepare(ap, args.outdir, SHARED, BASE.format(**vars(args)), {
+        (name, seed): keys + TUNE.format(seed=seed, **vars(args))
+        for name, keys in VARIANTS.items() for seed in args.seeds})
+    r = grid.report(next(iter(cells.values())), base, base)  # under the cells' keys
+    print(f"base: reward {r.reward_mean:.3f}, mpd {r.diversity_mpd:.3f}")
     rows = []
-    for name, cfgs in runs:
-        reports = [report(finetune(cfg, base, reward)[0]) for cfg in cfgs]
-        rewards = [r.reward_mean for r in reports]
-        row = {
-            "variant": name,
-            "reward_mean": float(np.mean(rewards)),
-            "reward_sem": float(np.std(rewards) / np.sqrt(len(rewards))),
-            "coverage": float(np.mean([r.coverage for r in reports])),
-            "diversity_mpd": float(np.mean([r.diversity_mpd for r in reports])),
-        }
-        rows.append(row)
-        print(f"{name}: reward {row['reward_mean']:.3f} "
-              f"+- {row['reward_sem']:.3f}, coverage {row['coverage']:.3f}, "
-              f"mpd {row['diversity_mpd']:.3f}")
-    write_csv(
-        rows,
-        ("variant", "reward_mean", "reward_sem", "coverage", "diversity_mpd"),
-        os.path.join(args.outdir, "sweep.csv"),
-    )
+    for name, runs in itertools.groupby(grid.tune(base, cells), lambda run: run[0][0]):
+        reward, cover, mpd = zip(*[(r.reward_mean, r.coverage, r.diversity_mpd) for r in (
+            grid.report(cfg, tuned, base) for _, cfg, tuned, _ in runs)])
+        rows.append(dict(zip(COLUMNS, (
+            name, float(np.mean(reward)), float(np.std(reward) / np.sqrt(len(reward))),
+            float(np.mean(cover)), float(np.mean(mpd))))))
+        print("{}: reward {:.3f} +- {:.3f}, coverage {:.3f}, mpd {:.3f}".format(
+            *rows[-1].values()))
+    write_csv(rows, COLUMNS, os.path.join(args.outdir, "sweep.csv"))
 
 
 if __name__ == "__main__":

@@ -41,8 +41,8 @@ class RegularizerSpec:
     def __post_init__(self):
         ValidationError.check(ValidationError.wrong_types(self))
         v = []
-        if not self.p > 1.0:
-            v.append(f"p must be > 1, got {self.p}")
+        if not 1.0 < self.p < math.inf:
+            v.append(f"p must be > 1 and finite, got {self.p}")
         if not self.lam > 0.0:
             v.append(f"lam must be > 0, got {self.lam}")
         elif self.p > 1.0 and not math.isfinite(self.lam_power):

@@ -17,8 +17,6 @@ read it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Time clip: coefficients are never evaluated closer than this to 0 or 1.
@@ -39,15 +37,8 @@ def step_coeffs(ns, n_steps: int) -> np.ndarray:
     return np.stack([sig * sig / (2.0 * eta), kappa, sig], axis=1)
 
 
-def _sin2(t, eta):
-    # math.sin entry by entry: np.sin differs from it in the last bit at
-    # some grid times, and the sampler's bytes must not depend on that
-    return np.array([math.sin(math.pi * s) ** 2 for s in t.tolist()])
-
-
 # name -> sigma(t, eta) > 0 over the clipped step-start times
 NOISE_SCHEDULES = {
     "memoryless": lambda t, eta: np.sqrt(np.maximum(2.0 * eta, 0.0)),
-    "sin2": _sin2,
     "one_minus_t": lambda t, eta: 1.0 - t,
 }

@@ -11,6 +11,7 @@ the backward adjoint pass during fine-tuning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -33,8 +34,10 @@ class Gaussian1D:
     dim: ClassVar[int] = 1
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise DomainError(f"mu must be finite, got {self.mu}")
+        if not 0.0 < self.sigma < math.inf:
+            raise DomainError(f"sigma must be > 0 and finite, got {self.sigma}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return self.mu + self.sigma * rng.standard_normal((n, 1))
@@ -61,8 +64,10 @@ class GaussianMixture2D:
             raise ConfigError("mode lists must have equal lengths")
         if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ConfigError(f"mode weights must sum to 1, got {sum(self.weights)}")
-        if not all(s > 0.0 for s in self.stds):
-            raise DomainError("mode stds must be > 0")
+        if not all(0.0 < s < math.inf for s in self.stds):
+            raise DomainError("mode stds must be > 0 and finite")
+        if not np.all(np.isfinite(np.asarray(self.centers, dtype=np.float64))):
+            raise DomainError("mode centers must be finite")
 
     @classmethod
     def two_modes(cls, offset: float = 2.0, std: float = 0.5):

@@ -12,6 +12,7 @@ durations are tracked separately so metrics files stay byte-reproducible.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -73,12 +74,14 @@ class TrainConfig:
             self.regularizer
         except ValidationError as e:
             v += e.violations
-        if not self.lr > 0.0:
-            v.append(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            v.append(f"lr must be > 0 and finite, got {self.lr}")
+        if not 0.0 <= self.grad_clip < math.inf:
+            v.append(f"grad_clip must be >= 0 and finite, got {self.grad_clip}")
         if self.batch < 1:
             v.append(f"batch must be >= 1, got {self.batch}")
-        for key in ("iterations", "warmup", "grad_clip", "seed"):
-            if not getattr(self, key) >= 0:
+        for key in ("iterations", "warmup", "seed"):
+            if getattr(self, key) < 0:
                 v.append(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.noise not in NOISE_SCHEDULES:
             v.append(f"noise must be one of {tuple(NOISE_SCHEDULES)}, "

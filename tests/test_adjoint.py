@@ -260,7 +260,7 @@ def test_batch_adjoint_matches_per_trajectory():
     hidden=st.lists(st.integers(2, 8), min_size=1, max_size=2),
     n=st.integers(1, 12),
     m=st.integers(1, 3),
-    noise=st.sampled_from([None, "memoryless", "sin2", "one_minus_t"]),
+    noise=st.sampled_from([None, "memoryless", "one_minus_t"]),
     data=st.data(),
 )
 @settings(max_examples=40, deadline=None)

@@ -309,7 +309,7 @@ ERROR_CASES = {
                        "for data_sigma:"),
     "data-sigma-zero": (TINY_FINETUNE + "data_sigma = 0\n",
                         lambda base, tmp: finetune_argv(base, tmp / "out"),
-                        "data gauss1d: sigma must be > 0, got 0.0"),
+                        "data gauss1d: sigma must be > 0 and finite, got 0.0"),
     "gm2-mode-std-negative": (GM2_CONFIG + "mode_std = -1\n", pretrain_argv,
                               "data gm2: mode stds must be > 0"),
     "p-nan": (TINY_FINETUNE + "p = nan\n", finetune_argv, "for p:"),

@@ -103,7 +103,7 @@ def test_bad_data_parameters_are_listed_with_the_other_violations():
         parse_config_text(text)
     assert len(exc.value.violations) == 2
     assert exc.value.violations[0].startswith("lr must be > 0")
-    assert exc.value.violations[1] == "data gauss1d: sigma must be > 0, got 0.0"
+    assert exc.value.violations[1] == "data gauss1d: sigma must be > 0 and finite, got 0.0"
 
 
 @pytest.mark.parametrize("text", [

@@ -43,7 +43,6 @@ def test_noise_schedule_kinds():
     def sigma(name, t):
         return step_coeffs(NOISE_SCHEDULES[name], 4)[int(t * 4), 2]
 
-    assert sigma("sin2", 0.5) == pytest.approx(1.0)
     assert sigma("one_minus_t", 0.25) == pytest.approx(0.75)
 
 
@@ -54,7 +53,6 @@ def _reference_row(name, t):
     b = 1.0 - tc
     eta = b * (kappa * b + 1.0)
     sig = {"memoryless": math.sqrt(max(2.0 * eta, 0.0)),
-           "sin2": math.sin(math.pi * tc) ** 2,
            "one_minus_t": 1.0 - tc}[name]
     return sig * sig / (2.0 * eta), kappa, sig
 
@@ -63,7 +61,7 @@ def _reference_row(name, t):
 @pytest.mark.parametrize("name", sorted(NOISE_SCHEDULES))
 def test_step_coeffs_bitwise_equal_scalar_reference(name, n):
     # elementwise + - * / sqrt are correctly rounded, so the table must equal
-    # the scalar formulas bit for bit; np.sin would miss on some grid times
+    # the scalar formulas bit for bit
     starts = np.linspace(0.0, 1.0, n + 1)[:-1].tolist()
     ref = np.array([_reference_row(name, t) for t in starts])
     assert step_coeffs(NOISE_SCHEDULES[name], n).tobytes() == ref.tobytes()

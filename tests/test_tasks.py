@@ -35,9 +35,10 @@ def test_distribution_dimensions_are_fixed():
 
 
 def test_gaussian1d_rejects_bad_sigma():
-    for sigma in (0.0, float("nan")):
+    nan, inf = float("nan"), float("inf")
+    for mu, sigma in ((0.0, 0.0), (0.0, nan), (0.0, inf), (nan, 1.0)):
         with pytest.raises(DomainError):
-            Gaussian1D(0.0, sigma)
+            Gaussian1D(mu, sigma)
 
 
 def test_gaussian1d_log_density_normalizes():
@@ -78,6 +79,10 @@ def test_mixture_weights_must_sum_to_one():
         GaussianMixture2D(centers=((0, 0),), weights=(1.0,), stds=(0.0,))
     with pytest.raises(DomainError):
         GaussianMixture2D(centers=((0, 0),), weights=(1.0,), stds=(float("nan"),))
+    with pytest.raises(DomainError):
+        GaussianMixture2D.two_modes(std=float("inf"))
+    with pytest.raises(DomainError):
+        GaussianMixture2D(centers=((float("nan"), 0),), weights=(1.0,), stds=(1.0,))
     with pytest.raises(ConfigError):
         GaussianMixture2D(centers=((0, 0),), weights=(float("nan"),), stds=(1.0,))
 

@@ -7,7 +7,8 @@ Removing or renaming one of those names, or changing the shape of what
 they return, breaks only benchmark runs; these tests load the benchmark's
 modules read-only and pin the names and shapes they rely on.  The
 experiment scripts under ``scripts/`` are likewise run by nothing else, so
-one test runs each of them at tiny sizes.
+one test runs each of them at tiny sizes, and the presets' base cache is
+checked here too.
 """
 
 import importlib.util
@@ -164,19 +165,28 @@ def test_eval_columns_are_the_report_row():
     assert tuple(report.as_row()) == tuple(evaluation.EVAL_COLUMNS)
 
 
-SCRIPTS = {
+SCRIPTS = {  # script -> (tiny arguments, glob patterns of its outputs)
     "tilt_experiment.py": (["--pretrain-iters", "20", "--finetune-iters", "3",
                             "--n-samples", "200"],
-                           ["base.bin", "tuned.bin", "metrics.csv"]),
+                           ["base-*.bin", "tuned.bin", "metrics.csv"]),
     "tradeoff_sweep.py": (["--seeds", "0", "--iterations", "2", "--pretrain-iters", "20",
                            "--n-eval", "50"],
-                          ["base.bin", "sweep.csv"]),
+                          ["base-*.bin", "sweep.csv"]),
     "oracle_curves.py": (["--points", "11"],
                          ["relative_strength.csv", "toy_control.csv"]),
     "bytes_digest.py": (["--pretrain-iters", "3", "--finetune-iters", "1"],
                         ["readme/samples.csv", "readme/tuned/eval.csv",
-                         "gm2/base/ckpt_pretrain.bin", "gm2/refl/eval.csv"]),
+                         "gm2/base/ckpt_pretrain.bin", "gm2/refl/eval.csv",
+                         "tilt/tuned.bin", "tradeoff/sweep.csv"]),
 }
+
+
+def output(outdir, pattern):
+    """The one file under ``outdir`` that matches ``pattern``; it is not empty."""
+    paths = list(outdir.glob(pattern))
+    assert len(paths) == 1, (pattern, paths)
+    assert paths[0].stat().st_size > 0, pattern
+    return paths[0]
 
 
 def run_script(script, outdir, *args, path_first=None):
@@ -200,7 +210,7 @@ def test_script_runs_at_tiny_size(script, tmp_path):
     proc = run_script(script, tmp_path, *args)
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
-        assert (tmp_path / name).stat().st_size > 0, name
+        output(tmp_path, name)
 
 
 def test_bytes_digest_digests_its_own_tree_past_a_decoy_flowam(tmp_path):
@@ -215,9 +225,48 @@ def test_bytes_digest_digests_its_own_tree_past_a_decoy_flowam(tmp_path):
     args, outputs = SCRIPTS["bytes_digest.py"]
     proc = run_script("bytes_digest.py", outdir, *args, path_first=str(decoy))
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 43
+    assert len(proc.stdout.splitlines()) == 48
     for name in outputs:
-        assert (outdir / name).stat().st_size > 0, name
+        output(outdir, name)
+
+
+@pytest.mark.parametrize("script", ["tilt_experiment.py", "tradeoff_sweep.py"])
+def test_a_preset_rerun_loads_its_cached_base_and_repeats_its_outputs(script, tmp_path):
+    args, outputs = SCRIPTS[script]
+    first = run_script(script, tmp_path, *args)
+    assert first.returncode == 0, first.stderr
+    base = output(tmp_path, "base-*.bin")
+    before = {name: output(tmp_path, name).read_bytes() for name in outputs}
+    stamp = base.stat().st_mtime_ns
+    second = run_script(script, tmp_path, *args)
+    assert second.returncode == 0, second.stderr
+    # no pretraining: the base file is the one the first run wrote
+    assert base.stat().st_mtime_ns == stamp
+    assert {name: output(tmp_path, name).read_bytes() for name in outputs} == before
+    assert first.stdout.splitlines()[0] == f"pretrained the base {base}"
+    assert second.stdout.splitlines() == [f"loaded the cached base {base}",
+                                          *first.stdout.splitlines()[1:]]
+
+
+def test_a_changed_pretraining_recipe_builds_a_new_base(tmp_path):
+    args = SCRIPTS["tilt_experiment.py"][0]
+    assert run_script("tilt_experiment.py", tmp_path, *args).returncode == 0
+    (old,) = tmp_path.glob("base-*.bin")
+    proc = run_script("tilt_experiment.py", tmp_path, *args, "--pretrain-iters", "21")
+    assert proc.returncode == 0, proc.stderr
+    (new,) = set(tmp_path.glob("base-*.bin")) - {old}
+    assert proc.stdout.splitlines()[0] == f"pretrained the base {new}"
+    assert new.read_bytes() != old.read_bytes()
+
+
+def test_a_cached_base_that_does_not_load_is_an_error_naming_it(tmp_path):
+    args = SCRIPTS["tilt_experiment.py"][0]
+    assert run_script("tilt_experiment.py", tmp_path, *args).returncode == 0
+    (base,) = tmp_path.glob("base-*.bin")
+    base.write_bytes(b"not a checkpoint\n")
+    proc = run_script("tilt_experiment.py", tmp_path, *args)
+    assert proc.returncode != 0
+    assert str(base) in proc.stderr and "Traceback" not in proc.stderr
 
 
 def assert_rejected_before_writing(script, outdir, *args):

@@ -81,13 +81,17 @@ def test_train_config_rejects_nan_in_every_float_check():
         (dict(seed=-1), "seed"),
         (dict(grad_clip=-1.0), "grad_clip"),
         (dict(warmup=-4), "warmup"),
+        (dict(lr=float("inf")), "lr must"),
+        (dict(grad_clip=float("inf")), "grad_clip must"),
+        (dict(reg_p=float("inf")), "p must"),
     ],
     ids=["noise", "draft-k", "refl-k", "sde-zero-noise", "iterations",
-         "seed", "grad-clip", "warmup"],
+         "seed", "grad-clip", "warmup", "lr-inf", "grad-clip-inf", "p-inf"],
 )
 def test_train_config_rejects_bad_run_at_construction(kw, fragment):
-    with pytest.raises(ValidationError, match=fragment):
+    with pytest.raises(ValidationError, match=fragment) as exc:
         small_cfg(**kw)
+    assert len(exc.value.violations) == 1
 
 
 @pytest.mark.parametrize(
