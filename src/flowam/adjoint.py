@@ -3,7 +3,7 @@
 The recursion is first-order Euler on the same uniform grid as the forward
 pass, using vector-Jacobian products against the frozen base field only:
 
-    a_{t-h} = a_t + h * a_t^T dv_base/dx (X_t, t)
+    a_{t-h} = a_t + h * a_t^T dv_base/dx (X_{t-h}, t - h)
 
 with terminal condition a_1 = grad of the terminal cost at X_1.  The SDE
 variant differentiates the corrected drift v + c (v - kappa x) with
@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, _check_finite, _integrate
+from .dynamics import Trajectory, _check_finite, _check_grid, _integrate
 from .errors import NonFiniteError, ShapeError
 
 BLOWUP_NORM = 1e12
@@ -66,8 +66,7 @@ def lean_adjoint_batch(
     step start, row i at grid index N - T + i.
     """
     n = times.shape[0] - 1
-    if not 1 <= n_truncate <= n:
-        raise ShapeError(f"n_truncate {n_truncate} not in [1, {n}]")
+    _check_grid(n, states, n_truncate, coeffs, name="n_truncate")
     tg = np.asarray(terminal_grads, dtype=np.float64)
     if tg.shape != states.shape[1:]:
         raise ShapeError(f"terminal grads {tg.shape} != states {states.shape[1:]}")
@@ -119,8 +118,7 @@ def verify_adjoint_fd(base, traj: Trajectory, reward, t_index: int, fd_step=1e-4
     Returns (adjoint, fd_gradient, max_rel_err).
     """
     n = traj.n_steps
-    if not 1 <= t_index <= n:
-        raise ShapeError(f"t_index {t_index} not in [1, {n}]")
+    _check_grid(n, window=t_index, name="t_index")
     terminal_grad = -np.asarray(reward.grad(traj.states[-1:])[0], dtype=np.float64)
     # the window starts at t_index, so its first entry is the adjoint there
     adjoint = lean_adjoint(base, traj, terminal_grad, n - t_index + 1).adjoints[0]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _check_grid
 from .errors import (
     ConfigError, NonFiniteError, ShapeError, SingularityError, ValidationError,
 )
@@ -146,6 +147,7 @@ def am_det_loss_and_grad(
     reg: RegularizerSpec,
 ):
     """Regress the implicit control v_theta - v_base onto u*(a)."""
+    _check_grid(times.shape[0] - 1, states, adjoints.shape[0])
     ones = np.ones(adjoints.shape[0])
     return _matching_loss(v_theta, v_base, times, states, adjoints, reg, ones, ones)
 
@@ -166,6 +168,7 @@ def am_sde_loss_and_grad(
     """
     if reg.p != 2.0:
         raise ConfigError("stochastic adjoint matching supports p = 2 only")
+    _check_grid(times.shape[0] - 1, states, adjoints.shape[0], coeffs)
     corr, _, sig = coeffs[-adjoints.shape[0]:].T
     zero = np.flatnonzero(sig == 0.0)
     if zero.size:
@@ -194,8 +197,7 @@ def _reward_backprop(v_theta, x, steps, reward):
     views = layer_views(v_theta.cfg, grads)
     w = -reward.grad(x) / x.shape[0]
     for tape, h in reversed(tapes):
-        _, input_grad = tape.backward(h * w, into=views)
-        w = w + input_grad
+        w = w + tape.backward(h * w, into=views)
     return loss, grads
 
 
@@ -213,8 +215,7 @@ def draft_loss_and_grad(
     prefix state.  Returns (loss, param_grad) with loss -mean reward(X_1).
     """
     n = times.shape[0] - 1
-    if not 1 <= k <= n:
-        raise ShapeError(f"k {k} not in [1, {n}]")
+    _check_grid(n, states, k, name="k")
     h = times[1] - times[0]
     return _reward_backprop(v_theta, states[n - k],
                             [(times[j], h) for j in range(n - k, n)], reward)
@@ -236,8 +237,7 @@ def refl_loss_and_grad(
     carries gradient.  Returns (loss, param_grad) with loss -mean reward(X_1).
     """
     n = times.shape[0] - 1
-    if not 1 <= k_window <= n:
-        raise ShapeError(f"k_window {k_window} not in [1, {n}]")
+    _check_grid(n, states, k_window, name="k_window")
     j = n - k_window + int(rng.integers(k_window))
     t = times[j]
     return _reward_backprop(v_theta, states[j], [(t, 1.0 - t)], reward)

@@ -145,6 +145,20 @@ def _check_finite(states, start: int = 0) -> None:
             f"non-finite state at step {start + int(step)}, sample {int(sample)}")
 
 
+def _check_grid(n_steps, states=None, window=None, coeffs=None, name="window"):
+    """Raise ``ShapeError`` unless ``states`` holds the n_steps + 1 grid
+    points, 1 <= ``window`` <= n_steps and ``coeffs`` is the grid's
+    (n_steps, 3) ``step_coeffs`` table; an argument left None is not checked."""
+    if states is not None and np.shape(states)[0] != n_steps + 1:
+        raise ShapeError(f"states hold {np.shape(states)[0]} grid points, "
+                         f"not {n_steps + 1}")
+    if window is not None and not 1 <= window <= n_steps:
+        raise ShapeError(f"{name} {window} not in [1, {n_steps}]")
+    if coeffs is not None and np.shape(coeffs) != (n_steps, 3):
+        raise ShapeError(f"coefficient table must have shape ({n_steps}, 3), "
+                         f"got {np.shape(coeffs)}")
+
+
 def _integrate(field, x0, n_steps, coeffs=None, noises=None, start=0, out=None):
     """Shared Euler / Euler-Maruyama core over (m, dim) rows ``x0``, from
     grid index ``start`` to t=1; Euler-Maruyama reads ``coeffs``, a
@@ -258,9 +272,7 @@ def sample_batch(
         raise ShapeError("batch size must be >= 1")
     if base_seed < 0:
         raise DomainError(f"seed must be >= 0, got {base_seed}")
-    if coeffs is not None and np.shape(coeffs) != (n_steps, 3):
-        raise ShapeError(f"coefficient table must have shape ({n_steps}, 3), "
-                         f"got {np.shape(coeffs)}")
+    _check_grid(n_steps, coeffs=coeffs)
     dim = field.state_dim
     stochastic = coeffs is not None
     # row i is stream i's x0 and then its (N, dim) noise block, in one draw

@@ -3,17 +3,13 @@
 The network maps (state, time) to a velocity of the same dimension as the
 state.  Every entry point takes one form: states of shape (m, dim) and a
 time that is a scalar or an (m,) array; a tape is pulled back by an (m, dim)
-cotangent.  Any other shape raises ``ShapeError``.  Two derivative
-primitives are exposed:
-
-* ``input_vjp`` -- (v, w^T (dv/dx)), the velocity and the contraction the
-  lean adjoint recursion consumes at every backward step; the adjoint keeps
-  the velocity for the matching loss, so the loss runs no base forward.
-  It pulls the cotangent back through the layers only, forming no
-  parameter gradient, with the bits of ``backward``'s input gradient;
-* ``GradientTape.backward`` -- cotangent propagation to one flat parameter
-  gradient, in the layout of the parameter vector, for loss minimization,
-  or added into a caller's flat sum (``into``).
+cotangent.  Any other shape raises ``ShapeError``.  ``GradientTape.backward``
+is the one pull back.  It returns w^T (dv/dx), the contraction the lean
+adjoint recursion consumes at every step (``input_vjp`` is a taped forward
+followed by it and also returns the velocity, which the adjoint keeps for
+the matching loss).  Given ``into``, the ``layer_views`` of a caller's flat
+sum, it also adds each layer's parameter gradient into that sum: every
+loss, and pretraining, forms its gradient so, from ``np.zeros(n_params)``.
 
 ``forward_tape`` computes each hidden layer's activation derivative in the
 forward pass, from the same intermediates as the activation (the sigmoid
@@ -48,9 +44,9 @@ to 1,096, of wider inputs from about 400 (3 wide) and 600 (2 wide) rows
 up.  The default layers, 10 -> 64 and 64 -> 64, agree from 19 rows up.
 The output layer, state_dim wide, is multiplied by the view: 2 wide, its
 NN product was no faster at 64 rows and rounds differently at
-evaluation's 1,000-row sampler blocks.  The pull backs multiply by W_l
-itself and the parameter gradient is g^T h: both already are the faster
-forms.
+evaluation's 1,000-row sampler blocks.  The pull back multiplies by W_l
+itself and forms the parameter gradient as g^T h: both already are the
+faster forms.
 
 Everything is float64 numpy.  No general-purpose autodiff: the architecture
 is a fixed MLP over [state, sinusoidal time features].
@@ -241,38 +237,25 @@ class GradientTape:
         self._layer_inputs = layer_inputs  # input to each linear layer, (n, in_l)
         self._derivs = derivs  # activation derivative of each hidden layer
 
-    def backward(self, cotangent: np.ndarray, into=None):
-        """Propagate an output cotangent; returns (param_grad, input_grad).
+    def backward(self, cotangent: np.ndarray, into=None) -> np.ndarray:
+        """Pull an (m, dim) output cotangent w back; returns w^T dv/dx per
+        sample, restricted to the state slice of the input.
 
-        ``param_grad`` is one flat vector in the layout of the network's
-        ``params``, each layer's (dW, db) summed over the batch in ascending
-        sample order; ``input_grad`` is w^T dv/dx per sample, restricted to
-        the state slice of the input.  Given ``into``, the ``layer_views``
-        of a caller's flat gradient sum, each layer's (dW, db) is added into
-        that sum instead and ``param_grad`` is None: a loss over many tapes
-        sums their gradients without a vector per tape.
+        Given ``into``, the ``layer_views`` of a caller's flat gradient sum,
+        each layer's (dW, db), summed over the batch in ascending sample
+        order, is also added into that sum: a loss over many tapes sums
+        their gradients in one vector.  Without it no parameter gradient
+        is formed.
         """
-        if into is not None:
-            return None, self._pull(cotangent, into)
-        grad = np.zeros(self._vf.n_params)
-        return grad, self._pull(cotangent, layer_views(self._vf.cfg, grad))
-
-    def input_grad(self, cotangent: np.ndarray) -> np.ndarray:
-        """``backward``'s input_grad alone: no parameter gradient is formed."""
-        return self._pull(cotangent, None)
-
-    def _pull(self, cotangent, grads):
-        """Input gradient of the cotangent; adds the parameter gradient
-        into the views ``grads`` unless they are None."""
         vf = self._vf
         g = np.asarray(cotangent, dtype=np.float64)
         shape = (self._layer_inputs[0].shape[0], vf.cfg.state_dim)
         if g.shape != shape:
             raise ShapeError(f"cotangent of shape {g.shape} != forward output {shape}")
         for l in range(len(vf.weights) - 1, -1, -1):
-            if grads is not None:
-                grads[0][l] += g.T @ self._layer_inputs[l]
-                grads[1][l] += g.sum(axis=0)
+            if into is not None:
+                into[0][l] += g.T @ self._layer_inputs[l]
+                into[1][l] += g.sum(axis=0)
             # layer 0 multiplies by all of W_0 and slices afterwards: the
             # product with W_0's state columns alone has other bits
             g = g @ vf.weights[l]
@@ -402,4 +385,4 @@ class VelocityField:
     def input_vjp(self, x, t, w):
         """(v, w^T (dv/dx)) at (x, t); ``v`` has the bits of ``forward(x, t)``."""
         v, tape = self.forward_tape(x, t)
-        return v, tape.input_grad(w)
+        return v, tape.backward(w)

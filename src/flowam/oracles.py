@@ -120,6 +120,35 @@ def tilted_gaussian(c: float, m: float):
     return c * m / (1.0 + c), 1.0 / (1.0 + c)
 
 
+def value_bias_gaussian(rho: float, c: float, m: float):
+    """Mean and variance of the tuned terminal law when X_1 keeps correlation
+    rho with X_0, both N(0, 1), and the optimal control tilts each
+    conditional N(rho x_0, q), q = 1 - rho^2, by exp(-c (x - m)^2 / 2) with
+    its own normalizer (the initial value-function bias).
+
+    Mean c m q / (1 + c q), variance q / (1 + c q) + rho^2 / (1 + c q)^2;
+    rho = 0 is ``tilted_gaussian(c, m)`` and rho = 1 the base N(0, 1).
+    """
+    if not abs(rho) <= 1.0:
+        raise DomainError(f"correlation must lie in [-1, 1], got {rho}")
+    q = 1.0 - rho * rho
+    if not 1.0 + c * q > 0.0:
+        raise DomainError(f"need 1 + c (1 - rho^2) > 0, got c={c}, rho={rho}")
+    return c * m * q / (1.0 + c * q), q / (1.0 + c * q) + rho * rho / (1.0 + c * q) ** 2
+
+
+def sde_correlation(coeffs, spec: GaussianFlowSpec) -> float:
+    """The slope rho = prod_k (1 + h b_k) of X_N on X_0 under the sampler
+    that reads the ``step_coeffs`` table ``coeffs`` over the exact field of
+    ``spec``, with b_k = A(t_k) + c_k (A(t_k) - kappa_k) the linear drift
+    coefficient at step start t_k; an all-zero table gives the ODE's."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    n = coeffs.shape[0]
+    a = spec.a(np.linspace(0.0, 1.0, n + 1)[:-1])
+    b = a + coeffs[:, 0] * (a - coeffs[:, 1])
+    return float(np.prod(1.0 + b / n))
+
+
 # ---------------------------------------------------------------------------
 # Analytic fields usable wherever a network field is expected (forward +
 # input_vjp, which returns (v, w^T dv/dx)), so the adjoint recursion can be

@@ -29,7 +29,7 @@ from .control import (
 )
 from .dynamics import sample_batch, sample_seed
 from .errors import ConfigError, NonFiniteError, ValidationError
-from .nnet import NetConfig, VelocityField, param_name
+from .nnet import NetConfig, VelocityField, layer_views, param_name
 from .schedules import NOISE_SCHEDULES, step_coeffs
 
 METHODS = ("ode-am", "sde-am", "draft", "refl")
@@ -174,7 +174,8 @@ def pretrain(cfg: TrainConfig, dist, net_cfg: NetConfig):
             out, tape = vf.forward_tape(xbar, t)
             resid = out - target
             loss = float(np.mean(np.sum(resid * resid, axis=1)))
-            grads, _ = tape.backward(2.0 * resid / cfg.batch)
+            grads = np.zeros(vf.n_params)
+            tape.backward(2.0 * resid / cfg.batch, into=layer_views(net_cfg, grads))
             params = optimizer_step(
                 opt, params, grads, cfg.grad_clip,
                 warmup_lr(cfg.lr, cfg.warmup, it), vf.cfg,

@@ -16,7 +16,7 @@ from flowam.control import (
 )
 from flowam.dynamics import sample_batch, sample_ode
 from flowam.errors import ConfigError, NonFiniteError, ShapeError, SingularityError
-from flowam.nnet import NetConfig, VelocityField
+from flowam.nnet import NetConfig, VelocityField, layer_views
 from flowam.schedules import NOISE_SCHEDULES, step_coeffs
 from flowam.tasks import ConstantReward, LinearProbe, QuadraticWell
 
@@ -150,6 +150,13 @@ def test_scale_covariance_general_p():
 
 
 # -- matching losses ---------------------------------------------------------
+
+
+def _backward_with_grad(tape, vf, w):
+    """(parameter gradient added into fresh zeros, input gradient) of one
+    pull back: a step's gradient as a vector of its own."""
+    grad = np.zeros(vf.n_params)
+    return grad, tape.backward(w, into=layer_views(vf.cfg, grad))
 
 
 def make_fields(dim=1, seed=0):
@@ -334,7 +341,7 @@ def _matching_reference(theta, v_base, times, states, adjoints, reg, coef, scale
         vt, tape = theta.forward_tape(states[first + i], times[first + i])
         resid = coef[i] * (vt - v_base[i]) - scale[i] * controls[i]
         total += float(np.sum(resid * resid))
-        g, _ = tape.backward(2.0 * coef[i] * resid / denom)
+        g, _ = _backward_with_grad(tape, theta, 2.0 * coef[i] * resid / denom)
         grads += g
     return total / denom, grads
 
@@ -381,7 +388,7 @@ def test_draft_gives_the_summed_step_vectors_bytes():
         x = x + h * v
     want, w = np.zeros(theta.n_params), -reward.grad(x) / 16
     for tape in reversed(tapes):
-        g, input_grad = tape.backward(h * w)
+        g, input_grad = _backward_with_grad(tape, theta, h * w)
         want += g
         w = w + input_grad
     assert loss == -float(np.mean(reward.value(x)))
@@ -403,7 +410,7 @@ def test_refl_gives_the_one_tape_expression_bytes(k_window, reward):
     t = times[j]
     v, tape = theta.forward_tape(states[j], t)
     x1 = states[j] + (1.0 - t) * v
-    want, _ = tape.backward((1.0 - t) * (-reward.grad(x1) / 33))
+    want, _ = _backward_with_grad(tape, theta, (1.0 - t) * (-reward.grad(x1) / 33))
     assert loss == -float(np.mean(reward.value(x1)))
     assert grads.tobytes() == want.tobytes()
 
@@ -429,7 +436,7 @@ def test_draft_one_step_linear_reward_hand_gradient():
     )
     h = 0.1
     out, tape = theta.forward_tape(traj.states[-2][None, :], traj.times[-2])
-    expected, _ = tape.backward(np.array([[-h * c]]))
+    expected, _ = _backward_with_grad(tape, theta, np.array([[-h * c]]))
     np.testing.assert_allclose(grads, expected, rtol=1e-12)
 
 
@@ -464,6 +471,52 @@ def test_draft_k_bounds():
             theta, traj.times, traj.states[:, None, :],
             ConstantReward(), 6,
         )
+
+
+N_GRID = 10
+WINDOW_OFF = r"^window 12 not in \[1, 10\]$"
+TABLE_OFF = r"^coefficient table must have shape \(10, 3\), got \({}, 3\)$"
+STATES_OFF = r"^states hold 10 grid points, not 11$"
+
+
+@pytest.mark.parametrize("fn,case,message", [
+    ("am_det", "window N + 2", WINDOW_OFF),
+    ("am_sde", "window N + 2", WINDOW_OFF),
+    ("lean_adjoint_batch", "table for 2N", TABLE_OFF.format(20)),
+    ("am_sde", "table for 2N", TABLE_OFF.format(20)),
+    ("lean_adjoint_batch", "short table", TABLE_OFF.format(9)),
+    ("am_sde", "short table", TABLE_OFF.format(9)),
+    *[(fn, "states short of the grid", STATES_OFF)
+      for fn in ("lean_adjoint_batch", "am_det", "am_sde", "draft", "refl")],
+])
+def test_grid_readers_reject_a_window_table_or_states_off_the_grid(fn, case, message):
+    # each would read wrapped indices, another grid's rows or too few states
+    base, theta = make_fields(seed=3)
+    table = step_coeffs(MEMORYLESS, N_GRID)
+    trajs = sample_batch(base, N_GRID, 3, 5, table)
+    times, states = trajs[0].times, np.stack([t.states for t in trajs], axis=1)
+    t_count = N_GRID + 2 if case == "window N + 2" else 3
+    if case == "table for 2N":
+        table = step_coeffs(MEMORYLESS, 2 * N_GRID)
+    elif case == "short table":
+        table = table[:-1]
+    elif case == "states short of the grid":
+        states = states[:-1]
+    rng = np.random.default_rng(0)
+    adjoints, v_base = rng.standard_normal((2, t_count, 3, 1))
+    reg, reward = RegularizerSpec(), QuadraticWell(center=np.array([1.0]))
+    call = {
+        "lean_adjoint_batch": lambda: lean_adjoint_batch(
+            base, times, states, adjoints[-1], t_count, table),
+        "am_det": lambda: am_det_loss_and_grad(theta, v_base, times, states, adjoints, reg),
+        "am_sde": lambda: am_sde_loss_and_grad(
+            theta, v_base, table, times, states, adjoints, reg),
+        "draft": lambda: draft_loss_and_grad(theta, times, states, reward, t_count),
+        "refl": lambda: refl_loss_and_grad(theta, times, states, reward, t_count,
+                                           np.random.default_rng(0)),
+    }[fn]
+    with pytest.raises(ShapeError, match=message):
+        call()
 
 
 def test_refl_reproducible_and_zero_for_constant_reward():

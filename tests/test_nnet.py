@@ -23,6 +23,13 @@ from flowam.train import OptimizerState, optimizer_step
 CFG = NetConfig(state_dim=2, hidden=(8, 8), activation="silu", time_features=4)
 
 
+def _backward_with_grad(tape, vf, w):
+    """(parameter gradient added into fresh zeros, input gradient) of one
+    pull back, the way every loss forms its gradient."""
+    grad = np.zeros(vf.n_params)
+    return grad, tape.backward(w, into=layer_views(vf.cfg, grad))
+
+
 def small_field(seed=0):
     return VelocityField.init(CFG, seed=seed)
 
@@ -219,8 +226,7 @@ def test_forward_shapes():
             assert vf.forward(np.zeros((m, 2)), t).shape == (m, 2)
             out, tape = vf.forward_tape(np.zeros((m, 2)), t)
             assert out.shape == (m, 2)
-            grad, input_grad = tape.backward(np.ones((m, 2)))
-            assert grad.shape == (vf.n_params,) and input_grad.shape == (m, 2)
+            assert tape.backward(np.ones((m, 2))).shape == (m, 2)
             v, vjp = vf.input_vjp(np.zeros((m, 2)), t, np.ones((m, 2)))
             assert v.shape == vjp.shape == (m, 2)
 
@@ -249,11 +255,14 @@ def test_entry_points_reject_mis_shaped_states_and_times(name, case):
         getattr(vf, name)(x, t, w) if name == "input_vjp" else getattr(vf, name)(x, t)
 
 
+# "backward" adds the parameter gradient into a sum, "input_grad" forms the
+# input gradient alone
 @pytest.mark.parametrize("pull", ["backward", "input_grad", "input_vjp"])
 @pytest.mark.parametrize("cotangent", ["4 rows on 5", "6 rows on 5", "single row (d,)",
                                        "wrong dim", "rank 3"])
 def test_pull_backs_reject_a_cotangent_of_another_shape(pull, cotangent):
     vf = small_field()
+    grad = np.zeros(vf.n_params)
     rng = np.random.default_rng(10)
     x = rng.standard_normal((5, 2))
     w = {
@@ -267,7 +276,9 @@ def test_pull_backs_reject_a_cotangent_of_another_shape(pull, cotangent):
         if pull == "input_vjp":
             vf.input_vjp(x, 0.5, w)
         else:
-            getattr(vf.forward_tape(x, 0.5)[1], pull)(w)
+            into = layer_views(vf.cfg, grad) if pull == "backward" else None
+            vf.forward_tape(x, 0.5)[1].backward(w, into=into)
+    assert not grad.any()  # nothing was added before the check
 
 
 def test_param_roundtrip_bit_exact():
@@ -353,7 +364,7 @@ def test_flat_param_grad_equals_the_per_layer_products_bitwise(activation, m):
     x, w = rng.standard_normal((m, 3)), rng.standard_normal((m, 3))
     _, tape = vf.forward_tape(x, rng.random(m))
     expected = _reference_param_grad(vf, tape, w)
-    grad, _ = tape.backward(w)
+    grad, _ = _backward_with_grad(tape, vf, w)
     assert _same_bits(grad, expected)
 
 
@@ -377,7 +388,7 @@ def test_param_grad_matches_finite_differences():
     t = 0.3
 
     out, tape = vf.forward_tape(x, t)
-    grads, _ = tape.backward(2.0 * out)  # d/dout of sum(out^2)
+    grads, _ = _backward_with_grad(tape, vf, 2.0 * out)  # d/dout of sum(out^2)
     fd = _fd_param_grad(vf, x, t, lambda out: float(np.sum(out**2)))
     np.testing.assert_allclose(grads, fd, rtol=1e-5, atol=1e-7)
 
@@ -409,7 +420,7 @@ def test_input_vjp_has_the_bits_of_the_full_backward(activation, m):
     x, w = rng.standard_normal((m, 3)), rng.standard_normal((m, 3))
     v, vjp = vf.input_vjp(x, 0.4, w)
     out, tape = vf.forward_tape(x, 0.4)
-    _, input_grad = tape.backward(w)
+    _, input_grad = _backward_with_grad(tape, vf, w)
     assert _same_bits(v, out) and _same_bits(vjp, input_grad)
 
 
@@ -430,7 +441,7 @@ def test_network_entry_points_leave_their_arguments_unchanged(activation):
     vf.forward(x[:1], 0.5)
     _, tape = vf.forward_tape(x, t)
     tape.backward(w)
-    tape.input_grad(w)
+    _backward_with_grad(tape, vf, w)
     vf.input_vjp(x, t, w)
     vf.input_vjp(x[:1], 0.5, w[:1])
     assert [a.tobytes() for a in args] == before
@@ -441,10 +452,11 @@ def test_a_tape_pulled_back_twice_gives_the_same_bytes():
     rng = np.random.default_rng(11)
     x, w = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
     _, tape = vf.forward_tape(x, 0.5)
-    first = [a.tobytes() for a in (*tape.backward(w), tape.input_grad(w))]
-    second = [a.tobytes() for a in (*tape.backward(w), tape.input_grad(w))]
+    first = [a.tobytes() for a in (*_backward_with_grad(tape, vf, w), tape.backward(w))]
+    second = [a.tobytes() for a in (*_backward_with_grad(tape, vf, w), tape.backward(w))]
     assert second == first
-    assert first[1] == first[2]  # input_grad has backward's bits
+    # backward(w) and backward(w, into=views) return the same bytes
+    assert first[1] == first[2]
 
 
 def test_param_grad_batch_order_deterministic():
@@ -454,7 +466,7 @@ def test_param_grad_batch_order_deterministic():
     flats = []
     for _ in range(2):
         out, tape = vf.forward_tape(x, 0.2)
-        grads, _ = tape.backward(np.ones_like(out))  # d/dout of sum(out)
+        grads, _ = _backward_with_grad(tape, vf, np.ones_like(out))  # d/dout of sum(out)
         flats.append(grads)
     np.testing.assert_array_equal(flats[0], flats[1])
 
@@ -464,7 +476,7 @@ def test_param_grad_rejects_nonfinite_loss():
     # which the optimizer refuses before they reach the parameters
     vf = small_field()
     out, tape = vf.forward_tape(np.zeros((1, 2)), 0.5)
-    grads, _ = tape.backward(np.full_like(out, np.nan))
+    grads, _ = _backward_with_grad(tape, vf, np.full_like(out, np.nan))
     opt = OptimizerState.init(vf.n_params)
     with pytest.raises(NonFiniteError):
         optimizer_step(opt, vf.params_flat(), grads, clip=1.0, lr=0.1, net=vf.cfg)
@@ -479,8 +491,7 @@ def test_flat_grads_accumulate_blockwise():
     blocks = []
     for t in (0.2, 0.7):
         _, tape = vf.forward_tape(x, t)
-        g, _ = tape.backward(np.ones((4, 2)))
-        assert g.shape == (vf.n_params,)
+        g, _ = _backward_with_grad(tape, vf, np.ones((4, 2)))
         total += g
         blocks.append(layer_views(vf.cfg, g))
     tw, tb = layer_views(vf.cfg, total)
@@ -548,7 +559,7 @@ def _outputs(vf, x, t, w):
     """Bytes of forward_tape with backward, input_vjp and forward; on a fresh
     field, the first call broadcasts the biases and the later two add tiles."""
     out, tape = vf.forward_tape(x, t)
-    grad, input_grad = tape.backward(w)
+    grad, input_grad = _backward_with_grad(tape, vf, w)
     v, vjp = vf.input_vjp(x, t, w)
     return [a.tobytes() for a in (out, grad, input_grad, v, vjp, vf.forward(x, t))]
 
@@ -562,8 +573,8 @@ def test_tiled_bias_adds_give_the_broadcast_bytes(activation, dim, m):
     x, w = rng.standard_normal((m, dim)), rng.standard_normal((m, dim))
     for t in (0.35, rng.random(m)):
         out, inputs, derivs = _broadcast_bias_run(vf, x, t)
-        grad, input_grad = GradientTape(vf, inputs, derivs).backward(w)
-        vjp = GradientTape(vf, inputs, derivs).input_grad(w)
+        grad, input_grad = _backward_with_grad(GradientTape(vf, inputs, derivs), vf, w)
+        vjp = GradientTape(vf, inputs, derivs).backward(w)
         want = [a.tobytes() for a in (out, grad, input_grad, out, vjp, out)]
         assert _outputs(vf, x, t, w) == want
 
@@ -638,9 +649,9 @@ def test_threads_sharing_a_field_give_the_serial_bytes():
 @pytest.mark.parametrize("steps", [1, 3, 50])
 def test_backward_into_a_sum_gives_the_summed_vectors_bytes(activation, m, steps):
     # a loss over `steps` tapes adds each gradient into one sum; it must
-    # equal zeros + g_0 + g_1 + ... of the vectors backward returns, byte
-    # for byte, so the sign of every zero too; the first step's -0.0
-    # cotangent makes its gradient all zeros
+    # equal zeros + g_0 + g_1 + ... of the vectors each tape adds into
+    # zeros of its own, byte for byte, so the sign of every zero too; the
+    # first step's -0.0 cotangent makes its gradient all zeros
     vf = _random_field(activation, 2, seed=steps * 100 + m)
     rng = np.random.default_rng(m)
     want = np.zeros(vf.n_params)
@@ -650,11 +661,10 @@ def test_backward_into_a_sum_gives_the_summed_vectors_bytes(activation, m, steps
         x = rng.standard_normal((m, 2))
         w = np.full((m, 2), -0.0) if k == 0 else rng.standard_normal((m, 2))
         _, tape = vf.forward_tape(x, k / steps)
-        g, input_grad = tape.backward(w)
+        g, input_grad = _backward_with_grad(tape, vf, w)
         want += g
-        none, summed_input_grad = tape.backward(w, into=views)
-        assert none is None
-        assert summed_input_grad.tobytes() == input_grad.tobytes()
+        assert tape.backward(w, into=views).tobytes() == input_grad.tobytes()
+        assert tape.backward(w).tobytes() == input_grad.tobytes()
     assert got.tobytes() == want.tobytes()
 
 

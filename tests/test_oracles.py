@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from flowam.dynamics import sample_batch
 from flowam.errors import DomainError
 from flowam.oracles import (
+    GaussianFlowField,
     GaussianFlowSpec,
     ToyDiffusionSpec,
     ToyKind,
@@ -10,10 +12,13 @@ from flowam.oracles import (
     rf_peak_time,
     rf_relative_strength,
     rf_velocity,
+    sde_correlation,
     tilted_gaussian,
     toy_control_argmax,
     toy_control_component,
+    value_bias_gaussian,
 )
+from flowam.schedules import NOISE_SCHEDULES, step_coeffs
 
 
 def test_rf_velocity_vanishes_at_balanced_point():
@@ -156,3 +161,58 @@ def test_tilted_gaussian_against_quadrature():
     got_mean, got_var = tilted_gaussian(c, m)
     assert got_mean == pytest.approx(mean, abs=1e-9)
     assert got_var == pytest.approx(var, abs=1e-9)
+
+
+# -- the value-function bias (memoryless condition) -------------------------------
+
+
+@pytest.mark.parametrize("c,m", [(1.0, 2.0), (0.0, 3.0), (-0.5, 1.5), (4.0, -2.0)])
+def test_value_bias_ends_are_the_tilt_and_the_base(c, m):
+    # uncorrelated ends tilt the whole law; fully correlated ones leave it
+    assert value_bias_gaussian(0.0, c, m) == tilted_gaussian(c, m)
+    for rho in (1.0, -1.0):
+        assert value_bias_gaussian(rho, c, m) == (0.0, 1.0)
+
+
+def test_value_bias_against_quadrature_of_the_conditional_tilts():
+    # tilt each conditional N(rho x0, 1 - rho^2) by its own normalizer, then
+    # mix over x0 ~ N(0, 1)
+    rho, c, m = 0.75, 1.0, 2.0
+    q = 1.0 - rho**2
+    x0 = np.linspace(-9.0, 9.0, 1201)[:, None]
+    x1 = np.linspace(-9.0, 9.0, 1601)[None, :]
+    cond = np.exp(-0.5 * (x1 - rho * x0) ** 2 / q - 0.5 * c * (x1 - m) ** 2)
+    cond /= np.trapezoid(cond, x1, axis=1)[:, None]
+    law = np.trapezoid(np.exp(-0.5 * x0**2) * cond, x0, axis=0)
+    law /= np.trapezoid(law, x1[0])
+    mean = np.trapezoid(x1[0] * law, x1[0])
+    var = np.trapezoid((x1[0] - mean) ** 2 * law, x1[0])
+    got_mean, got_var = value_bias_gaussian(rho, c, m)
+    assert got_mean == pytest.approx(mean, abs=1e-8)
+    assert got_var == pytest.approx(var, abs=1e-8)
+
+
+@pytest.mark.parametrize("rho,c", [(1.5, 1.0), (-1.01, 1.0), (float("nan"), 1.0),
+                                   (0.0, -1.0), (0.5, -2.0), (0.0, float("nan"))])
+def test_value_bias_rejects_its_domain(rho, c):
+    with pytest.raises(DomainError):
+        value_bias_gaussian(rho, c, 0.0)
+
+
+@pytest.mark.parametrize("noise", ["ode", *NOISE_SCHEDULES])
+def test_sde_correlation_is_the_samplers_slope_of_x1_on_x0(noise):
+    # on the exact field of N(0, 1) noise to N(0, 1) data the sampler is
+    # linear, so the regression slope of X_N on X_0 estimates rho without
+    # bias; the ODE's slope is rho to rounding
+    spec, n, m = GaussianFlowSpec(0.0, 1.0), 50, 20000
+    table = None if noise == "ode" else step_coeffs(NOISE_SCHEDULES[noise], n)
+    trajs = sample_batch(GaussianFlowField(spec), n, m, 0, table)
+    x0 = np.array([t.states[0, 0] for t in trajs])
+    x1 = np.array([t.states[-1, 0] for t in trajs])
+    slope = (x0 @ x1) / (x0 @ x0)
+    rho = sde_correlation(np.zeros((n, 3)) if table is None else table, spec)
+    if table is None:
+        assert slope == pytest.approx(rho, rel=1e-12)
+    else:
+        se = np.sqrt(np.mean((x1 - slope * x0) ** 2) / (x0 @ x0))
+        assert abs(slope - rho) < 4.0 * se

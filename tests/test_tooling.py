@@ -57,8 +57,9 @@ def test_tracer_installs_counts_and_uninstalls():
 def test_tracer_counts_the_network_calls_of_a_fine_tuning_iteration():
     # every entry point the tracer wraps must keep its name and accept what
     # one ode-am iteration sends it, and the work must pass through those
-    # names: N + 1 forwards, 2T - 1 taped forwards, T backwards and T - 1
-    # input-only pullbacks, or a benchmark counter reads zero
+    # names: N + 1 forwards, 2T - 1 taped forwards, 2T - 1 backwards (the
+    # loss's T and the T - 1 of the adjoint's input_vjp calls, which the
+    # adjoint-step counter counts), or a benchmark counter reads zero
     tracer = load_tracer_module().Tracer()
     cfg = train.TrainConfig(method="ode-am", n_steps=6, n_truncate=3, batch=4,
                             iterations=1, lr=1e-3)
@@ -71,8 +72,9 @@ def test_tracer_counts_the_network_calls_of_a_fine_tuning_iteration():
     assert {name: tracer.calls.get(name, 0) for name in (
         "nnet.forward", "nnet.forward_tape", "nnet.backward", "nnet.input_vjp",
         "adjoint.lean_adjoint_batch")} == {
-        "nnet.forward": n + 1, "nnet.forward_tape": 2 * t - 1, "nnet.backward": t,
+        "nnet.forward": n + 1, "nnet.forward_tape": 2 * t - 1, "nnet.backward": 2 * t - 1,
         "nnet.input_vjp": t - 1, "adjoint.lean_adjoint_batch": 1}
+    assert tracer.counts["adjoint.lean_adjoint_batch.steps"] == t - 1
 
 
 def small_base():

@@ -439,7 +439,8 @@ def test_all_methods_run_one_iteration():
 N_WORK = 50
 WORK_CASES = (
     # (method, setting,
-    #  (plain forwards, taped forwards, backwards, input-only pullbacks))
+    #  (plain forwards, taped forwards, backwards into a gradient sum,
+    #   backwards without one))
     [(m, dict(n_truncate=t), (N_WORK + 1, 2 * t - 1, t, t - 1))
      for m in ("ode-am", "sde-am") for t in (1, 10, 50)]
     + [("draft", dict(k_window=k), (N_WORK, k, k, 0)) for k in (1, 5)]
@@ -452,11 +453,11 @@ def test_one_iteration_makes_exactly_the_counted_network_passes(
     monkeypatch, method, setting, expected
 ):
     # the sampler runs N plain forwards; the matching methods add T - 1
-    # adjoint VJPs (a taped forward and an input-only pullback each), one
+    # adjoint VJPs (a taped forward and a backward without a sum each), one
     # base forward at the window's first step start and T taped theta
-    # forwards with their backwards, and the loss reuses the adjoint's base
-    # velocities
-    counts = {"forward": 0, "forward_tape": 0, "backward": 0, "input_grad": 0}
+    # forwards with their backwards into the loss's sum, and the loss
+    # reuses the adjoint's base velocities
+    counts = {"forward": 0, "forward_tape": 0, "into": 0, "input only": 0}
 
     def count(owner, name):
         fn = getattr(owner, name)
@@ -469,8 +470,13 @@ def test_one_iteration_makes_exactly_the_counted_network_passes(
 
     count(VelocityField, "forward")
     count(VelocityField, "forward_tape")
-    count(GradientTape, "backward")
-    count(GradientTape, "input_grad")
+    backward = GradientTape.backward
+
+    def counted_backward(tape, cotangent, into=None):
+        counts["input only" if into is None else "into"] += 1
+        return backward(tape, cotangent, into)
+
+    monkeypatch.setattr(GradientTape, "backward", counted_backward)
     cfg = small_cfg(method=method, n_steps=N_WORK, batch=4, iterations=1, **setting)
     finetune(cfg, make_base(seed=9), QuadraticWell(center=np.array([1.0])))
     assert tuple(counts.values()) == expected
