@@ -12,11 +12,11 @@ c kappa a, reading (c, kappa) from the ``schedules.step_coeffs`` row of the
 step start.  Traces are plain arrays: nothing downstream differentiates
 through them.
 
-Each VJP also yields the base velocity at its step start.  Given a
-``(T, m, dim)`` array, ``lean_adjoint_batch`` keeps those velocities for the
-matching loss: row i holds v_base at step start N - T + i, the point
-paired with adjoints[i].  Rows 1..T-1 come from the recursion and row 0
-from one extra forward, so the loss runs no base forward of its own.
+Each VJP also yields the base velocity at its step start, and
+``lean_adjoint_batch`` returns those velocities with the adjoints, for the
+matching loss: row i of each holds v_base at step start N - T + i, the
+point paired with adjoints[i].  Rows 1..T-1 come from the recursion and
+row 0 from one extra forward, so the loss runs no base forward of its own.
 """
 
 from __future__ import annotations
@@ -54,16 +54,14 @@ def lean_adjoint_batch(
     terminal_grads: np.ndarray,
     n_truncate: int,
     coeffs: Optional[np.ndarray] = None,
-    v_base: Optional[np.ndarray] = None,
 ):
     """Backward Euler adjoint for a stacked batch.
 
     states: (N+1, m, dim); terminal_grads: (m, dim).  Returns
-    (window_times (T,), adjoints (T, m, dim)) with window_times ascending.
-    Passing ``coeffs``, the ``step_coeffs`` table of the grid, differentiates
-    the noise-corrected SDE drift instead of the plain field.  Passing a
-    (T, m, dim) ``v_base`` fills it with the base velocity at each window
-    step start, row i at grid index N - T + i.
+    (v_base, adjoints), both (T, m, dim): row i of each belongs to the step
+    that starts at grid index N - T + i, v_base[i] being the base velocity
+    there.  Passing ``coeffs``, the ``step_coeffs`` table of the grid,
+    differentiates the noise-corrected SDE drift instead of the plain field.
     """
     n = times.shape[0] - 1
     _check_grid(n, states, n_truncate, coeffs, name="n_truncate")
@@ -72,30 +70,25 @@ def lean_adjoint_batch(
         raise ShapeError(f"terminal grads {tg.shape} != states {states.shape[1:]}")
     if not np.all(np.isfinite(tg)):
         raise NonFiniteError("non-finite terminal gradient")
-    if v_base is not None and v_base.shape != (n_truncate,) + tg.shape:
-        raise ShapeError(f"v_base {v_base.shape} != {(n_truncate,) + tg.shape}")
     h = times[1] - times[0]
+    v_base = np.empty((n_truncate,) + tg.shape)
     adjoints = np.empty((n_truncate,) + tg.shape)
     adjoints[-1] = tg
     a = tg
-    for j in range(1, n_truncate):
-        # differentiate at the step start, the point the forward step
+    for i in range(n_truncate - 1, 0, -1):
+        # differentiate at the step start k, the point the forward step
         # evaluated the drift at, so the trace is the exact pathwise
-        # gradient of the discrete flow map
-        k = n - j
+        # gradient of the discrete flow map; adjoints[i - 1] is the one at k
+        k = n - n_truncate + i
         row = coeffs[k] if coeffs is not None else None
-        v, vjp = _vjp(base, states[k], times[k], a, row)
+        v_base[i], vjp = _vjp(base, states[k], times[k], a, row)
         a = a + h * vjp
         if not np.abs(a).max() <= BLOWUP_NORM:  # NaN fails the test too
             sample = int(np.argmax(~(np.abs(a) <= BLOWUP_NORM).all(axis=1)))
             raise NonFiniteError(f"adjoint blow-up at grid index {k - 1}, sample {sample}")
-        adjoints[n_truncate - 1 - j] = a
-        if v_base is not None:
-            v_base[n_truncate - j] = v
-    if v_base is not None:
-        k = n - n_truncate
-        v_base[0] = base.forward(states[k], times[k])
-    return times[n - n_truncate + 1 :], adjoints
+        adjoints[i - 1] = a
+    v_base[0] = base.forward(states[n - n_truncate], times[n - n_truncate])
+    return v_base, adjoints
 
 
 def lean_adjoint(
@@ -103,10 +96,10 @@ def lean_adjoint(
 ) -> AdjointTrace:
     """Truncated lean adjoint along one trajectory (deterministic dynamics)."""
     tg = np.asarray(terminal_grad, dtype=np.float64)
-    window, adj = lean_adjoint_batch(
+    _, adj = lean_adjoint_batch(
         base, traj.times, traj.states[:, None, :], tg[None, :], n_truncate
     )
-    return AdjointTrace(window=window, adjoints=adj[:, 0, :])
+    return AdjointTrace(window=traj.times[-n_truncate:], adjoints=adj[:, 0, :])
 
 
 def verify_adjoint_fd(base, traj: Trajectory, reward, t_index: int, fd_step=1e-4):

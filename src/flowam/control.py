@@ -7,8 +7,8 @@ first-order stationarity condition inverts to the closed-form target
 
 which the deterministic matching loss regresses the implicit control
 v_theta - v_base onto.  v_base is not recomputed here: the matching losses
-read the base velocities that ``adjoint.lean_adjoint_batch`` kept at the
-window's step starts.  The stochastic (quadratic-penalty) loss matches
+read the base velocities that ``adjoint.lean_adjoint_batch`` returns with
+the adjoints.  The stochastic (quadratic-penalty) loss matches
 (sigma^2 + 2 eta) / (2 sigma eta) * (v_theta - v_base) against -sigma u*(a);
 with c = sigma^2 / (2 eta) from the ``schedules.step_coeffs`` row of the
 step start, that coefficient is (c + 1) / sigma.
@@ -96,7 +96,7 @@ def check_pmp_optimality(reg: RegularizerSpec, a, u) -> float:
 # velocities consumed at the step start t_{k-1}, and return
 # (loss, param_grad) with the mean taken over window x batch.  The base
 # velocities at those step starts arrive as the (T, m, dim) array that
-# ``lean_adjoint_batch`` filled, so the losses run no base forward.  The
+# ``lean_adjoint_batch`` returned, so the losses run no base forward.  The
 # stochastic loss reads its per-step (correction, sigma) from the
 # ``step_coeffs`` table the caller built for the run.
 # ---------------------------------------------------------------------------
@@ -104,13 +104,14 @@ def check_pmp_optimality(reg: RegularizerSpec, a, u) -> float:
 
 def _matching_loss(v_theta, v_base, times, states, adjoints, reg, coef, scale):
     """Mean of |coef_i (v_theta - v_base) - scale_i u*(a_i)|^2 over the window."""
-    m = states.shape[1]
     t_count = adjoints.shape[0]
-    if v_base.shape != adjoints.shape:
-        raise ShapeError(f"base velocities {v_base.shape} != adjoints {adjoints.shape}")
+    _check_grid(times.shape[0] - 1, states, t_count)
+    if v_base.shape != adjoints.shape or adjoints.shape[1:] != states.shape[1:]:
+        raise ShapeError(f"base velocities {v_base.shape} and adjoints "
+                         f"{adjoints.shape} do not fit states {states.shape}")
     grads = np.zeros(v_theta.n_params)
     total = 0.0
-    denom = float(t_count * m)
+    denom = float(t_count * states.shape[1])
     first = times.shape[0] - 1 - t_count  # step start paired with adjoints[0]
     # near p = 1 the target's factor |a|^((2-p)/(p-1)) overflows; one scan
     # names the first bad target before any network pass consumes it
@@ -147,7 +148,6 @@ def am_det_loss_and_grad(
     reg: RegularizerSpec,
 ):
     """Regress the implicit control v_theta - v_base onto u*(a)."""
-    _check_grid(times.shape[0] - 1, states, adjoints.shape[0])
     ones = np.ones(adjoints.shape[0])
     return _matching_loss(v_theta, v_base, times, states, adjoints, reg, ones, ones)
 
@@ -168,7 +168,7 @@ def am_sde_loss_and_grad(
     """
     if reg.p != 2.0:
         raise ConfigError("stochastic adjoint matching supports p = 2 only")
-    _check_grid(times.shape[0] - 1, states, adjoints.shape[0], coeffs)
+    _check_grid(times.shape[0] - 1, coeffs=coeffs)
     corr, _, sig = coeffs[-adjoints.shape[0]:].T
     zero = np.flatnonzero(sig == 0.0)
     if zero.size:

@@ -146,9 +146,11 @@ def _check_finite(states, start: int = 0) -> None:
 
 
 def _check_grid(n_steps, states=None, window=None, coeffs=None, name="window"):
-    """Raise ``ShapeError`` unless ``states`` holds the n_steps + 1 grid
-    points, 1 <= ``window`` <= n_steps and ``coeffs`` is the grid's
-    (n_steps, 3) ``step_coeffs`` table; an argument left None is not checked."""
+    """Raise ``ShapeError`` unless n_steps >= 1, ``states`` holds its n_steps + 1
+    grid points, 1 <= ``window`` <= n_steps and ``coeffs`` is its (n_steps, 3)
+    ``step_coeffs`` table; an argument left None is not checked."""
+    if n_steps < 1:
+        raise ShapeError("n_steps must be >= 1")
     if states is not None and np.shape(states)[0] != n_steps + 1:
         raise ShapeError(f"states hold {np.shape(states)[0]} grid points, "
                          f"not {n_steps + 1}")
@@ -242,8 +244,7 @@ def run_blocks(fn, n: int, parts: int) -> list:
 def sample_ode(field, n_steps: int, x0) -> Trajectory:
     """Explicit-Euler trajectory of the probability-flow ODE from one
     (dim,) initial state."""
-    if n_steps < 1:
-        raise ShapeError("n_steps must be >= 1")
+    _check_grid(n_steps)
     times, states = _integrate(field, np.asarray(x0)[None], n_steps)
     _check_finite(states)
     return Trajectory(times, states[:, 0, :], np.empty((0, states.shape[-1])))
@@ -266,13 +267,11 @@ def sample_batch(
     ``NonFiniteError`` naming the earliest step at which any sample went
     non-finite and the first such sample.
     """
-    if n_steps < 1:
-        raise ShapeError("n_steps must be >= 1")
+    _check_grid(n_steps, coeffs=coeffs)
     if m < 1:
         raise ShapeError("batch size must be >= 1")
     if base_seed < 0:
         raise DomainError(f"seed must be >= 0, got {base_seed}")
-    _check_grid(n_steps, coeffs=coeffs)
     dim = field.state_dim
     stochastic = coeffs is not None
     # row i is stream i's x0 and then its (N, dim) noise block, in one draw

@@ -39,6 +39,6 @@ def step_coeffs(ns, n_steps: int) -> np.ndarray:
 
 # name -> sigma(t, eta) > 0 over the clipped step-start times
 NOISE_SCHEDULES = {
-    "memoryless": lambda t, eta: np.sqrt(np.maximum(2.0 * eta, 0.0)),
+    "memoryless": lambda t, eta: np.sqrt(2.0 * eta),
     "one_minus_t": lambda t, eta: 1.0 - t,
 }

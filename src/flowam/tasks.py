@@ -4,9 +4,10 @@ Every distribution exposes a sampler plus an exact log-density and score,
 so pretrained models can be checked against closed forms; ``log_density``
 and ``score`` take (m, dim) rows only and raise ``ShapeError`` on any
 other shape.  Rewards take rows: ``value`` maps stacked (m, dim) states to
-(m,) and ``grad`` maps (m, dim) to (m, dim); ``QuadraticWell`` and
-``ConstantReward`` accept any leading shape.  The gradient is what seeds
-the backward adjoint pass during fine-tuning.
+(m,) and ``grad`` maps (m, dim) to (m, dim); ``ConstantReward`` accepts any
+shape, ``QuadraticWell`` and ``LinearProbe`` any whose last axis is as long
+as their center or direction.  The gradient is what seeds the backward
+adjoint pass during fine-tuning.
 """
 
 from __future__ import annotations
@@ -119,6 +120,14 @@ def ring8(radius: float = 3.0, std: float = 0.3) -> GaussianMixture2D:
 # ---------------------------------------------------------------------------
 
 
+def _states_like(x, vec, name: str) -> np.ndarray:
+    """``x`` as float64 states whose last axis is as long as ``vec``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != np.shape(vec)[-1:]:
+        raise ShapeError(f"states of shape {x.shape} do not fit {name} {np.shape(vec)}")
+    return x
+
+
 @dataclass(frozen=True)
 class QuadraticWell:
     """r(x) = -(curvature / 2) ||x - center||^2."""
@@ -127,11 +136,11 @@ class QuadraticWell:
     curvature: float = 1.0
 
     def value(self, x):
-        d = np.asarray(x, dtype=np.float64) - np.asarray(self.center)
+        d = _states_like(x, self.center, "center") - np.asarray(self.center)
         return -0.5 * self.curvature * np.sum(d * d, axis=-1)
 
     def grad(self, x) -> np.ndarray:
-        d = np.asarray(x, dtype=np.float64) - np.asarray(self.center)
+        d = _states_like(x, self.center, "center") - np.asarray(self.center)
         return -self.curvature * d
 
 
@@ -155,10 +164,11 @@ class LinearProbe:
     direction: np.ndarray
 
     def value(self, x):
-        return np.asarray(x, dtype=np.float64) @ np.asarray(self.direction)
+        return _states_like(x, self.direction, "direction") @ np.asarray(self.direction)
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(self.direction, dtype=np.float64) + 0.0 * np.asarray(x)
+        x = _states_like(x, self.direction, "direction")
+        return np.asarray(self.direction, dtype=np.float64) + 0.0 * x
 
 
 @dataclass(frozen=True)

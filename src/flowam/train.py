@@ -203,8 +203,6 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
     coeffs = None
     if cfg.method == "sde-am":
         coeffs = step_coeffs(NOISE_SCHEDULES[cfg.noise], cfg.n_steps)
-    # base velocities on the window, filled by the adjoint, read by the loss
-    v_base = np.empty((cfg.n_truncate, cfg.batch, base.state_dim))
     rows, timings = [], []
     for it in range(cfg.iterations):
         it_seed = _iteration_seed(cfg.seed, it)
@@ -220,9 +218,8 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
 
             phase = "adj"
             if cfg.method in ("ode-am", "sde-am"):
-                _, adjoints = lean_adjoint_batch(
-                    base, times, states, -reward.grad(x1), cfg.n_truncate, coeffs,
-                    v_base,
+                v_base, adjoints = lean_adjoint_batch(
+                    base, times, states, -reward.grad(x1), cfg.n_truncate, coeffs
                 )
             t2 = time.perf_counter()
 

@@ -358,9 +358,8 @@ def test_matching_losses_give_the_per_step_expressions_bytes(method, t_count, m)
     trajs = sample_batch(theta, n, m, 7, table)
     times, states = trajs[0].times, np.stack([t.states for t in trajs], axis=1)
     reward = QuadraticWell(center=np.array([1.0, 0.0]))
-    v_base = np.empty((t_count, m, 2))
-    _, adjoints = lean_adjoint_batch(base, times, states, -reward.grad(states[-1]),
-                                     t_count, table, v_base)
+    v_base, adjoints = lean_adjoint_batch(base, times, states,
+                                          -reward.grad(states[-1]), t_count, table)
     reg = RegularizerSpec()
     if method == "ode-am":
         got = am_det_loss_and_grad(theta, v_base, times, states, adjoints, reg)
@@ -477,6 +476,8 @@ N_GRID = 10
 WINDOW_OFF = r"^window 12 not in \[1, 10\]$"
 TABLE_OFF = r"^coefficient table must have shape \(10, 3\), got \({}, 3\)$"
 STATES_OFF = r"^states hold 10 grid points, not 11$"
+BATCH_OFF = (r"^base velocities \(3, 2, 1\) and adjoints \(3, 2, 1\) do not fit "
+             r"states \(11, 3, 1\)$")
 
 
 @pytest.mark.parametrize("fn,case,message", [
@@ -488,6 +489,8 @@ STATES_OFF = r"^states hold 10 grid points, not 11$"
     ("am_sde", "short table", TABLE_OFF.format(9)),
     *[(fn, "states short of the grid", STATES_OFF)
       for fn in ("lean_adjoint_batch", "am_det", "am_sde", "draft", "refl")],
+    ("am_det", "window of another batch", BATCH_OFF),
+    ("am_sde", "window of another batch", BATCH_OFF),
 ])
 def test_grid_readers_reject_a_window_table_or_states_off_the_grid(fn, case, message):
     # each would read wrapped indices, another grid's rows or too few states
@@ -503,7 +506,8 @@ def test_grid_readers_reject_a_window_table_or_states_off_the_grid(fn, case, mes
     elif case == "states short of the grid":
         states = states[:-1]
     rng = np.random.default_rng(0)
-    adjoints, v_base = rng.standard_normal((2, t_count, 3, 1))
+    rows = 2 if case == "window of another batch" else 3
+    adjoints, v_base = rng.standard_normal((2, t_count, rows, 1))
     reg, reward = RegularizerSpec(), QuadraticWell(center=np.array([1.0]))
     call = {
         "lean_adjoint_batch": lambda: lean_adjoint_batch(

@@ -157,6 +157,7 @@ def test_quadratic_well_values_and_grad():
         (LinearProbe(direction=np.array([0.3, -0.8])), 2),
         (QuadraticWell(center=np.array([1.0]), curvature=0.7), 1),
         (LogDensityTilt(target=Gaussian1D(0.2, 1.1)), 1),
+        (LinearProbe(direction=np.array([1.7])), 1),
     ],
 )
 def test_reward_gradients_match_fd(reward, dim, rng):
@@ -168,6 +169,12 @@ def test_reward_gradients_match_fd(reward, dim, rng):
         e[j] = eps
         fd = (reward.value(x + e) - reward.value(x - e)) / (2 * eps)
         assert g[:, j] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+    # states one column short or over the reward's width are refused, not
+    # broadcast against its centre or direction
+    for width in (dim - 1, dim + 1):
+        for method in (reward.value, reward.grad):
+            with pytest.raises(ShapeError, match=rf"^states of shape \(5, {width}\)"):
+                method(np.zeros((5, width)))
 
 
 def test_constant_reward():

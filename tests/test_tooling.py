@@ -130,9 +130,8 @@ def test_finetune_iteration_samples_and_adjoints_once_through_module_bindings():
         assert len(trajs) == 4
         assert all(isinstance(tr, dynamics.Trajectory) for tr in trajs)
         assert all(tr.noises.shape == (noise_rows, 2) for tr in trajs)
-        window, adj = seen["lean_adjoint_batch"][0]
-        assert window.shape == (3,)
-        assert adj.shape == (3, 4, 2)
+        v_base, adj = seen["lean_adjoint_batch"][0]
+        assert v_base.shape == adj.shape == (3, 4, 2)
 
 
 @pytest.mark.parametrize("method, builds", [("sde-am", 1), ("ode-am", 0),
