@@ -139,10 +139,9 @@ def _check_finite(states, start: int = 0) -> None:
     if np.isfinite(states).all():
         return
     bad = ~np.isfinite(states).all(axis=-1)  # (steps, m)
-    if bad.any():
-        step, sample = np.unravel_index(np.argmax(bad), bad.shape)
-        raise NonFiniteError(
-            f"non-finite state at step {start + int(step)}, sample {int(sample)}")
+    step, sample = np.unravel_index(np.argmax(bad), bad.shape)
+    raise NonFiniteError(
+        f"non-finite state at step {start + int(step)}, sample {int(sample)}")
 
 
 def _check_grid(n_steps, states=None, window=None, coeffs=None, name="window"):

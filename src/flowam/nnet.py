@@ -10,6 +10,8 @@ followed by it and also returns the velocity, which the adjoint keeps for
 the matching loss).  Given ``into``, the ``layer_views`` of a caller's flat
 sum, it also adds each layer's parameter gradient into that sum: every
 loss, and pretraining, forms its gradient so, from ``np.zeros(n_params)``.
+A tape pulls back with the weights of the parameter version that taped it,
+even after ``set_params_flat`` adopts another array.
 
 ``forward_tape`` computes each hidden layer's activation derivative in the
 forward pass, from the same intermediates as the activation (the sigmoid
@@ -22,14 +24,14 @@ once per process: its read-only row is kept in ``_time_row``'s
 rows) and copied into every row of the feature matrix.  An array t, as
 pretraining passes, is embedded at every call.
 
-A call of m <= BIAS_TILE_ROWS rows, made with parameters that already
-served a call of m rows, adds each layer's bias from a read-only copy tiled
-to m rows: numpy adds two arrays of one shape about twice as fast as it
-broadcasts a row, and each element gets the same single add.  The field
-keeps the tiles until ``set_params_flat`` adopts parameters again or a call
-comes at another row count, so a fine-tuning iteration tiles theta once and
-pretraining, whose parameters serve one call each, tiles nothing.  Above
-the bound, tiles measured no faster.
+A call of m <= BIAS_TILE_ROWS rows adds each layer's bias from a read-only
+copy tiled to m rows: numpy adds two arrays of one shape about twice as
+fast as it broadcasts a row, and each element gets the same single add.
+A parameter version's first call at m rows builds the tiles, and the field
+keeps them until ``set_params_flat`` adopts parameters again or a call
+comes at another row count, so a fine-tuning iteration tiles theta once
+and pretraining at a batch of at most the bound tiles once per iteration.
+Above the bound, tiles measured no faster.
 
 ``set_params_flat`` also copies the input and hidden layers' W_l^T into
 read-only C-contiguous arrays, and the forward multiplies h @ W_l^T by
@@ -230,10 +232,12 @@ def param_name(cfg: NetConfig, i: int) -> str:
 
 
 class GradientTape:
-    """Recorded activations for one forward pass; a pull back reads them only."""
+    """One forward pass's activations and the read-only ``vf.weights`` views
+    of the version that taped it, not the field; a pull back reads only
+    them, and sees an in-place edit of the adopted array."""
 
     def __init__(self, vf: "VelocityField", layer_inputs, derivs):
-        self._vf = vf
+        self._weights = vf.weights
         self._layer_inputs = layer_inputs  # input to each linear layer, (n, in_l)
         self._derivs = derivs  # activation derivative of each hidden layer
 
@@ -247,21 +251,21 @@ class GradientTape:
         their gradients in one vector.  Without it no parameter gradient
         is formed.
         """
-        vf = self._vf
+        weights = self._weights
         g = np.asarray(cotangent, dtype=np.float64)
-        shape = (self._layer_inputs[0].shape[0], vf.cfg.state_dim)
+        shape = (self._layer_inputs[0].shape[0], weights[-1].shape[0])
         if g.shape != shape:
             raise ShapeError(f"cotangent of shape {g.shape} != forward output {shape}")
-        for l in range(len(vf.weights) - 1, -1, -1):
+        for l in range(len(weights) - 1, -1, -1):
             if into is not None:
                 into[0][l] += g.T @ self._layer_inputs[l]
                 into[1][l] += g.sum(axis=0)
             # layer 0 multiplies by all of W_0 and slices afterwards: the
             # product with W_0's state columns alone has other bits
-            g = g @ vf.weights[l]
+            g = g @ weights[l]
             if l > 0:
                 g *= self._derivs[l - 1]
-        return g[:, : vf.cfg.state_dim]
+        return g[:, : shape[1]]
 
 
 class VelocityField:
@@ -306,9 +310,8 @@ class VelocityField:
         # of W_l^T for the input and hidden layers, the output layer's view
         *inner, out = self.weights
         self._rhs = [*(_read_only(np.ascontiguousarray(w.T)) for w in inner), out.T]
-        # (row count of the last call, its bias tiles or None); reset at
-        # every adoption, since a caller may have changed ``flat`` in place
-        # before passing it again
+        # (row count, bias tiles), reset at every adoption: a caller may
+        # have changed ``flat`` in place before passing it again
         self._tiles = (None, None)
 
     @property
@@ -343,15 +346,11 @@ class VelocityField:
                 for b in self.biases]
 
     def _bias_addends(self, m):
-        """What each layer's bias add reads for an m-row call: the bias
-        rows, or from the second call at m <= BIAS_TILE_ROWS their tiles."""
+        """The biases an m-row call adds, tiled to m rows if m <= BIAS_TILE_ROWS."""
         if m > BIAS_TILE_ROWS:
             return self.biases
         rows, tiles = self._tiles  # read once: another thread may replace it whole
         if rows != m:
-            self._tiles = (m, None)
-            return self.biases
-        if tiles is None:
             tiles = self._tile_biases(m)
             self._tiles = (m, tiles)
         return tiles

@@ -65,8 +65,12 @@ class GaussianMixture2D:
             raise ConfigError("mode lists must have equal lengths")
         if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ConfigError(f"mode weights must sum to 1, got {sum(self.weights)}")
+        if any(w < 0 for w in self.weights):
+            raise DomainError("mode weights must be >= 0")
         if not all(0.0 < s < math.inf for s in self.stds):
             raise DomainError("mode stds must be > 0 and finite")
+        if any(np.shape(c) != (2,) for c in self.centers):
+            raise ShapeError(f"mode centers must be (x, y) pairs, got {self.centers}")
         if not np.all(np.isfinite(np.asarray(self.centers, dtype=np.float64))):
             raise DomainError("mode centers must be finite")
 

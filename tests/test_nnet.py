@@ -557,7 +557,7 @@ def _random_field(activation, dim, seed):
 
 def _outputs(vf, x, t, w):
     """Bytes of forward_tape with backward, input_vjp and forward; on a fresh
-    field, the first call broadcasts the biases and the later two add tiles."""
+    field, the first call tiles the biases and the later two reuse the tiles."""
     out, tape = vf.forward_tape(x, t)
     grad, input_grad = _backward_with_grad(tape, vf, w)
     v, vjp = vf.input_vjp(x, t, w)
@@ -577,6 +577,24 @@ def test_tiled_bias_adds_give_the_broadcast_bytes(activation, dim, m):
         vjp = GradientTape(vf, inputs, derivs).backward(w)
         want = [a.tobytes() for a in (out, grad, input_grad, out, vjp, out)]
         assert _outputs(vf, x, t, w) == want
+
+
+@pytest.mark.parametrize("activation", list(ACTIVATIONS))
+@pytest.mark.parametrize("m", [1, 64, BIAS_TILE_ROWS + 1])
+def test_a_tape_pulls_back_with_the_version_that_taped_it(activation, m):
+    # adopting a new array between the taped forward and its pull back
+    # leaves the pull back on the taped parameters
+    vf = _random_field(activation, 2, seed=m)
+    rng = np.random.default_rng(m)
+    x, w = rng.standard_normal((m, 2)), rng.standard_normal((m, 2))
+    taped = vf.params_flat()
+    _, tape = vf.forward_tape(x, 0.4)
+    vf.set_params_flat(taped + rng.standard_normal(taped.size))
+    fresh = VelocityField(vf.cfg, taped)
+    _, want = fresh.forward_tape(x, 0.4)
+    got = [a.tobytes() for a in (*_backward_with_grad(tape, fresh, w), tape.backward(w))]
+    assert got == [a.tobytes() for a in (*_backward_with_grad(want, fresh, w),
+                                         want.backward(w))]
 
 
 def test_an_in_place_update_readopted_drops_the_tiles():

@@ -85,6 +85,13 @@ def test_mixture_weights_must_sum_to_one():
         GaussianMixture2D(centers=((float("nan"), 0),), weights=(1.0,), stds=(1.0,))
     with pytest.raises(ConfigError):
         GaussianMixture2D(centers=((0, 0),), weights=(float("nan"),), stds=(1.0,))
+    # weights that sum to 1 with a negative one, and centers that are not
+    # (x, y) pairs: ragged, 3-wide, or bare scalars numpy would broadcast
+    with pytest.raises(DomainError, match="mode weights must be >= 0"):
+        GaussianMixture2D(centers=((0, 0), (1, 1)), weights=(1.5, -0.5), stds=(1, 1))
+    for centers in (((0, 0), (1, 1, 1)), ((0, 0, 0), (1, 1, 1)), (0.0, 1.0)):
+        with pytest.raises(ShapeError, match=r"\(x, y\) pairs"):
+            GaussianMixture2D(centers=centers, weights=(0.5, 0.5), stds=(1, 1))
 
 
 def test_degenerate_mixture_equals_single_gaussian(rng):

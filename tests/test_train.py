@@ -502,7 +502,7 @@ def test_fine_tuning_tiles_theta_once_per_update_and_the_base_once_per_run(
     tile_builds, method, batch
 ):
     # theta's parameters change once per iteration and the base's never;
-    # a version's second call at the batch size tiles, and later calls reuse
+    # a version's first call at the batch size tiles, and later calls reuse
     base = make_base(seed=9)
     cfg = small_cfg(method=method, batch=batch, iterations=3, k_window=3)
     ckpt, _, _ = finetune(cfg, base, QuadraticWell(center=np.array([1.0])))
@@ -513,12 +513,12 @@ def test_fine_tuning_tiles_theta_once_per_update_and_the_base_once_per_run(
 
 
 @pytest.mark.parametrize("batch", [64, 512])
-def test_pretraining_tiles_no_bias(tile_builds, batch):
-    # each parameter version serves one taped forward: 512 rows are above
-    # the bound, and 64 rows would be tiled only at a second call
+def test_pretraining_tiles_once_per_iteration_at_most_the_bound(tile_builds, batch):
+    # each parameter version serves one taped forward: at 64 rows its first
+    # call tiles, and 512 rows are above the bound
     net = NetConfig(state_dim=2, hidden=(12, 12))
     pretrain(small_cfg(batch=batch, iterations=3), GaussianMixture2D.two_modes(), net)
-    assert tile_builds == []
+    assert [m for _, m in tile_builds] == ([64] * 3 if batch == 64 else [])
 
 
 @pytest.mark.parametrize("method", ["ode-am", "sde-am", "draft", "refl"])
