@@ -17,7 +17,7 @@ Prints one ``sha256  path`` line per ``metrics.csv``, ``eval.csv``,
 ``sweep.csv``, checkpoint, ``config.resolved`` and samples file, with paths
 relative to ``--outdir``; ``timings.csv`` holds wall-clock times and is left
 out.  Two trees give the same lines if and only if their outputs have the
-same bytes:
+same bytes.  The outdir must be new or empty:
 
     python3 scripts/bytes_digest.py --outdir out/digest > digest.txt
 """
@@ -74,6 +74,12 @@ def main():
                         ("--finetune-iters", args.finetune_iters)):
         if value < 0:
             ap.error(f"{flag} must be >= 0, got {value}")
+    # the presets reuse a base keyed by config text, not code: a used outdir
+    # would hand another tree's base to this one
+    if os.path.exists(args.outdir) and (not os.path.isdir(args.outdir)
+                                        or os.listdir(args.outdir)):
+        sys.exit(f"--outdir {args.outdir} is not an empty directory; "
+                 "digests need a fresh one")
     os.makedirs(args.outdir, exist_ok=True)
     # every path below is relative to the outdir, where flowctl runs, so
     # config.resolved records the same outdir whatever --outdir is

@@ -2,7 +2,10 @@
 
 Layout: one JSON header line (format_version, architecture, seed, iteration,
 parameter count) terminated by a newline, followed by the flat parameter
-array as little-endian float64 in the ``nnet.layer_views`` order.
+array as little-endian float64 in the ``nnet.layer_views`` order.  ``load``
+checks the file against itself (header, whole float64s, the header's count);
+the ``VelocityField`` it builds checks the count against the architecture and
+every value's finiteness.  A file that does not load is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError, ParseError
+from .errors import ConfigError, NonFiniteError, ParseError, ShapeError
 from .nnet import NetConfig, VelocityField
 
 FORMAT_VERSION = 1
@@ -89,10 +92,8 @@ def load(path: str) -> Checkpoint:
             f"checkpoint {path}: expected {header['n_params']} params, "
             f"found {params.size}"
         )
-    if not np.all(np.isfinite(params)):
-        raise NonFiniteError(f"checkpoint {path} contains non-finite parameters")
-    if header["n_params"] != cfg.n_params:
-        raise ParseError(f"checkpoint {path}: header n_params {header['n_params']} "
-                         f"!= {cfg.n_params}, the count its architecture implies")
-    return Checkpoint(vf=VelocityField(cfg, params), seed=header["seed"],
-                      iteration=header["iteration"])
+    try:
+        vf = VelocityField(cfg, params)
+    except (ShapeError, NonFiniteError) as e:
+        raise ParseError(f"checkpoint {path}: {e}") from e
+    return Checkpoint(vf=vf, seed=header["seed"], iteration=header["iteration"])

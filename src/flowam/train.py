@@ -161,7 +161,6 @@ def pretrain(cfg: TrainConfig, dist, net_cfg: NetConfig):
     """
     vf = VelocityField.init(net_cfg, seed=cfg.seed)
     opt = OptimizerState.init(vf.n_params)
-    params = vf.params_flat()
     rows = []
     for it in range(cfg.iterations):
         rng = sample_seed(cfg.seed, it)
@@ -176,11 +175,8 @@ def pretrain(cfg: TrainConfig, dist, net_cfg: NetConfig):
             loss = float(np.mean(np.sum(resid * resid, axis=1)))
             grads = np.zeros(vf.n_params)
             tape.backward(2.0 * resid / cfg.batch, into=layer_views(net_cfg, grads))
-            params = optimizer_step(
-                opt, params, grads, cfg.grad_clip,
-                warmup_lr(cfg.lr, cfg.warmup, it), vf.cfg,
-            )
-            vf.set_params_flat(params)
+            vf.set_params_flat(optimizer_step(opt, vf.params, grads, cfg.grad_clip,
+                                              warmup_lr(cfg.lr, cfg.warmup, it), vf.cfg))
         except NonFiniteError as e:
             raise NonFiniteError(f"pretraining aborted at iteration {it}: {e}") from e
         rows.append({"iter": it, "loss": loss, "reward_mean": 0.0, "reward_std": 0.0})
@@ -197,7 +193,6 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
     base = base_ckpt.vf
     vf = base.copy()
     opt = OptimizerState.init(vf.n_params)
-    params = vf.params_flat()
     reg = cfg.regularizer
     # one SDE table per run, read by the sampler, the adjoint and the loss
     coeffs = None
@@ -241,11 +236,8 @@ def finetune(cfg: TrainConfig, base_ckpt: Checkpoint, reward):
                 loss, grads = refl_loss_and_grad(
                     vf, times, states, reward, cfg.k_window, rng
                 )
-            params = optimizer_step(
-                opt, params, grads, cfg.grad_clip,
-                warmup_lr(cfg.lr, cfg.warmup, it), vf.cfg,
-            )
-            vf.set_params_flat(params)
+            vf.set_params_flat(optimizer_step(opt, vf.params, grads, cfg.grad_clip,
+                                              warmup_lr(cfg.lr, cfg.warmup, it), vf.cfg))
             t3 = time.perf_counter()
         except NonFiniteError as e:
             raise NonFiniteError(

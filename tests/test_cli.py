@@ -294,7 +294,14 @@ ERROR_CASES = {
         lambda base, tmp: plot_argv(_edit_header(
             base, tmp / "h.bin", lambda h: {**h, "n_params": h["n_params"] - 1},
             cut=8), tmp),
-        "n_params",
+        "expected 449 params, got",
+    ),
+    "params-nan": (
+        None,
+        lambda base, tmp: plot_argv(_edit_header(
+            base, tmp / "n.bin", lambda h: h, cut=8,
+            tail=np.array([np.nan], "<f8").tobytes()), tmp),
+        "non-finite",
     ),
     "seed-negative": (TINY_FINETUNE.replace("seed = 1", "seed = -1"), finetune_argv,
                       "seed"),

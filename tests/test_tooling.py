@@ -159,6 +159,55 @@ def test_finetune_builds_the_sde_table_once_per_run(method, builds):
     assert len(calls) == builds, method
 
 
+@pytest.mark.parametrize("run", ["pretrain", "finetune"])
+def test_every_adam_step_reads_the_fields_vector_and_never_writes_it(run):
+    # perfbench's pretraining check recomputes the gradient at the params
+    # that optimizer_step received, so each call must get the field's own
+    # current array, the previous step's return (the initial vector first),
+    # and that array must keep its values after the call
+    patch_everywhere, restore = (getattr(load_tracer_module(), name)
+                                 for name in ("patch_everywhere", "restore"))
+    fields, steps = [], []  # the last field to adopt; (params, copy, return)
+
+    def adopting(fn):
+        def wrapper(self, flat):
+            fn(self, flat)
+            fields.append(self)
+        return wrapper
+
+    def stepping(fn):
+        def wrapper(opt, params, *args):
+            assert params is fields[-1].params
+            at_call = params.copy()
+            result = fn(opt, params, *args)
+            steps.append((params, at_call, result))
+            return result
+        return wrapper
+
+    net = nnet.NetConfig(state_dim=2, hidden=(6,), time_features=4)
+    if run == "pretrain":
+        cfg = train.TrainConfig(batch=8, iterations=3, lr=1e-2)
+        first = nnet.VelocityField.init(net, seed=cfg.seed).params.copy()
+    else:
+        cfg = train.TrainConfig(method="ode-am", n_steps=6, n_truncate=3, batch=4,
+                                iterations=2, lr=1e-2)
+        base = small_base()
+        first = base.vf.params.copy()
+    undo = patch_everywhere(nnet.VelocityField, "set_params_flat", adopting)
+    undo += patch_everywhere(train, "optimizer_step", stepping)
+    try:
+        if run == "pretrain":
+            train.pretrain(cfg, tasks.GaussianMixture2D.two_modes(), net)
+        else:
+            train.finetune(cfg, base, tasks.QuadraticWell(center=np.array([1.0, 0.0])))
+    finally:
+        restore(undo)
+    assert len(steps) == cfg.iterations
+    for i, (params, at_call, _) in enumerate(steps):
+        np.testing.assert_array_equal(params, steps[i - 1][2] if i else first)
+        np.testing.assert_array_equal(params, at_call)
+
+
 def test_eval_columns_are_the_report_row():
     ckpt = small_base()
     report = evaluation.evaluate(ckpt, ckpt, tasks.ConstantReward(), n_samples=8,
@@ -229,6 +278,16 @@ def test_bytes_digest_digests_its_own_tree_past_a_decoy_flowam(tmp_path):
     assert len(proc.stdout.splitlines()) == 48
     for name in outputs:
         output(outdir, name)
+
+
+def test_bytes_digest_refuses_an_outdir_that_is_not_empty(tmp_path):
+    # a preset in a used outdir would load the base another tree cached there
+    (tmp_path / "left-over").write_text("")
+    proc = run_script("bytes_digest.py", tmp_path, *SCRIPTS["bytes_digest.py"][0])
+    assert proc.returncode != 0
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert str(tmp_path) in proc.stderr
+    assert not (tmp_path / "readme").exists()
 
 
 @pytest.mark.parametrize("script", ["tilt_experiment.py", "tradeoff_sweep.py"])

@@ -434,6 +434,21 @@ def test_all_methods_run_one_iteration():
         assert np.all(np.isfinite(ckpt.vf.params_flat()))
 
 
+@pytest.mark.parametrize("method", ["ode-am", "sde-am", "draft", "refl"])
+def test_finetune_leaves_the_base_frozen(method):
+    # the tuned field adopts every update; the base keeps its vector's bytes
+    # and its outputs
+    base = make_base(seed=7)
+    before = base.vf.params.tobytes()
+    x, t = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(0.0, 1.0, 5)
+    out = base.vf.forward(x, t)
+    tuned, _, _ = finetune(small_cfg(iterations=2, method=method, k_window=3), base,
+                           QuadraticWell(center=np.array([1.0]), curvature=1.0))
+    assert base.vf.params.tobytes() == before
+    np.testing.assert_array_equal(base.vf.forward(x, t), out)
+    assert tuned.vf.params.tobytes() != before
+
+
 # -- work per iteration ------------------------------------------------------------
 
 N_WORK = 50
